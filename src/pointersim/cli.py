@@ -161,28 +161,23 @@ def cmd_uncertainty(args) -> int:
     cfg = build_measurement(raw)
     moments = build_moments(raw)
     times = time_grid(raw)
-    curve = uncertainty_curve(cfg, moments, times, args.mode, max_workers=args.threads)
+    curve = uncertainty_curve(cfg, moments, times, args.mode)
+    _check_curve(curve)
     lines = _header_lines(raw, args.mode)
     lines.append(",".join(_CURVE_COLUMNS))
     for p in curve:
         lines.append(",".join(_fmt(getattr(p, c)) for c in _CURVE_COLUMNS))
     _write(args.out, lines)
-    if args.out is not None:
-        _check_emitted_curve(args.out)
     return EXIT_OK
 
 
-def _check_emitted_curve(path: str) -> None:
-    """Post-write pass: every emitted row must satisfy u_sq >= bound."""
-    with open(path) as fh:
-        rows = [ln for ln in fh if not ln.startswith("#")]
-    cols = rows[0].strip().split(",")
-    iu, ib = cols.index("u_sq"), cols.index("bound")
-    for ln in rows[1:]:
-        vals = ln.strip().split(",")
-        if float(vals[iu]) < float(vals[ib]) - 1e-8:
+def _check_curve(curve) -> None:
+    """Every row must satisfy u_sq >= bound before any row is emitted."""
+    for p in curve:
+        if p.u_sq < p.bound - 1e-8:
             raise NumericalError(
-                f"emitted row violates u_sq >= bound: {ln.strip()}"
+                f"row violates u_sq >= bound at t = {_fmt(p.t)}: "
+                f"u_sq = {_fmt(p.u_sq)}, bound = {_fmt(p.bound)}"
             )
 
 
@@ -236,7 +231,6 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         coarse_points=int(opts["coarse_points"]),
         rel_tol=float(opts["rel_tol"]),
-        max_workers=args.threads,
     )
     lines = _header_lines(raw, args.mode)
     lines.append(",".join(_SWEEP_COLUMNS))
@@ -365,7 +359,6 @@ def make_parser() -> argparse.ArgumentParser:
             default="renormalized",
             help="bath dynamics variant",
         )
-        p.add_argument("--threads", type=int, default=1)
         p.set_defaults(func=fn)
     return parser
 

@@ -63,11 +63,20 @@ def golden_section(f, a: float, b: float, rel_tol: float = 1e-5):
     return t, (fc if fc < fd else fd)
 
 
+def _coarse_grid(t_interval: tuple[float, float], coarse_points: int) -> np.ndarray:
+    """Geometric coarse-scan grid on the interval, dense near t -> 0."""
+    lo, hi = t_interval
+    if not 0.0 < lo < hi:
+        raise ValueError("interval must satisfy 0 < lo < hi")
+    return np.geomspace(lo, hi, coarse_points)
+
+
 def find_optimal_time(
     evaluator,
     t_interval: tuple[float, float] = (0.02, 3.0),
     coarse_points: int = 60,
     rel_tol: float = 1e-5,
+    coarse_values=None,
 ) -> Optimum:
     """Locate the global minimum of a scalar landscape on (0, t_max].
 
@@ -75,12 +84,17 @@ def find_optimal_time(
     The coarse grid is geometric, dense near the t -> 0 divergence.  A
     minimum sitting on an interval edge raises :class:`BoundaryMinimum`;
     near-degenerate local minima are reported, not resolved.
+    ``coarse_values``, when given, are the values of ``evaluator`` on the
+    coarse grid, computed elsewhere; only the refinement then calls
+    ``evaluator``.
     """
-    lo, hi = t_interval
-    if not 0.0 < lo < hi:
-        raise ValueError("interval must satisfy 0 < lo < hi")
-    grid = np.geomspace(lo, hi, coarse_points)
-    vals = np.array([evaluator(float(t)) for t in grid])
+    grid = _coarse_grid(t_interval, coarse_points)
+    if coarse_values is None:
+        vals = np.array([evaluator(float(t)) for t in grid])
+    else:
+        vals = np.asarray(coarse_values, dtype=float)
+        if vals.shape != grid.shape:
+            raise ValueError(f"need {coarse_points} coarse values, got {vals.shape}")
 
     best = int(vals.argmin())
     if best == 0 or best == coarse_points - 1:
@@ -118,47 +132,46 @@ def thermal_sweep(
     mode: str = "renormalized",
     coarse_points: int = 60,
     rel_tol: float = 1e-5,
-    max_workers: int = 1,
 ) -> SweepResult:
     """Optimal measurement time and minimal uncertainty per thermal energy.
 
-    The propagator table is shared across the sweep: the dynamics do not
-    depend on the thermal energy, only the noise covariance does.
+    The dynamics do not depend on the thermal energy, and Lambda is linear
+    in nu.  So the coarse scan is one pass over the coarse grid for all
+    energies at once: at each grid time one propagation and one beta-free
+    Lambda rule, contracted with the nu of every energy.  Each energy then
+    only runs the golden-section refinement of :func:`find_optimal_time`
+    on its row of the coarse values.
     """
     inv_betas = np.asarray(inv_betas, dtype=float)
     if np.any(inv_betas <= 0) or np.any(np.diff(inv_betas) < 0):
         raise ValueError("inv_beta values must be positive and ascending")
     base = CurveEvaluator(cfg, moments, t_interval[1], mode)
+    evaluators = [base.with_inv_beta(float(ib)) for ib in inv_betas]
+    kernels = [ev.kernel for ev in evaluators]
+    grid = _coarse_grid(t_interval, coarse_points)
+    coarse = np.array(
+        [[p.u_sq for p in base.points(float(t), kernels)] for t in grid]
+    ).T  # (n_beta, coarse_points)
 
-    def one(ib: float):
-        ev = base.with_inv_beta(float(ib))
-        flag = ""
+    t_opt = np.full(inv_betas.size, np.nan)
+    u_min = np.full(inv_betas.size, np.nan)
+    flags = []
+    for i, (ib, ev) in enumerate(zip(inv_betas, evaluators)):
         try:
-            opt = find_optimal_time(ev.u_sq, t_interval, coarse_points, rel_tol)
+            opt = find_optimal_time(
+                ev.u_sq, t_interval, coarse_points, rel_tol, coarse_values=coarse[i]
+            )
         except BoundaryMinimum as exc:
-            return np.nan, np.nan, f"boundary_minimum: {exc}"
+            flags.append((float(ib), f"boundary_minimum: {exc}"))
+            continue
+        t_opt[i], u_min[i] = opt.t_opt, opt.u_sq_min
         if opt.multiple_minima:
-            flag = f"multiple_minima: {opt.candidates}"
-        return opt.t_opt, opt.u_sq_min, flag
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(one, inv_betas))
-    else:
-        rows = [one(ib) for ib in inv_betas]
-
-    t_opt = np.array([r[0] for r in rows])
-    u_min = np.array([r[1] for r in rows])
-    flags = tuple(
-        (float(ib), r[2]) for ib, r in zip(inv_betas, rows) if r[2]
-    )
+            flags.append((float(ib), f"multiple_minima: {opt.candidates}"))
     return SweepResult(
         inv_betas=inv_betas,
         t_opt=t_opt,
         u_sq_min=u_min,
-        flags=flags,
+        flags=tuple(flags),
         grid_info={
             "t_interval": list(t_interval),
             "coarse_points": coarse_points,

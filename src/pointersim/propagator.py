@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ExpNonConvergence, SingularMass
+from .errors import ExpNonConvergence, SingularInference, SingularMass
 from .model import CouplingMatrices, MeasurementConfig, build_coupling_matrices
 
 __all__ = [
     "AugmentedGenerator",
     "PropagatorSet",
     "build_generator",
+    "checked_det_a",
     "propagate",
     "propagate_grid",
     "response_matrices",
@@ -192,3 +193,14 @@ def response_matrices(k: np.ndarray, g: np.ndarray):
     )
     det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     return a, b, float(det_a)
+
+
+def checked_det_a(a: np.ndarray, det_rtol: float) -> float:
+    """det A of a 2x2 response matrix, checked for invertibility.
+
+    Raises SingularInference when |det A| <= det_rtol * ||A||^2.
+    """
+    det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if abs(det_a) <= det_rtol * max(np.linalg.norm(a) ** 2, 1e-300):
+        raise SingularInference(f"det A = {det_a:.3g} too small for inference")
+    return det_a

@@ -10,15 +10,15 @@ measurement bound U^2 >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularInference
 from .kernels import BathKernel
 from .model import GaussianMoments, MeasurementConfig, require_zero_mean
-from .noise import PropagatorTable, lambda_covariance, xi_matrix
-from .propagator import build_generator, propagate, response_matrices
+from .noise import PropagatorTable, lambda_covariance, lambda_rule, xi_matrix
+from .propagator import build_generator, checked_det_a, propagate, response_matrices
 
 __all__ = [
     "UncertaintyPoint",
@@ -35,14 +35,15 @@ __all__ = [
 ]
 
 
-def pointer_contributions(a: np.ndarray, b: np.ndarray, cov_j: np.ndarray):
+def pointer_contributions(
+    a: np.ndarray, b: np.ndarray, cov_j: np.ndarray, det_rtol: float = 1e-12
+):
     """Pointer-state contributions sigma_1^2, sigma_2^2.
 
-    sigma_k^2 = v_k cov_J v_k^T with rows v_k of A^-1 B.
+    sigma_k^2 = v_k cov_J v_k^T with rows v_k of A^-1 B.  Raises
+    SingularInference when |det A| is below det_rtol * ||A||^2.
     """
-    det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det_a) <= 1e-12 * max(np.linalg.norm(a) ** 2, 1e-300):
-        raise SingularInference(f"det A = {det_a:.3g} too small for inference")
+    checked_det_a(a, det_rtol)
     v = np.linalg.solve(a, b)  # (2, 4)
     s1 = float(v[0] @ cov_j @ v[0])
     s2 = float(v[1] @ cov_j @ v[1])
@@ -156,6 +157,10 @@ class UncertaintyCurve:
         return np.array([getattr(p, name) for p in self.points])
 
 
+def _bath_kernel(cfg: MeasurementConfig) -> BathKernel:
+    return BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
+
+
 class CurveEvaluator:
     """Reusable single-time evaluator for one measurement configuration.
 
@@ -179,28 +184,31 @@ class CurveEvaluator:
         self.table = (
             PropagatorTable(self.gen, t_max, cfg.numerical) if cfg.eta > 0 else None
         )
-        self.kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
+        self.kernel = _bath_kernel(cfg)
 
     def with_inv_beta(self, inv_beta: float) -> "CurveEvaluator":
         """Shallow copy sharing the propagator table, different bath energy."""
-        import copy
-
         other = copy.copy(self)
-        other.kernel = BathKernel(
-            eta=self.cfg.eta, omega_c=self.cfg.omega_c, inv_beta=inv_beta
-        )
+        other.cfg = replace(self.cfg, inv_beta=inv_beta)
+        other.kernel = _bath_kernel(other.cfg)
         return other
 
-    def point(self, t: float, settings=None) -> UncertaintyPoint:
+    def _dynamics(self, t: float):
+        """Beta-free part of a point: A, det A and sigma_k^2 at t."""
         k, g, _ = propagate(self.gen, t)
         a, b, det_a = response_matrices(k, g)
-        s1, s2 = pointer_contributions(a, b, self.moments.cov_j)
-        if self.cfg.eta > 0:
-            lam = lambda_covariance(self.table, self.kernel, t, settings)
+        rtol = self.cfg.numerical.det_a_rtol
+        s1, s2 = pointer_contributions(a, b, self.moments.cov_j, rtol)
+        return a, det_a, s1, s2
+
+    def _assemble(self, t: float, dynamics, lam) -> UncertaintyPoint:
+        """Point from its beta-free part and Lambda (None when eta = 0)."""
+        a, det_a, s1, s2 = dynamics
+        if lam is None:
+            xi1 = xi2 = 0.0
+        else:
             xi = xi_matrix(a, lam, self.cfg.numerical.det_a_rtol)
             xi1, xi2 = float(xi[0, 0]), float(xi[1, 1])
-        else:
-            xi1 = xi2 = 0.0
         var_x, var_p = inferred_variances(self.moments, s1, s2, xi1, xi2)
         return UncertaintyPoint(
             t=t,
@@ -215,6 +223,25 @@ class CurveEvaluator:
             det_a=det_a,
         )
 
+    def point(self, t: float, settings=None) -> UncertaintyPoint:
+        dynamics = self._dynamics(t)
+        lam = None
+        if self.cfg.eta > 0:
+            lam = lambda_covariance(self.table, self.kernel, t, settings)
+        return self._assemble(t, dynamics, lam)
+
+    def points(self, t: float, kernels) -> list[UncertaintyPoint]:
+        """One point per bath kernel at t, sharing the dynamics and the
+        Lambda rule; each equals ``point(t)`` of an evaluator with that
+        kernel."""
+        dynamics = self._dynamics(t)
+        if self.cfg.eta > 0:
+            rule = lambda_rule(self.table, t)
+            lams = [rule.covariance(kernel) for kernel in kernels]
+        else:
+            lams = [None] * len(kernels)
+        return [self._assemble(t, dynamics, lam) for lam in lams]
+
     def u_sq(self, t: float) -> float:
         return self.point(t).u_sq
 
@@ -224,16 +251,8 @@ def uncertainty_curve(
     moments: GaussianMoments,
     times: np.ndarray,
     mode: str = "renormalized",
-    max_workers: int = 1,
 ) -> UncertaintyCurve:
     """Evaluate the full uncertainty curve on a time grid."""
     times = np.asarray(times, dtype=float)
     ev = CurveEvaluator(cfg, moments, float(times.max()), mode)
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            points = list(pool.map(ev.point, [float(t) for t in times]))
-    else:
-        points = [ev.point(float(t)) for t in times]
-    return UncertaintyCurve(points=tuple(points))
+    return UncertaintyCurve(points=tuple(ev.point(float(t)) for t in times))

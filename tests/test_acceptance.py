@@ -38,7 +38,7 @@ def reference_curves():
     curves = {}
     for inv_beta in (1.0, 2.0):
         cfg = MeasurementConfig(inv_beta=inv_beta)
-        curves[inv_beta] = uncertainty_curve(cfg, MOMENTS, times, max_workers=4)
+        curves[inv_beta] = uncertainty_curve(cfg, MOMENTS, times)
     return times, curves
 
 
@@ -126,7 +126,7 @@ def test_criterion_3_figure_shape(reference_curves):
 def test_criterion_4_sweep_shape():
     inv_betas = np.linspace(0.5, 5.0, 10)
     result = thermal_sweep(
-        MeasurementConfig(), MOMENTS, inv_betas, max_workers=4
+        MeasurementConfig(), MOMENTS, inv_betas
     )
     assert result.flags == ()
     assert np.all(np.diff(result.t_opt) < 0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pointersim.cli import EXIT_CONFIG, EXIT_OK, main
+from pointersim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 CURVE_HEADER = "t,var_x,var_p,u_sq,bound,sigma1_sq,sigma2_sq,xi1_sq,xi2_sq,det_a"
 SWEEP_HEADER = "inv_beta,t_opt,u_sq_min"
@@ -150,18 +150,22 @@ def test_log_spacing_grid(tmp_path):
     np.testing.assert_allclose(ts, np.geomspace(0.1, 1.0, 5), rtol=1e-9)
 
 
-def test_threads_do_not_change_output(small_grid_config, tmp_path):
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    main(["uncertainty", "--config", small_grid_config, "--out", str(out1)])
-    main(
-        [
-            "uncertainty",
-            "--config",
-            small_grid_config,
-            "--out",
-            str(out2),
-            "--threads",
-            "4",
-        ]
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_bound_violation_exits_numerical(tmp_path, capsys, monkeypatch, to_file):
+    import pointersim.uncertainty
+
+    monkeypatch.setattr(
+        pointersim.uncertainty, "lower_bound", lambda *args: 1e6
     )
-    assert out1.read_bytes() == out2.read_bytes()
+    cfg = _write_config(
+        tmp_path, eta=0.0, time_grid={"start": 0.1, "stop": 1.0, "count": 4}
+    )
+    out = tmp_path / "violating.csv"
+    argv = ["uncertainty", "--config", cfg]
+    if to_file:
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "u_sq >= bound" in captured.err
+    assert captured.out == ""
+    assert not out.exists()

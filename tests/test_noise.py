@@ -3,9 +3,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointersim.errors import SingularInference
-from pointersim.kernels import BathKernel
-from pointersim.noise import PropagatorTable, lambda_covariance, xi_matrix
+from pointersim.kernels import BathKernel, noise_autocorrelation
+from pointersim.noise import (
+    PropagatorTable,
+    _gl_nodes,
+    _u_panels,
+    lambda_covariance,
+    lambda_rule,
+    xi_matrix,
+)
 from pointersim.propagator import build_generator, propagate
+
+
+def _panel_loop_lambda(table, kernel, t, settings=None):
+    """Reference Lambda(t): one panel at a time, nu and spline per panel."""
+    settings = settings or table.gen.cfg.numerical
+    xg, wg = _gl_nodes(settings.conv_panel_nodes)
+    xr, wr = _gl_nodes(settings.conv_inner_nodes)
+    edges = _u_panels(t, settings)
+    cov = np.zeros((2, 2))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo <= 0.0:
+            continue
+        u = lo + (hi - lo) * xg
+        wu = (hi - lo) * wg
+        nu_vals = noise_autocorrelation(u, kernel)
+        span = t - u
+        r = span[:, None] * xr[None, :]
+        w_in = span[:, None] * wr[None, :]
+        g1 = table.pointer_block(r)
+        g2 = table.pointer_block(r + u[:, None])
+        h = np.einsum("urak,urbk,ur->uab", g1, g2, w_in)
+        sym = h + np.transpose(h, (0, 2, 1))
+        cov += np.einsum("u,u,uab->ab", wu, nu_vals, sym)
+    return 0.5 * (cov + cov.T)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +98,29 @@ def test_lambda_doubling_stability(open_config, table, bath_kernel):
         )
         rel = np.abs(fine - base).max() / np.abs(base).max()
         assert rel < 1e-4
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["default", "doubled"])
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_lambda_matches_panel_loop(open_config, bath_kernel, time_grid_200, mode, doubled):
+    """The vectorised rule reproduces the panel loop on the 200-point grid."""
+    gen = build_generator(open_config, mode)
+    table = PropagatorTable(gen, 3.0, open_config.numerical)
+    settings = open_config.numerical.doubled() if doubled else open_config.numerical
+    for t in time_grid_200:
+        ref = _panel_loop_lambda(table, bath_kernel, float(t), settings)
+        new = lambda_covariance(table, bath_kernel, float(t), settings)
+        np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_lambda_rule_is_beta_free(table):
+    """One rule contracted with several kernels equals Lambda per kernel."""
+    rule = lambda_rule(table, 1.3)
+    for inv_beta in (0.5, 1.0, 4.0):
+        kernel = BathKernel(eta=0.25, omega_c=20.0, inv_beta=inv_beta)
+        np.testing.assert_array_equal(
+            rule.covariance(kernel), lambda_covariance(table, kernel, 1.3)
+        )
 
 
 def test_lambda_grows_with_temperature(open_config, table):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,79 @@ def test_sweep_boundary_flagged_not_raised(closed_config, default_moments):
     assert np.isnan(result.t_opt[0])
     assert len(result.flags) == 1
     assert "boundary_minimum" in result.flags[0][1]
+
+
+def _per_beta_optima(cfg, moments, inv_betas, t_interval, coarse_points):
+    """Reference: one full find_optimal_time scan per thermal energy."""
+    base = CurveEvaluator(cfg, moments, t_interval[1])
+    rows = []
+    for ib in inv_betas:
+        try:
+            opt = find_optimal_time(
+                base.with_inv_beta(ib).u_sq, t_interval, coarse_points
+            )
+        except BoundaryMinimum:
+            rows.append((np.nan, np.nan, ()))
+            continue
+        rows.append((opt.t_opt, opt.u_sq_min, opt.candidates))
+    return rows
+
+
+def _assert_sweep_matches(result, rows):
+    t_ref = np.array([r[0] for r in rows])
+    u_ref = np.array([r[1] for r in rows])
+    np.testing.assert_allclose(result.t_opt, t_ref, rtol=1e-12, equal_nan=True)
+    np.testing.assert_allclose(result.u_sq_min, u_ref, rtol=1e-12, equal_nan=True)
+
+
+def test_batched_sweep_matches_per_beta_search(open_config, default_moments):
+    """The batched coarse scan gives the per-beta optima, including a
+    thermal energy whose minimum lies beyond the interval."""
+    inv_betas, interval = [0.5, 5.0, 8.0], (0.1, 0.8)
+    result = thermal_sweep(
+        open_config, default_moments, inv_betas, t_interval=interval, coarse_points=30
+    )
+    rows = _per_beta_optima(open_config, default_moments, inv_betas, interval, 30)
+    _assert_sweep_matches(result, rows)
+    assert np.isnan(result.t_opt[0]) and not np.isnan(result.t_opt[1:]).any()
+    assert [ib for ib, _ in result.flags] == [0.5]
+    assert "boundary_minimum" in result.flags[0][1]
+
+
+def test_batched_sweep_matches_per_beta_multiple_minima(
+    open_config, default_moments, monkeypatch
+):
+    """Same check on a two-well landscape: both paths flag the same
+    near-degenerate minima."""
+    original = CurveEvaluator._assemble
+
+    def two_wells(self, t, dynamics, lam):
+        p = original(self, t, dynamics, lam)
+        well = 1.0 + 0.5 * (t - 0.5) ** 2 * (t - 2.0) ** 2
+        return replace(p, u_sq=well + 1e-4 * p.xi1_sq)
+
+    monkeypatch.setattr(CurveEvaluator, "_assemble", two_wells)
+    inv_betas, interval = [1.0, 3.0], (0.1, 2.8)
+    result = thermal_sweep(
+        open_config, default_moments, inv_betas, t_interval=interval, coarse_points=30
+    )
+    rows = _per_beta_optima(open_config, default_moments, inv_betas, interval, 30)
+    _assert_sweep_matches(result, rows)
+    assert [ib for ib, _ in result.flags] == inv_betas
+    for (_, flag), row in zip(result.flags, rows):
+        assert len(row[2]) == 2
+        assert flag == f"multiple_minima: {row[2]}"
+
+
+def test_precomputed_coarse_values_match_scan():
+    def f(t):
+        return 1.0 + 0.5 * (t - 0.5) ** 2 * (t - 2.0) ** 2
+
+    grid = np.geomspace(0.1, 2.8, 60)
+    scanned = find_optimal_time(f, (0.1, 2.8))
+    given = find_optimal_time(f, (0.1, 2.8), coarse_values=[f(t) for t in grid])
+    assert given == scanned
+    with pytest.raises(BoundaryMinimum):
+        find_optimal_time(f, (0.1, 2.8), coarse_values=grid)
+    with pytest.raises(ValueError):
+        find_optimal_time(f, (0.1, 2.8), coarse_values=grid[:-1])

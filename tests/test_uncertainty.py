@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,7 +129,7 @@ def test_curve_columns_and_parallel_determinism(
     times = np.linspace(0.1, 1.5, 8)
     serial = uncertainty_curve(open_config, default_moments, times)
     parallel = uncertainty_curve(
-        open_config, default_moments, times, max_workers=4
+        open_config, default_moments, times
     )
     assert len(serial) == 8
     for name in ("t", "u_sq", "bound", "xi1_sq"):
@@ -146,6 +148,58 @@ def test_with_inv_beta_shares_dynamics(evaluator):
     assert p_hot.sigma1_sq == p_cold.sigma1_sq
     assert p_hot.xi1_sq > p_cold.xi1_sq
     assert p_hot.xi2_sq > p_cold.xi2_sq
+
+
+def test_with_inv_beta_updates_config(evaluator):
+    hot = evaluator.with_inv_beta(3.0)
+    assert hot.cfg.inv_beta == hot.kernel.inv_beta == 3.0
+    assert evaluator.cfg.inv_beta == evaluator.kernel.inv_beta == 1.0
+
+
+def test_points_match_point_per_kernel(evaluator):
+    """The shared-dynamics batch equals one point() per evaluator."""
+    evaluators = [evaluator.with_inv_beta(ib) for ib in (0.5, 1.0, 3.0)]
+    batch = evaluator.points(0.8, [ev.kernel for ev in evaluators])
+    assert batch == [ev.point(0.8) for ev in evaluators]
+
+
+def test_custom_det_a_rtol_reaches_both_guards(
+    open_config, default_moments, monkeypatch
+):
+    import pointersim.noise
+    import pointersim.uncertainty
+    from pointersim.propagator import checked_det_a
+
+    seen = []
+
+    def spy(module):
+        def guard(a, det_rtol):
+            seen.append((module, det_rtol))
+            return checked_det_a(a, det_rtol)
+
+        return guard
+
+    monkeypatch.setattr(pointersim.uncertainty, "checked_det_a", spy("uncertainty"))
+    monkeypatch.setattr(pointersim.noise, "checked_det_a", spy("noise"))
+    numerical = replace(open_config.numerical, det_a_rtol=1e-9)
+    ev = CurveEvaluator(replace(open_config, numerical=numerical), default_moments, 3.0)
+    ev.point(1.0)
+    assert seen == [("uncertainty", 1e-9), ("noise", 1e-9)]
+
+
+def test_det_a_rtol_rejects_in_both_guards(closed_config, default_moments):
+    from pointersim.errors import SingularInference
+    from pointersim.noise import xi_matrix
+
+    numerical = replace(closed_config.numerical, det_a_rtol=1.0)
+    ev = CurveEvaluator(replace(closed_config, numerical=numerical), default_moments, 3.0)
+    with pytest.raises(SingularInference):
+        ev.point(1.0)
+    a = np.array([[2.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(SingularInference):
+        pointer_contributions(a, np.ones((2, 4)), default_moments.cov_j, 1.0)
+    with pytest.raises(SingularInference):
+        xi_matrix(a, np.eye(2), 1.0)
 
 
 def test_u_sq_shortcut(evaluator):
