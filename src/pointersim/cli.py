@@ -66,8 +66,22 @@ _DEFAULT_CONFIG = {
 }
 
 
+#: keys a config section accepts beyond those it has in the defaults
+_OPTIONAL_KEYS = {
+    "state": (
+        "system_momentum_variance",
+        "pointer_momentum_variances",
+        "pointer_correlations",
+    ),
+    "sweep": ("inv_betas",),
+}
+
+
 def load_config(path: str | None) -> dict:
-    """Defaults overlaid with the JSON config file, if one is given."""
+    """Defaults overlaid with the JSON config file, if one is given.
+
+    Raises ConfigError for a key the schema does not know, at any level.
+    """
     cfg = json.loads(json.dumps(_DEFAULT_CONFIG))  # deep copy
     if path is not None:
         try:
@@ -75,11 +89,21 @@ def load_config(path: str | None) -> dict:
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         for key, val in user.items():
-            if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(val)
-            else:
+            if key not in cfg:
+                raise ConfigError(f"unknown config key {key!r}")
+            if not isinstance(cfg[key], dict):
                 cfg[key] = val
+                continue
+            if not isinstance(val, dict):
+                raise ConfigError(f"config key {key!r} must hold an object")
+            known = set(cfg[key]) | set(_OPTIONAL_KEYS.get(key, ()))
+            for sub in val:
+                if sub not in known:
+                    raise ConfigError(f"unknown config key '{key}.{sub}'")
+            cfg[key].update(val)
     return cfg
 
 
@@ -108,11 +132,7 @@ def build_moments(raw: dict):
         kwargs["pointer_position_variances"] = tuple(
             float(v) for v in state["pointer_position_variances"]
         )
-    for name in (
-        "system_momentum_variance",
-        "pointer_momentum_variances",
-        "pointer_correlations",
-    ):
+    for name in _OPTIONAL_KEYS["state"]:
         if name in state and state[name] is not None:
             val = state[name]
             kwargs[name] = (
@@ -181,12 +201,23 @@ def _check_curve(curve) -> None:
             )
 
 
+def t_interval(raw: dict) -> tuple[float, float]:
+    """The optimization interval (lo, hi), checked for 0 < lo < hi."""
+    try:
+        lo, hi = (float(v) for v in raw["optimize"]["t_interval"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"optimize.t_interval must be two numbers: {exc}") from exc
+    if not 0.0 < lo < hi:
+        raise ConfigError("optimize.t_interval needs 0 < lo < hi")
+    return lo, hi
+
+
 def cmd_optimize(args) -> int:
     raw = load_config(args.config)
     cfg = build_measurement(raw)
     moments = build_moments(raw)
     opts = raw["optimize"]
-    interval = tuple(float(v) for v in opts["t_interval"])
+    interval = t_interval(raw)
     ev = CurveEvaluator(cfg, moments, interval[1], args.mode)
     lines = _header_lines(raw, args.mode)
     lines.append(",".join(_SWEEP_COLUMNS))
@@ -211,9 +242,16 @@ def cmd_optimize(args) -> int:
 
 def _sweep_grid(raw: dict) -> np.ndarray:
     sw = raw["sweep"]
-    if "inv_betas" in sw:
-        return np.asarray([float(v) for v in sw["inv_betas"]], dtype=float)
-    return np.linspace(float(sw["start"]), float(sw["stop"]), int(sw["count"]))
+    try:
+        if "inv_betas" in sw:
+            grid = np.asarray([float(v) for v in sw["inv_betas"]], dtype=float)
+        else:
+            grid = np.linspace(float(sw["start"]), float(sw["stop"]), int(sw["count"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid sweep grid: {exc}") from exc
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)) or np.any(np.diff(grid) < 0):
+        raise ConfigError("sweep inv_beta values must be positive and ascending")
+    return grid
 
 
 def cmd_sweep(args) -> int:
@@ -221,7 +259,7 @@ def cmd_sweep(args) -> int:
     cfg = build_measurement(raw)
     moments = build_moments(raw)
     opts = raw["optimize"]
-    interval = tuple(float(v) for v in opts["t_interval"])
+    interval = t_interval(raw)
     grid = _sweep_grid(raw)
     result = thermal_sweep(
         cfg,

@@ -37,11 +37,6 @@ __all__ = [
 class NumericalSettings:
     """Tolerances and resolutions shared by the numerical pipeline."""
 
-    quad_abs_tol: float = 1e-10
-    quad_rel_tol: float = 1e-8
-    expm_tol: float = 1e-12
-    #: dense propagator-table resolution (points per unit of rescaled time)
-    table_points_per_time: int = 512
     #: outer convolution quadrature: regular panel width and nodes per panel
     conv_panel_width: float = 0.1
     conv_panel_nodes: int = 10
@@ -49,14 +44,8 @@ class NumericalSettings:
     conv_graded_panels: int = 16
     conv_graded_ratio: float = 0.18
     conv_graded_start: float = 0.05
-    #: nodes of the inner (smooth) propagator-product integral
-    conv_inner_nodes: int = 48
-    #: relative change allowed when the quadrature resolution is doubled
-    conv_doubling_rtol: float = 1e-4
     #: |det A| threshold relative to ||A||^2 below which inference fails
     det_a_rtol: float = 1e-12
-    #: distance of beta*omega_c/(2*pi) to an integer treated as resonant
-    matsubara_resonance_tol: float = 1e-6
 
     def doubled(self) -> "NumericalSettings":
         """Settings with twice the convolution-quadrature resolution."""
@@ -64,7 +53,6 @@ class NumericalSettings:
             self,
             conv_panel_nodes=2 * self.conv_panel_nodes,
             conv_graded_panels=self.conv_graded_panels + 4,
-            conv_inner_nodes=2 * self.conv_inner_nodes,
         )
 
 

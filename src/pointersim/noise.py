@@ -12,8 +12,21 @@ coordinate u = s1 - s2, where the logarithmic singularity of nu lives:
     H(u) = int_0^{t-u} G_p(r) G_p(r+u)^T dr,
 
 with G_p the 2x2 pointer block of G.  The outer integral uses
-Gauss-Legendre panels with a geometrically graded mesh toward u = 0; the
-smooth inner integral uses a fixed Gauss-Legendre rule.
+Gauss-Legendre panels with a geometrically graded mesh toward u = 0.
+
+The inner integral needs no quadrature.  With F the augmented generator,
+P the pointer-position rows and N the pointer columns of the noise map,
+G_p(r) = P e^{Fr} N, so H(u) = P W(t-u) e^{F^T u} P^T with the
+controllability Gramian W(s) = int_0^s e^{Fr} N N^T e^{F^T r} dr (Van Loan,
+IEEE TAC 23:395, 1978).  :class:`PropagatorTable` holds P e^{F s_j},
+e^{F s_j} and P W(s_j) on a uniform grid s_j = j h and steps forward from
+the node below, by d in [0, h), with short Taylor series:
+
+    P e^{F(s_j + d)} = P e^{F s_j} T_e(d),
+    P W(s_j + d) = P W(s_j) + P e^{F s_j} T_W(d) e^{F^T s_j},
+    T_e(d) = sum_k F^k d^k / k!,  T_W(d) = sum_k L_k d^(k+1) / (k+1)!,
+
+with L_0 = N N^T and L_k = F L_{k-1} + L_{k-1} F^T.
 
 Only nu depends on the bath temperature, and Lambda is linear in nu.  So
 :func:`lambda_rule` builds, once per time point and for all panels in one
@@ -28,12 +41,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NegativeEigenvalue
 from .kernels import BathKernel, noise_autocorrelation
 from .model import NumericalSettings
-from .propagator import AugmentedGenerator, checked_det_a, propagate
+from .propagator import AugmentedGenerator, checked_det_a, checked_expm
 
 __all__ = [
     "PropagatorTable",
@@ -43,24 +55,86 @@ __all__ = [
     "xi_matrix",
 ]
 
+#: Taylor terms of a step; with h * rho(F) <= 1/2 the first omitted term
+#: is below (1/2)^14 / 14! < 1e-15 of the step's scale
+_TAYLOR_TERMS = 14
+#: the grid step when the generator's spectral radius is small
+_MAX_STEP = 1.0 / 32.0
+
 
 class PropagatorTable:
-    """Dense-grid spline of the pointer block of G for fast quadrature."""
+    """Exact pointer rows of e^{Fs} and of the Gramian W(s) on [0, t_max].
 
-    def __init__(self, gen: AugmentedGenerator, t_max: float, settings: NumericalSettings):
-        n = max(16, int(np.ceil(t_max * settings.table_points_per_time))) + 1
-        self.times = np.linspace(0.0, t_max, n)
-        block = np.empty((n, 2, 2))
-        for i, t in enumerate(self.times):
-            _, g, _ = propagate(gen, float(t))
-            block[i] = g[1:3, 1:3]
-        self._spline = CubicSpline(self.times, block, axis=0)
+    The grid step is h = 1/(2 rho(F)), at most 1/32, with rho the spectral
+    radius of the generator; rho only sets the scale.  Off the grid every
+    value is a forward Taylor step from the node below, so W(s) is a sum
+    of positive semidefinite terms.
+    """
+
+    def __init__(self, gen: AugmentedGenerator, t_max: float):
+        f = gen.generator
+        dim = f.shape[0]
+        rho = float(np.abs(np.linalg.eigvals(f)).max())
+        self.step = 1.0 / max(2.0 * rho, 1.0 / _MAX_STEP)
         self.t_max = t_max
         self.gen = gen
+        noise = gen.noise_map[:, 1:3]  # N
+
+        # Taylor coefficients F^k / k! and L_k / (k+1)!
+        c_exp = np.empty((_TAYLOR_TERMS, dim, dim))
+        c_gram = np.empty_like(c_exp)
+        c_exp[0] = np.eye(dim)
+        c_gram[0] = noise @ noise.T
+        for k in range(1, _TAYLOR_TERMS):
+            c_exp[k] = c_exp[k - 1] @ f / k
+            c_gram[k] = (f @ c_gram[k - 1] + c_gram[k - 1] @ f.T) / (k + 1)
+        self._c_exp, self._c_gram = c_exp, c_gram
+        self._c_block = c_exp @ noise  # F^k N / k!
+
+        n = max(1, int(np.ceil(t_max / self.step)))
+        exps = np.array([checked_expm(gen, j * self.step) for j in range(n + 1)])
+        self._exp_t = np.ascontiguousarray(exps.transpose(0, 2, 1))  # e^{F^T s_j}
+        self._p_exp = np.ascontiguousarray(exps[:, 1:3, :])  # P e^{F s_j}
+        w_step = self._taylor(self._c_gram, np.array([self.step]), 1)[0]
+        gain = self._p_exp[:-1] @ w_step @ self._exp_t[:-1]
+        self._p_gram = np.zeros_like(self._p_exp)  # P W(s_j)
+        np.cumsum(gain, axis=0, out=self._p_gram[1:])
+
+    @staticmethod
+    def _taylor(coeffs: np.ndarray, d: np.ndarray, shift: int) -> np.ndarray:
+        """sum_k coeffs[k] d^(k+shift) for every step d, stacked along axis 0."""
+        powers = np.empty((_TAYLOR_TERMS + shift, d.size))
+        powers[0] = 1.0
+        for k in range(1, powers.shape[0]):
+            np.multiply(powers[k - 1], d, out=powers[k])
+        terms = powers[shift:].T @ coeffs.reshape(_TAYLOR_TERMS, -1)
+        return terms.reshape((-1,) + coeffs.shape[1:])
+
+    def _split(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Node index j and forward step d = s - s_j of every time s."""
+        s = np.asarray(s, dtype=float).ravel()
+        j = np.floor(s / self.step).astype(np.intp)
+        if s.size and (s.min() < 0.0 or j.max() >= len(self._p_exp)):
+            raise ValueError(f"times outside the tabulated range [0, {self.t_max}]")
+        return j, s - j * self.step
+
+    def pointer_exp(self, s) -> np.ndarray:
+        """P e^{Fs} at the times s, as (n, 2, dim)."""
+        j, d = self._split(s)
+        return self._p_exp[j] @ self._taylor(self._c_exp, d, 0)
+
+    def pointer_gramian(self, s) -> np.ndarray:
+        """P W(s) at the times s, as (n, 2, dim)."""
+        j, d = self._split(s)
+        step = self._taylor(self._c_gram, d, 1)
+        return self._p_gram[j] + self._p_exp[j] @ step @ self._exp_t[j]
 
     def pointer_block(self, tau) -> np.ndarray:
         """G pointer block at times tau (array-shaped result (..., 2, 2))."""
-        return self._spline(np.asarray(tau, dtype=float))
+        tau = np.asarray(tau, dtype=float)
+        j, d = self._split(tau)
+        block = self._p_exp[j] @ self._taylor(self._c_block, d, 0)
+        return block.reshape(tau.shape + (2, 2))
 
 
 @lru_cache(maxsize=None)
@@ -134,23 +208,14 @@ def lambda_rule(
         raise ValueError(f"t = {t} exceeds the tabulated range {table.t_max}")
 
     xg, wg = _gl_nodes(settings.conv_panel_nodes)
-    xr, wr = _gl_nodes(settings.conv_inner_nodes)
     edges = _u_panels(t, settings)
     lo, width = edges[:-1], np.diff(edges)
     keep = width > 0.0
     lo, width = lo[keep], width[keep]
     u = (lo[:, None] + width[:, None] * xg).ravel()  # (n,)
     wu = (width[:, None] * wg).ravel()
-    # inner integral over r in [0, t-u]
-    span = t - u
-    r = span[:, None] * xr[None, :]  # (n, nr)
-    # H(u)_ab = sum_{r,k} w_in G_ak(r) G_bk(r+u): contract (r, k) in one
-    # matmul; weighting in place keeps one fewer (n, nr, 2, 2) temporary
-    n = u.size
-    rhs = table.pointer_block(r + u[:, None]).transpose(0, 1, 3, 2).reshape(n, -1, 2)
-    lhs = table.pointer_block(r)  # (n, nr, 2, 2)
-    lhs *= (span[:, None] * wr[None, :])[:, :, None, None]
-    h = lhs.transpose(0, 2, 1, 3).reshape(n, 2, -1) @ rhs
+    # H(u) = P W(t-u) (P e^{Fu})^T
+    h = table.pointer_gramian(t - u) @ table.pointer_exp(u).transpose(0, 2, 1)
     return LambdaRule(nodes=u, weights=wu, sym=h + h.transpose(0, 2, 1))
 
 

@@ -324,7 +324,7 @@ def continuum_pointer_covariance(
     gen = build_generator(cfg, mode)
     kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
     table = (
-        PropagatorTable(gen, float(times.max()), cfg.numerical) if cfg.eta > 0 else None
+        PropagatorTable(gen, float(times.max())) if cfg.eta > 0 else None
     )
     cj = moments.cov_j
     cov_x = np.diag([moments.var_xs0, cj[0, 0], cj[1, 1]])

@@ -30,6 +30,7 @@ __all__ = [
     "PropagatorSet",
     "build_generator",
     "checked_det_a",
+    "checked_expm",
     "propagate",
     "propagate_grid",
     "response_matrices",
@@ -108,7 +109,8 @@ def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> Augme
     )
 
 
-def _checked_expm(gen: AugmentedGenerator, t: float) -> np.ndarray:
+def checked_expm(gen: AugmentedGenerator, t: float) -> np.ndarray:
+    """exp(F t) of the augmented generator, checked to be finite."""
     e = expm(gen.generator * t)
     if not np.all(np.isfinite(e)):
         raise ExpNonConvergence(f"matrix exponential not finite at t = {t}")
@@ -134,12 +136,12 @@ def propagate(gen: AugmentedGenerator, t: float):
     """Propagators (K(t), G(t), Gdot(t)) at a single time t >= 0."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _extract(gen, _checked_expm(gen, t))
+    return _extract(gen, checked_expm(gen, t))
 
 
 def kdot(gen: AugmentedGenerator, t: float) -> np.ndarray:
     """Time derivative of K, from the velocity rows of the exponential."""
-    e = _checked_expm(gen, t)
+    e = checked_expm(gen, t)
     m_inv = gen.coupling.mass_inverse
     d = gen.coupling.damping_matrix
     return e[3:6, 0:3] + (e[3:6, 3:6] @ m_inv) @ d

@@ -164,7 +164,7 @@ def _bath_kernel(cfg: MeasurementConfig) -> BathKernel:
 class CurveEvaluator:
     """Reusable single-time evaluator for one measurement configuration.
 
-    Builds the augmented generator and the dense propagator table once;
+    Builds the augmented generator and the exact propagator table once;
     the bath kernel can be swapped cheaply (the dynamics do not depend on
     the thermal energy, only the noise does).
     """
@@ -182,7 +182,7 @@ class CurveEvaluator:
         self.mode = mode
         self.gen = build_generator(cfg, mode)
         self.table = (
-            PropagatorTable(self.gen, t_max, cfg.numerical) if cfg.eta > 0 else None
+            PropagatorTable(self.gen, t_max) if cfg.eta > 0 else None
         )
         self.kernel = _bath_kernel(cfg)
 

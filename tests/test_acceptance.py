@@ -210,7 +210,7 @@ def test_criterion_6_kernel_correctness():
 def test_criterion_7_numerical_hygiene(tmp_path):
     cfg = MeasurementConfig()
     gen = build_generator(cfg)
-    table = PropagatorTable(gen, 3.0, cfg.numerical)
+    table = PropagatorTable(gen, 3.0)
     kern = BathKernel(eta=0.25, omega_c=20.0, inv_beta=1.0)
     worst_eig = 0.0
     worst_doubling = 0.0

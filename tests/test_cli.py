@@ -1,9 +1,18 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pointersim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from pointersim.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    _DEFAULT_CONFIG,
+    load_config,
+    main,
+)
 
 CURVE_HEADER = "t,var_x,var_p,u_sq,bound,sigma1_sq,sigma2_sq,xi1_sq,xi2_sq,det_a"
 SWEEP_HEADER = "inv_beta,t_opt,u_sq_min"
@@ -124,6 +133,49 @@ def test_invalid_parameter_is_config_error(tmp_path):
 def test_invalid_grid_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, time_grid={"start": 2.0, "stop": 1.0, "count": 5})
     assert main(["uncertainty", "--config", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("sweep", {"sweep": {"inv_betas": [2.0, 1.0]}}),
+        ("sweep", {"sweep": {"inv_betas": [0.0, 1.0]}}),
+        ("sweep", {"optimize": {"t_interval": [3.0, 0.02]}}),
+        ("optimize", {"optimize": {"t_interval": [3.0, 0.02]}}),
+    ],
+    ids=["unsorted-inv-betas", "zero-inv-beta", "reversed-interval-sweep", "reversed-interval"],
+)
+def test_bad_sweep_or_interval_is_config_error(tmp_path, capsys, command, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"optimize": {"interval": [0.02, 0.1]}}, "optimize.interval"),
+        ({"kapa1": 2.0}, "kapa1"),
+        ({"state": {"system_variance": 1.0}}, "state.system_variance"),
+        ({"time_grid": {"points": 5}}, "time_grid.points"),
+        ({"sweep": {"inv_beta": [1.0]}}, "sweep.inv_beta"),
+    ],
+)
+def test_unknown_key_is_config_error(tmp_path, capsys, overrides, key):
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["optimize", "--config", cfg]) == EXIT_CONFIG
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_readme_config_block_is_the_default(tmp_path):
+    """Every key the README documents is accepted and shows its default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    assert json.loads(block) == _DEFAULT_CONFIG
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert load_config(str(path)) == _DEFAULT_CONFIG
 
 
 def test_bad_mode_rejected():

@@ -182,5 +182,4 @@ def test_numerical_settings_doubled():
     cfg = MeasurementConfig()
     doubled = cfg.numerical.doubled()
     assert doubled.conv_panel_nodes == 2 * cfg.numerical.conv_panel_nodes
-    assert doubled.conv_inner_nodes == 2 * cfg.numerical.conv_inner_nodes
     assert doubled.conv_graded_panels == cfg.numerical.conv_graded_panels + 4

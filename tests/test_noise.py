@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
 from pointersim.errors import SingularInference
 from pointersim.kernels import BathKernel, noise_autocorrelation
+from pointersim.model import MeasurementConfig
 from pointersim.noise import (
     PropagatorTable,
     _gl_nodes,
@@ -15,11 +18,12 @@ from pointersim.noise import (
 from pointersim.propagator import build_generator, propagate
 
 
-def _panel_loop_lambda(table, kernel, t, settings=None):
-    """Reference Lambda(t): one panel at a time, nu and spline per panel."""
+def _panel_loop_lambda(table, kernel, t, settings=None, inner_nodes=48):
+    """Reference Lambda(t): one panel at a time, nu and G per panel, and the
+    inner integral H(u) by an ``inner_nodes``-point Gauss-Legendre rule."""
     settings = settings or table.gen.cfg.numerical
     xg, wg = _gl_nodes(settings.conv_panel_nodes)
-    xr, wr = _gl_nodes(settings.conv_inner_nodes)
+    xr, wr = _gl_nodes(inner_nodes)
     edges = _u_panels(t, settings)
     cov = np.zeros((2, 2))
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -39,10 +43,43 @@ def _panel_loop_lambda(table, kernel, t, settings=None):
     return 0.5 * (cov + cov.T)
 
 
+class _SplineTable:
+    """The former table: a cubic spline of G's pointer block through
+    ``points_per_time`` propagations per unit time."""
+
+    def __init__(self, gen, t_max, points_per_time=512):
+        times = np.linspace(0.0, t_max, max(16, int(np.ceil(t_max * points_per_time))) + 1)
+        block = [propagate(gen, float(t))[1][1:3, 1:3] for t in times]
+        self._spline = CubicSpline(times, block, axis=0)
+        self.gen = gen
+
+    def pointer_block(self, tau):
+        return self._spline(np.asarray(tau, dtype=float))
+
+
+def _spline_lambda(table, kernel, t, inner_nodes=48):
+    """The former Lambda(t): the panel loop of :func:`_panel_loop_lambda`
+    with all panels in one pass, on a :class:`_SplineTable`."""
+    settings = table.gen.cfg.numerical
+    xg, wg = _gl_nodes(settings.conv_panel_nodes)
+    xr, wr = _gl_nodes(inner_nodes)
+    edges = _u_panels(t, settings)
+    lo, width = edges[:-1], np.diff(edges)
+    u = (lo[:, None] + width[:, None] * xg).ravel()
+    wu = (width[:, None] * wg).ravel()
+    span = t - u
+    r = span[:, None] * xr[None, :]
+    g1 = table.pointer_block(r)
+    g2 = table.pointer_block(r + u[:, None])
+    h = np.einsum("urak,urbk,ur->uab", g1, g2, span[:, None] * wr[None, :])
+    cov = np.einsum("u,u,uab->ab", wu, noise_autocorrelation(u, kernel), h + h.transpose(0, 2, 1))
+    return 0.5 * (cov + cov.T)
+
+
 @pytest.fixture(scope="module")
 def table(open_config):
     gen = build_generator(open_config, "renormalized")
-    return PropagatorTable(gen, 2.5, open_config.numerical)
+    return PropagatorTable(gen, 2.5)
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +89,67 @@ def bath_kernel(open_config):
     )
 
 
-def test_table_spline_accuracy(open_config, table):
-    gen = build_generator(open_config, "renormalized")
+@pytest.mark.parametrize("omega_c", [10.0, 20.0, 40.0, 200.0])
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_pointer_block_matches_propagate(mode, omega_c):
+    """The table's G equals a direct propagation, on and between nodes."""
+    gen = build_generator(MeasurementConfig(omega_c=omega_c), mode)
+    table = PropagatorTable(gen, 3.0)
     rng = np.random.default_rng(3)
-    for t in rng.uniform(0.0, 2.5, 20):
-        _, g, _ = propagate(gen, float(t))
-        np.testing.assert_allclose(
-            table.pointer_block(float(t)), g[1:3, 1:3], atol=1e-9
-        )
+    taus = np.concatenate(
+        [[0.0, 0.3 * table.step, table.step, 3.0], rng.uniform(0.0, 3.0, 20)]
+    )
+    blocks = table.pointer_block(taus)
+    assert blocks.shape == (taus.size, 2, 2)
+    for tau, block in zip(taus, blocks):
+        ref = propagate(gen, float(tau))[1][1:3, 1:3]
+        np.testing.assert_allclose(block, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    assert table.pointer_block(1.0).shape == (2, 2)
+
+
+def _gramian_rows_by_quadrature(gen, s):
+    """P W(s) = int_0^s P e^{Fr} N N^T e^{F^T r} dr by composite
+    Gauss-Legendre quadrature (24 panels of 20 nodes) with a matrix
+    exponential at every node."""
+    x, w = _gl_nodes(20)
+    edges = np.linspace(0.0, s, 25)
+    n_mat = gen.noise_map[:, 1:3]
+    out = np.zeros((2, gen.generator.shape[0]))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for xi, wi in zip(x, w):
+            e = expm(gen.generator * (lo + (hi - lo) * xi))
+            out += (hi - lo) * wi * e[1:3] @ n_mat @ n_mat.T @ e.T
+    return out
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_pointer_gramian_matches_quadrature(open_config, mode):
+    gen = build_generator(open_config, mode)
+    table = PropagatorTable(gen, 3.0)
+    times = np.array([0.4 * table.step, 0.37, 1.0, 3.0])
+    rows = table.pointer_gramian(times)
+    for s, row in zip(times, rows):
+        ref = _gramian_rows_by_quadrature(gen, float(s))
+        np.testing.assert_allclose(row, ref, rtol=1e-11, atol=1e-11 * np.abs(ref).max())
+
+
+def test_table_rejects_times_outside_its_range(table):
+    for bad in (-1e-3, 2.6):
+        with pytest.raises(ValueError):
+            table.pointer_block(bad)
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_lambda_matches_spline_table(open_config, bath_kernel, time_grid_200, mode):
+    """The exact table agrees with the former spline table and inner rule
+    to 1e-7 of the largest entry on the 200-point grid."""
+    gen = build_generator(open_config, mode)
+    table = PropagatorTable(gen, 3.0)
+    spline = _SplineTable(gen, 3.0)
+    for t in time_grid_200:
+        ref = _spline_lambda(spline, bath_kernel, float(t))
+        new = lambda_covariance(table, bath_kernel, float(t))
+        assert np.abs(new - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
 def test_lambda_zero_cases(table, bath_kernel):
@@ -105,10 +195,10 @@ def test_lambda_doubling_stability(open_config, table, bath_kernel):
 def test_lambda_matches_panel_loop(open_config, bath_kernel, time_grid_200, mode, doubled):
     """The vectorised rule reproduces the panel loop on the 200-point grid."""
     gen = build_generator(open_config, mode)
-    table = PropagatorTable(gen, 3.0, open_config.numerical)
+    table = PropagatorTable(gen, 3.0)
     settings = open_config.numerical.doubled() if doubled else open_config.numerical
     for t in time_grid_200:
-        ref = _panel_loop_lambda(table, bath_kernel, float(t), settings)
+        ref = _panel_loop_lambda(table, bath_kernel, float(t), settings, 96 if doubled else 48)
         new = lambda_covariance(table, bath_kernel, float(t), settings)
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
