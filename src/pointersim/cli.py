@@ -107,44 +107,57 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _finite(value, key: str, integer: bool = False):
+    """``value`` as a float (an int when ``integer``) if it is a finite JSON
+    number, else a ConfigError naming ``key``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+        or (integer and value != int(value))
+    ):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"config key '{key}' must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _number(raw: dict, path: str, integer: bool = False):
+    """The number at the config ``path``, ``"key"`` or ``"section.key"``."""
+    section, _, key = path.rpartition(".")
+    return _finite((raw[section] if section else raw)[key], path, integer)
+
+
+def _numbers(raw: dict, path: str, length: int | None = None) -> tuple:
+    """The list of numbers at ``path``, of ``length`` entries when given."""
+    section, key = path.split(".")
+    value = raw[section][key]
+    if not isinstance(value, list) or len(value) != (length or len(value)):
+        count = f"{length} " if length else ""
+        raise ConfigError(f"config key '{path}' must be a list of {count}numbers, got {value!r}")
+    return tuple(_finite(v, path) for v in value)
+
+
 def build_measurement(raw: dict) -> MeasurementConfig:
-    try:
-        cfg = MeasurementConfig(
-            kappa1=float(raw["kappa1"]),
-            kappa2=float(raw["kappa2"]),
-            mass_ratio=float(raw["mass_ratio"]),
-            eta=float(raw["eta"]),
-            omega_c=float(raw["omega_c"]),
-            inv_beta=float(raw["inv_beta"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid measurement parameters: {exc}") from exc
-    validate_config(cfg, t_max=float(raw["time_grid"]["stop"]))
+    params = ("kappa1", "kappa2", "mass_ratio", "eta", "omega_c", "inv_beta")
+    cfg = MeasurementConfig(**{name: _number(raw, name) for name in params})
+    validate_config(cfg, t_max=_number(raw, "time_grid.stop"))
     return cfg
 
 
 def build_moments(raw: dict):
-    state = raw.get("state", {})
     kwargs = {}
-    if "system_position_variance" in state:
-        kwargs["system_position_variance"] = float(state["system_position_variance"])
-    if "pointer_position_variances" in state:
-        kwargs["pointer_position_variances"] = tuple(
-            float(v) for v in state["pointer_position_variances"]
-        )
-    for name in _OPTIONAL_KEYS["state"]:
-        if name in state and state[name] is not None:
-            val = state[name]
-            kwargs[name] = (
-                tuple(float(v) for v in val) if isinstance(val, (list, tuple)) else float(val)
-            )
+    for name, val in raw["state"].items():
+        if val is None and name in _OPTIONAL_KEYS["state"]:
+            continue
+        path = f"state.{name}"
+        kwargs[name] = _numbers(raw, path, 2) if name.startswith("pointer") else _number(raw, path)
     return gaussian_state_moments(**kwargs)
 
 
 def time_grid(raw: dict) -> np.ndarray:
-    tg = raw["time_grid"]
-    start, stop, count = float(tg["start"]), float(tg["stop"]), int(tg["count"])
-    spacing = tg.get("spacing", "linear")
+    start, stop = _number(raw, "time_grid.start"), _number(raw, "time_grid.stop")
+    count = _number(raw, "time_grid.count", integer=True)
+    spacing = raw["time_grid"]["spacing"]
     if not 0.0 < start < stop or count < 2:
         raise ConfigError("time grid needs 0 < start < stop and count >= 2")
     if spacing == "linear":
@@ -203,28 +216,36 @@ def _check_curve(curve) -> None:
 
 def t_interval(raw: dict) -> tuple[float, float]:
     """The optimization interval (lo, hi), checked for 0 < lo < hi."""
-    try:
-        lo, hi = (float(v) for v in raw["optimize"]["t_interval"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"optimize.t_interval must be two numbers: {exc}") from exc
+    lo, hi = _numbers(raw, "optimize.t_interval", 2)
     if not 0.0 < lo < hi:
         raise ConfigError("optimize.t_interval needs 0 < lo < hi")
     return lo, hi
+
+
+def search_options(raw: dict) -> dict:
+    """``t_interval``, ``coarse_points`` and ``rel_tol`` of the optimal-time
+    search, checked.  Golden-section search cannot shrink its bracket below
+    the float spacing and never stops for a tolerance near 1e-16, so
+    ``rel_tol`` must be at least 1e-12."""
+    coarse_points = _number(raw, "optimize.coarse_points", integer=True)
+    rel_tol = _number(raw, "optimize.rel_tol")
+    if coarse_points < 3:
+        raise ConfigError("optimize.coarse_points must be >= 3")
+    if rel_tol < 1e-12:
+        raise ConfigError("optimize.rel_tol must be >= 1e-12")
+    return {"t_interval": t_interval(raw), "coarse_points": coarse_points, "rel_tol": rel_tol}
 
 
 def cmd_optimize(args) -> int:
     raw = load_config(args.config)
     cfg = build_measurement(raw)
     moments = build_moments(raw)
-    opts = raw["optimize"]
-    interval = t_interval(raw)
-    ev = CurveEvaluator(cfg, moments, interval[1], args.mode)
+    opts = search_options(raw)
+    ev = CurveEvaluator(cfg, moments, opts["t_interval"][1], args.mode)
     lines = _header_lines(raw, args.mode)
     lines.append(",".join(_SWEEP_COLUMNS))
     try:
-        opt = find_optimal_time(
-            ev.u_sq, interval, int(opts["coarse_points"]), float(opts["rel_tol"])
-        )
+        opt = find_optimal_time(ev.u_sq, **opts)
     except BoundaryMinimum as exc:
         lines.append(f"# boundary_minimum inv_beta={_fmt(cfg.inv_beta)}: {exc}")
         lines.append(",".join([_fmt(cfg.inv_beta), "nan", "nan"]))
@@ -241,15 +262,14 @@ def cmd_optimize(args) -> int:
 
 
 def _sweep_grid(raw: dict) -> np.ndarray:
-    sw = raw["sweep"]
-    try:
-        if "inv_betas" in sw:
-            grid = np.asarray([float(v) for v in sw["inv_betas"]], dtype=float)
-        else:
-            grid = np.linspace(float(sw["start"]), float(sw["stop"]), int(sw["count"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep grid: {exc}") from exc
-    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)) or np.any(np.diff(grid) < 0):
+    if "inv_betas" in raw["sweep"]:
+        grid = np.array(_numbers(raw, "sweep.inv_betas"), dtype=float)
+    else:
+        count = _number(raw, "sweep.count", integer=True)
+        if count < 1:
+            raise ConfigError("sweep.count must be >= 1")
+        grid = np.linspace(_number(raw, "sweep.start"), _number(raw, "sweep.stop"), count)
+    if grid.size == 0 or not np.all(grid > 0) or np.any(np.diff(grid) < 0):
         raise ConfigError("sweep inv_beta values must be positive and ascending")
     return grid
 
@@ -258,18 +278,9 @@ def cmd_sweep(args) -> int:
     raw = load_config(args.config)
     cfg = build_measurement(raw)
     moments = build_moments(raw)
-    opts = raw["optimize"]
-    interval = t_interval(raw)
+    opts = search_options(raw)
     grid = _sweep_grid(raw)
-    result = thermal_sweep(
-        cfg,
-        moments,
-        grid,
-        t_interval=interval,
-        mode=args.mode,
-        coarse_points=int(opts["coarse_points"]),
-        rel_tol=float(opts["rel_tol"]),
-    )
+    result = thermal_sweep(cfg, moments, grid, mode=args.mode, **opts)
     lines = _header_lines(raw, args.mode)
     lines.append(",".join(_SWEEP_COLUMNS))
     flagged = dict(result.flags)

@@ -26,14 +26,10 @@ from .errors import (
 __all__ = [
     "BathKernel",
     "spectral_density_scalar",
-    "spectral_density",
     "dissipation_kernel_scalar",
-    "dissipation_kernel",
     "noise_autocorrelation",
     "dissipation_from_spectral_density",
 ]
-
-_POINTER_DIAG = np.diag([0.0, 1.0, 1.0])
 
 #: (epsabs, epsrel) settings for the oscillatory QAWF quadratures; any
 #: single setting can occasionally return a wrong value with a confident
@@ -70,12 +66,11 @@ _RESONANCE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class BathKernel:
-    """Bath parameters plus the default evaluation method for nu(t)."""
+    """Parameters of the Ohmic bath seen by the two pointers."""
 
     eta: float
     omega_c: float
     inv_beta: float
-    method: str = "series"
 
     @property
     def beta(self) -> float:
@@ -88,20 +83,10 @@ def spectral_density_scalar(omega, kernel: BathKernel):
     return (2.0 * kernel.eta / np.pi) * omega / (omega**2 / kernel.omega_c**2 + 1.0)
 
 
-def spectral_density(omega: float, kernel: BathKernel) -> np.ndarray:
-    """3x3 spectral density matrix; the system row is uncoupled."""
-    return float(spectral_density_scalar(omega, kernel)) * _POINTER_DIAG
-
-
 def dissipation_kernel_scalar(t, kernel: BathKernel):
     """mu(t) = eta*omega_c^2*exp(-omega_c*t) for t >= 0."""
     t = np.asarray(t, dtype=float)
     return kernel.eta * kernel.omega_c**2 * np.exp(-kernel.omega_c * t)
-
-
-def dissipation_kernel(t: float, kernel: BathKernel) -> np.ndarray:
-    """3x3 dissipation kernel matrix at time t >= 0."""
-    return float(dissipation_kernel_scalar(t, kernel)) * _POINTER_DIAG
 
 
 def _exp_scaled_ei(x: np.ndarray) -> np.ndarray:
@@ -165,11 +150,6 @@ def _quantum_moments(eta: float, omega_c: float, beta: float) -> tuple[float, fl
     return moment(1), moment(3), moment(5)
 
 
-def _matsubara_distance(kernel: BathKernel) -> float:
-    z = kernel.beta * kernel.omega_c / (2.0 * np.pi)
-    return abs(z - round(z)) if round(z) >= 1 else abs(z - 1.0)
-
-
 def _nu_series(tau: np.ndarray, kernel: BathKernel) -> np.ndarray:
     """Exponential-series form of nu for tau >= _SWITCH*beta (elementwise).
 
@@ -219,7 +199,7 @@ def _nu_quadrature(tau: float, kernel: BathKernel) -> float:
     return val
 
 
-def noise_autocorrelation(t, kernel: BathKernel, method: str | None = None):
+def noise_autocorrelation(t, kernel: BathKernel, method: str = "series"):
     """Symmetric noise autocorrelation nu(t) (common pointer diagonal entry).
 
     nu(t) = (eta*wc^2/pi) int_0^inf dw w*coth(beta*w/2)*cos(w*t)/(w^2+wc^2).
@@ -231,10 +211,11 @@ def noise_autocorrelation(t, kernel: BathKernel, method: str | None = None):
     t:
         Scalar or array of times, |t| > 0.
     method:
-        "series" (default, fast), "quadrature" (oracle), or "auto"
-        (series with quadrature fallback at Matsubara resonances).
+        "series" (default, fast) or "quadrature" (oracle).  The series
+        raises :class:`SeriesResonance` when beta*omega_c/(2*pi) lies
+        within ``_RESONANCE_TOL`` of an integer n >= 1, where omega_c
+        meets the n-th Matsubara frequency.
     """
-    method = method or kernel.method
     scalar = np.isscalar(t)
     tau = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
     if np.any(tau == 0.0):
@@ -245,14 +226,13 @@ def noise_autocorrelation(t, kernel: BathKernel, method: str | None = None):
 
     if method == "quadrature":
         out = np.array([_nu_quadrature(x, kernel) for x in tau])
-    elif method in ("series", "auto"):
-        resonant = _matsubara_distance(kernel) < _RESONANCE_TOL
-        if resonant:
-            if method == "auto":
-                out = np.array([_nu_quadrature(x, kernel) for x in tau])
-                return float(out[0]) if scalar else out
+    elif method == "series":
+        z = kernel.beta * kernel.omega_c / (2.0 * np.pi)
+        if abs(z - max(round(z), 1)) < _RESONANCE_TOL:
             raise SeriesResonance(
-                "omega_c coincides with a Matsubara frequency; use quadrature"
+                f"beta*omega_c/(2*pi) = {z:.12g} is within {_RESONANCE_TOL:g} of an "
+                "integer, where omega_c meets a Matsubara frequency; move omega_c "
+                "or inv_beta so that it lies off the integer"
             )
         out = np.empty_like(tau)
         cut = _SWITCH * kernel.beta

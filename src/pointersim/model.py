@@ -37,13 +37,10 @@ __all__ = [
 class NumericalSettings:
     """Tolerances and resolutions shared by the numerical pipeline."""
 
-    #: outer convolution quadrature: regular panel width and nodes per panel
-    conv_panel_width: float = 0.1
-    conv_panel_nodes: int = 10
+    #: outer convolution quadrature: nodes per panel, and the number of
     #: graded panels toward the logarithmic singularity of nu at u = 0
+    conv_panel_nodes: int = 10
     conv_graded_panels: int = 16
-    conv_graded_ratio: float = 0.18
-    conv_graded_start: float = 0.05
     #: |det A| threshold relative to ||A||^2 below which inference fails
     det_a_rtol: float = 1e-12
 
@@ -203,10 +200,12 @@ def gaussian_state_moments(
     DX^2*DP^2 >= 1/4 + c^2 holds per state.
     """
     vxs = float(system_position_variance)
+    vx1, vx2 = (float(v) for v in pointer_position_variances)
+    if min(vxs, vx1, vx2) <= 0:
+        raise NonPositive("position variances must be > 0")
     vps = 0.25 / vxs if system_momentum_variance is None else float(system_momentum_variance)
     _check_pair(vxs, vps, 0.0, "system")
 
-    vx1, vx2 = (float(v) for v in pointer_position_variances)
     if pointer_momentum_variances is None:
         vp1, vp2 = 0.25 / vx1, 0.25 / vx2
     else:

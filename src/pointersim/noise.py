@@ -60,6 +60,10 @@ __all__ = [
 _TAYLOR_TERMS = 14
 #: the grid step when the generator's spectral radius is small
 _MAX_STEP = 1.0 / 32.0
+#: outer u-panels: regular width, and where and how fast they grade toward 0
+_PANEL_WIDTH = 0.1
+_GRADED_START = 0.05
+_GRADED_RATIO = 0.18
 
 
 class PropagatorTable:
@@ -89,7 +93,6 @@ class PropagatorTable:
             c_exp[k] = c_exp[k - 1] @ f / k
             c_gram[k] = (f @ c_gram[k - 1] + c_gram[k - 1] @ f.T) / (k + 1)
         self._c_exp, self._c_gram = c_exp, c_gram
-        self._c_block = c_exp @ noise  # F^k N / k!
 
         n = max(1, int(np.ceil(t_max / self.step)))
         exps = np.array([checked_expm(gen, j * self.step) for j in range(n + 1)])
@@ -129,13 +132,6 @@ class PropagatorTable:
         step = self._taylor(self._c_gram, d, 1)
         return self._p_gram[j] + self._p_exp[j] @ step @ self._exp_t[j]
 
-    def pointer_block(self, tau) -> np.ndarray:
-        """G pointer block at times tau (array-shaped result (..., 2, 2))."""
-        tau = np.asarray(tau, dtype=float)
-        j, d = self._split(tau)
-        block = self._p_exp[j] @ self._taylor(self._c_block, d, 0)
-        return block.reshape(tau.shape + (2, 2))
-
 
 @lru_cache(maxsize=None)
 def _gl_nodes(n: int):
@@ -147,17 +143,17 @@ def _gl_nodes(n: int):
 
 def _u_panels(t: float, settings: NumericalSettings):
     """Panel edges of the outer u-integral on (0, t], graded near zero."""
-    u0 = min(settings.conv_graded_start, 0.5 * t)
+    u0 = min(_GRADED_START, 0.5 * t)
     edges = [t]
     # regular panels from t down to u0
-    n_reg = max(1, int(np.ceil((t - u0) / settings.conv_panel_width)))
+    n_reg = max(1, int(np.ceil((t - u0) / _PANEL_WIDTH)))
     for i in range(1, n_reg):
         edges.append(t - i * (t - u0) / n_reg)
     edges.append(u0)
     # graded panels from u0 toward 0
     lo = u0
     for _ in range(settings.conv_graded_panels):
-        lo *= settings.conv_graded_ratio
+        lo *= _GRADED_RATIO
         edges.append(lo)
     edges.append(0.0)
     return np.array(edges[::-1])  # ascending, starting at 0

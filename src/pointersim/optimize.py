@@ -7,7 +7,7 @@ Everything is deterministic: identical inputs give identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class SweepResult:
     t_opt: np.ndarray
     u_sq_min: np.ndarray
     flags: tuple = ()
-    grid_info: dict = field(default_factory=dict)
 
 
 def golden_section(f, a: float, b: float, rel_tol: float = 1e-5):
@@ -172,10 +171,4 @@ def thermal_sweep(
         t_opt=t_opt,
         u_sq_min=u_min,
         flags=tuple(flags),
-        grid_info={
-            "t_interval": list(t_interval),
-            "coarse_points": coarse_points,
-            "rel_tol": rel_tol,
-            "mode": mode,
-        },
     )

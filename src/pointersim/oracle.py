@@ -27,14 +27,19 @@ __all__ = [
     "discretize_bath",
     "reconstructed_dissipation",
     "closed_form_eta0",
-    "closed_form_response",
     "build_full_generator",
     "initial_covariance",
-    "symplectic_covariance_evolution",
     "symplectic_form",
     "discrete_pointer_covariance",
     "continuum_pointer_covariance",
 ]
+
+#: the stiff tail mode of a discrete bath sits at this multiple of omega_max
+_TAIL_FACTOR = 5.0
+#: largest error of the reconstructed dissipation kernel, relative to mu(0),
+#: that discretize_bath accepts, and the time window where it is checked
+_CHECK_TOL = 0.03
+_CHECK_WINDOW = (0.2, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,19 +84,6 @@ def closed_form_eta0(cfg: MeasurementConfig, t: float):
     return k, g, gdot
 
 
-def closed_form_response(cfg: MeasurementConfig, t: float):
-    """A(t), B(t), det A of the closed measurement; det A = k1*k2*t^2/M0^2."""
-    k, g, _ = closed_form_eta0(cfg, t)
-    a = np.array([[k[1, 0], g[1, 0]], [k[2, 0], g[2, 0]]])
-    b = np.array(
-        [
-            [k[1, 1], k[1, 2], g[1, 1], g[1, 2]],
-            [k[2, 1], k[2, 2], g[2, 1], g[2, 2]],
-        ]
-    )
-    return a, b, cfg.kappa1 * cfg.kappa2 * t**2 / cfg.mass_ratio**2
-
-
 # ---------------------------------------------------------------------------
 # discrete bath
 
@@ -129,16 +121,15 @@ class DiscreteBath:
         return float(np.sum(self.couplings**2 / self.frequencies**2))
 
 
-def reconstructed_dissipation(bath: DiscreteBath, t, resolved_only: bool = True):
+def reconstructed_dissipation(bath: DiscreteBath, t):
     """mu_N(t) = sum_j g_j^2/omega_j * sin(omega_j t) of the discrete sum.
 
-    By default only the resolved linear-grid modes enter: the tail mode
-    oscillates far above the band of interest and is excluded from
-    pointwise kernel comparisons.
+    Only the resolved linear-grid modes enter: the tail mode oscillates far
+    above the band of interest and is excluded from pointwise kernel
+    comparisons.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = bath.n_modes if resolved_only else bath.frequencies.size
-    w, g2 = bath.frequencies[:n], bath.couplings[:n] ** 2
+    w, g2 = bath.frequencies[: bath.n_modes], bath.couplings[: bath.n_modes] ** 2
     return np.sin(np.outer(t, w)) @ (g2 / w)
 
 
@@ -146,10 +137,6 @@ def discretize_bath(
     cfg: MeasurementConfig,
     n_modes: int = 400,
     omega_max: float | None = None,
-    include_tail: bool = True,
-    tail_factor: float = 5.0,
-    check_tol: float = 0.03,
-    check_window: tuple[float, float] = (0.2, 2.0),
 ) -> DiscreteBath:
     """Equal-spacing midpoint discretization of the Ohmic spectral density.
 
@@ -157,13 +144,12 @@ def discretize_bath(
     discrete sine sum reproduces the continuum dissipation kernel.  The
     default cutoff keeps the mode spacing at omega_c / 20 so that the
     recurrence time stays fixed while more modes extend the frequency
-    coverage.  With ``include_tail`` one stiff mode at
-    ``tail_factor * omega_max`` is appended whose coupling makes the
-    total static potential shift exactly eta * omega_c; its dynamical
-    effect on the slow modes is of order (omega / omega_tail)^2.  The
-    kernel reconstruction is verified on ``check_window`` (which must end
-    before the recurrence time); failure raises
-    :class:`InsufficientModes`.
+    coverage.  For eta > 0 one stiff mode at ``_TAIL_FACTOR * omega_max``
+    is appended whose coupling makes the total static potential shift
+    exactly eta * omega_c; its dynamical effect on the slow modes is of
+    order (omega / omega_tail)^2.  The kernel reconstruction is verified
+    to ``_CHECK_TOL`` on ``_CHECK_WINDOW`` (which must end before the
+    recurrence time); failure raises :class:`InsufficientModes`.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -175,8 +161,8 @@ def discretize_bath(
     kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
     dens = (2.0 * cfg.eta / np.pi) * w / (w**2 / cfg.omega_c**2 + 1.0)
     g2 = w * dens * dw
-    if include_tail and cfg.eta > 0:
-        w_tail = tail_factor * omega_max
+    if cfg.eta > 0:
+        w_tail = _TAIL_FACTOR * omega_max
         g2_tail = w_tail**2 * (cfg.eta * cfg.omega_c - np.sum(g2 / w**2))
         if g2_tail < 0:
             raise InsufficientModes("discrete shift exceeds the continuum value")
@@ -187,25 +173,25 @@ def discretize_bath(
         omega_max=omega_max,
         frequencies=w,
         couplings=np.sqrt(g2),
-        has_tail=include_tail and cfg.eta > 0,
+        has_tail=cfg.eta > 0,
     )
 
     if cfg.eta > 0:
-        if bath.recurrence_time < 2.0 * check_window[1]:
+        if bath.recurrence_time < 2.0 * _CHECK_WINDOW[1]:
             raise InsufficientModes(
                 f"recurrence time {bath.recurrence_time:.3g} shorter than "
-                f"2x the validation window end {check_window[1]}"
+                f"2x the validation window end {_CHECK_WINDOW[1]}"
             )
-        ts = np.linspace(*check_window, 64)
+        ts = np.linspace(*_CHECK_WINDOW, 64)
         mu_n = reconstructed_dissipation(bath, ts)
         mu = np.asarray(dissipation_kernel_scalar(ts, kernel))
         err = float(np.max(np.abs(mu_n - mu))) / float(
             dissipation_kernel_scalar(0.0, kernel)
         )
-        if err > check_tol:
+        if err > _CHECK_TOL:
             raise InsufficientModes(
-                f"discrete dissipation kernel off by {err:.3g} (> {check_tol}) "
-                f"on t in {list(check_window)}"
+                f"discrete dissipation kernel off by {err:.3g} (> {_CHECK_TOL}) "
+                f"on t in {list(_CHECK_WINDOW)}"
             )
     return bath
 
@@ -274,16 +260,6 @@ def initial_covariance(
         sig[idx, idx] = vq
         sig[idx + d, idx + d] = vk
     return sig
-
-
-def symplectic_covariance_evolution(
-    generator: np.ndarray, sigma0: np.ndarray, t: float
-) -> np.ndarray:
-    """Sigma(t) = S Sigma(0) S^T with S = exp(F t)."""
-    s = expm(generator * t)
-    if not np.all(np.isfinite(s)):
-        raise ExpNonConvergence(f"flow matrix not finite at t = {t}")
-    return s @ sigma0 @ s.T
 
 
 def discrete_pointer_covariance(

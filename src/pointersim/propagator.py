@@ -27,12 +27,10 @@ from .model import CouplingMatrices, MeasurementConfig, build_coupling_matrices
 
 __all__ = [
     "AugmentedGenerator",
-    "PropagatorSet",
     "build_generator",
     "checked_det_a",
     "checked_expm",
     "propagate",
-    "propagate_grid",
     "response_matrices",
 ]
 
@@ -49,10 +47,6 @@ class AugmentedGenerator:
     noise_map: np.ndarray  # (n, 3): injects the stochastic force
     coupling: CouplingMatrices
     cfg: MeasurementConfig
-
-    @property
-    def dim(self) -> int:
-        return self.generator.shape[0]
 
 
 def _second_order_blocks(cfg: MeasurementConfig, coup: CouplingMatrices):
@@ -137,47 +131,6 @@ def propagate(gen: AugmentedGenerator, t: float):
     if t < 0:
         raise ValueError("t must be >= 0")
     return _extract(gen, checked_expm(gen, t))
-
-
-def kdot(gen: AugmentedGenerator, t: float) -> np.ndarray:
-    """Time derivative of K, from the velocity rows of the exponential."""
-    e = checked_expm(gen, t)
-    m_inv = gen.coupling.mass_inverse
-    d = gen.coupling.damping_matrix
-    return e[3:6, 0:3] + (e[3:6, 3:6] @ m_inv) @ d
-
-
-def consistency_residual(gen: AugmentedGenerator, t: float) -> float:
-    """|| K - (Gdot M + G D^T) || / (1 + ||K||), the cross-check relation."""
-    k, g, gd = propagate(gen, t)
-    m = gen.coupling.mass_matrix
-    d = gen.coupling.damping_matrix
-    alt = gd @ m + g @ d.T
-    return float(np.linalg.norm(k - alt) / (1.0 + np.linalg.norm(k)))
-
-
-@dataclass(frozen=True)
-class PropagatorSet:
-    """Propagators sampled on an explicit time grid."""
-
-    times: np.ndarray  # (n,)
-    k: np.ndarray  # (n, 3, 3)
-    g: np.ndarray  # (n, 3, 3)
-    gdot: np.ndarray  # (n, 3, 3)
-
-    def at(self, i: int):
-        return self.k[i], self.g[i], self.gdot[i]
-
-
-def propagate_grid(gen: AugmentedGenerator, times: np.ndarray) -> PropagatorSet:
-    """Propagators on a (possibly non-uniform) time grid."""
-    times = np.asarray(times, dtype=float)
-    k = np.empty((times.size, 3, 3))
-    g = np.empty_like(k)
-    gd = np.empty_like(k)
-    for i, t in enumerate(times):
-        k[i], g[i], gd[i] = propagate(gen, float(t))
-    return PropagatorSet(times=times, k=k, g=g, gdot=gd)
 
 
 def response_matrices(k: np.ndarray, g: np.ndarray):

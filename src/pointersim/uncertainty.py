@@ -223,11 +223,11 @@ class CurveEvaluator:
             det_a=det_a,
         )
 
-    def point(self, t: float, settings=None) -> UncertaintyPoint:
+    def point(self, t: float) -> UncertaintyPoint:
         dynamics = self._dynamics(t)
         lam = None
         if self.cfg.eta > 0:
-            lam = lambda_covariance(self.table, self.kernel, t, settings)
+            lam = lambda_covariance(self.table, self.kernel, t)
         return self._assemble(t, dynamics, lam)
 
     def points(self, t: float, kernels) -> list[UncertaintyPoint]:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointersim.cli import (
     EXIT_CONFIG,
@@ -142,8 +143,27 @@ def test_invalid_grid_is_config_error(tmp_path):
         ("sweep", {"sweep": {"inv_betas": [0.0, 1.0]}}),
         ("sweep", {"optimize": {"t_interval": [3.0, 0.02]}}),
         ("optimize", {"optimize": {"t_interval": [3.0, 0.02]}}),
+        ("uncertainty", {"state": {"pointer_position_variances": 1.0}}),
+        ("uncertainty", {"state": {"pointer_correlations": [0.1]}}),
+        ("uncertainty", {"time_grid": {"count": "abc"}}),
+        ("optimize", {"time_grid": {"stop": "x"}}),
+        ("sweep", {"optimize": {"coarse_points": "x"}}),
+        ("optimize", {"optimize": {"coarse_points": 0}}),
+        ("optimize", {"optimize": {"rel_tol": 0}}),
     ],
-    ids=["unsorted-inv-betas", "zero-inv-beta", "reversed-interval-sweep", "reversed-interval"],
+    ids=[
+        "unsorted-inv-betas",
+        "zero-inv-beta",
+        "reversed-interval-sweep",
+        "reversed-interval",
+        "scalar-pointer-variances",
+        "short-pointer-correlations",
+        "string-count",
+        "string-stop",
+        "string-coarse-points",
+        "zero-coarse-points",
+        "zero-rel-tol",
+    ],
 )
 def test_bad_sweep_or_interval_is_config_error(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, **overrides)
@@ -221,3 +241,72 @@ def test_bound_violation_exits_numerical(tmp_path, capsys, monkeypatch, to_file)
     assert "u_sq >= bound" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_matsubara_resonance_exits_numerical(tmp_path, capsys):
+    """omega_c = 2*pi/beta puts the nu series on its first pole."""
+    cfg = _write_config(
+        tmp_path,
+        omega_c=6.283185307179586,
+        inv_beta=1.0,
+        time_grid={"start": 0.1, "stop": 3.0, "count": 3},
+    )
+    assert main(["uncertainty", "--config", cfg]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: beta*omega_c/(2*pi) = 1 ")
+    assert "move omega_c or inv_beta" in err
+
+
+def _leaf_paths(node, path=()):
+    """Path of every value in a config that is not an object, list
+    entries included."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _leaf_paths(val, path + (key,))
+        return
+    yield path
+    if isinstance(node, list):
+        for i in range(len(node)):
+            yield path + (i,)
+
+
+_SMALL_CONFIG = json.loads(json.dumps(_DEFAULT_CONFIG))
+_SMALL_CONFIG["time_grid"]["count"] = 5
+_SMALL_CONFIG["sweep"]["count"] = 2
+
+_BAD_VALUES = st.one_of(
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.lists(st.floats(-2.0, 2.0), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([0, 0.0]),
+    st.integers(-5, -1),
+    st.floats(-10.0, -1e-6),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["uncertainty", "optimize", "sweep"]),
+    path=st.sampled_from(list(_leaf_paths(_SMALL_CONFIG))),
+    value=_BAD_VALUES,
+)
+def test_any_bad_leaf_exits_with_a_mapped_code(fuzz_dir, command, path, value):
+    """One leaf of a small default config replaced by a string, null,
+    bool, list, object, zero or negative number ends in an exit code,
+    never in an exception."""
+    raw = json.loads(json.dumps(_SMALL_CONFIG))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg = fuzz_dir / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = fuzz_dir / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) in (0, 2, 3, 4)

@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pointersim
 from pointersim.errors import (
     NonPositive,
     NonZeroMean,
@@ -105,6 +109,16 @@ def test_moments_reject_nonpositive_variance():
         gaussian_state_moments(system_position_variance=-1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"system_position_variance": 0.0}, {"pointer_position_variances": (1.0, 0.0)}],
+)
+def test_moments_reject_zero_position_variance(kwargs):
+    """A zero position variance is refused before 1/(4*DX^2) is formed."""
+    with pytest.raises(NonPositive):
+        gaussian_state_moments(**kwargs)
+
+
 @given(
     vx=st.floats(0.1, 10.0),
     ratio=st.floats(1.0, 5.0),
@@ -183,3 +197,14 @@ def test_numerical_settings_doubled():
     doubled = cfg.numerical.doubled()
     assert doubled.conv_panel_nodes == 2 * cfg.numerical.conv_panel_nodes
     assert doubled.conv_graded_panels == cfg.numerical.conv_graded_panels + 4
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["pointersim"] + [f"pointersim.{m.name}" for m in pkgutil.iter_modules(pointersim.__path__)],
+)
+def test_every_export_exists(module):
+    """Each name in a module's ``__all__`` is defined, so a stale export
+    fails here rather than at ``import *``."""
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

@@ -18,6 +18,13 @@ from pointersim.noise import (
 from pointersim.propagator import build_generator, propagate
 
 
+def _pointer_block(table, tau):
+    """G pointer block P e^{F tau} N of the table, shaped (..., 2, 2)."""
+    tau = np.asarray(tau, dtype=float)
+    block = table.pointer_exp(tau) @ table.gen.noise_map[:, 1:3]
+    return block.reshape(tau.shape + (2, 2))
+
+
 def _panel_loop_lambda(table, kernel, t, settings=None, inner_nodes=48):
     """Reference Lambda(t): one panel at a time, nu and G per panel, and the
     inner integral H(u) by an ``inner_nodes``-point Gauss-Legendre rule."""
@@ -35,8 +42,8 @@ def _panel_loop_lambda(table, kernel, t, settings=None, inner_nodes=48):
         span = t - u
         r = span[:, None] * xr[None, :]
         w_in = span[:, None] * wr[None, :]
-        g1 = table.pointer_block(r)
-        g2 = table.pointer_block(r + u[:, None])
+        g1 = _pointer_block(table, r)
+        g2 = _pointer_block(table, r + u[:, None])
         h = np.einsum("urak,urbk,ur->uab", g1, g2, w_in)
         sym = h + np.transpose(h, (0, 2, 1))
         cov += np.einsum("u,u,uab->ab", wu, nu_vals, sym)
@@ -99,12 +106,10 @@ def test_pointer_block_matches_propagate(mode, omega_c):
     taus = np.concatenate(
         [[0.0, 0.3 * table.step, table.step, 3.0], rng.uniform(0.0, 3.0, 20)]
     )
-    blocks = table.pointer_block(taus)
-    assert blocks.shape == (taus.size, 2, 2)
+    blocks = _pointer_block(table, taus)
     for tau, block in zip(taus, blocks):
         ref = propagate(gen, float(tau))[1][1:3, 1:3]
         np.testing.assert_allclose(block, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-    assert table.pointer_block(1.0).shape == (2, 2)
 
 
 def _gramian_rows_by_quadrature(gen, s):
@@ -136,7 +141,9 @@ def test_pointer_gramian_matches_quadrature(open_config, mode):
 def test_table_rejects_times_outside_its_range(table):
     for bad in (-1e-3, 2.6):
         with pytest.raises(ValueError):
-            table.pointer_block(bad)
+            table.pointer_exp(bad)
+        with pytest.raises(ValueError):
+            table.pointer_gramian(bad)
 
 
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])

@@ -85,7 +85,6 @@ def test_single_point_sweep_matches_direct(open_config, default_moments):
     assert result.t_opt[0] == pytest.approx(direct.t_opt, rel=1e-10)
     assert result.u_sq_min[0] == pytest.approx(direct.u_sq_min, rel=1e-10)
     assert result.flags == ()
-    assert result.grid_info["mode"] == "renormalized"
 
 
 def test_sweep_boundary_flagged_not_raised(closed_config, default_moments):

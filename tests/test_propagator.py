@@ -4,22 +4,22 @@ from hypothesis import given, settings, strategies as st
 
 from pointersim.model import MeasurementConfig
 from pointersim.oracle import closed_form_eta0
-from pointersim.propagator import (
-    build_generator,
-    consistency_residual,
-    kdot,
-    propagate,
-    propagate_grid,
-    response_matrices,
-)
+from pointersim.propagator import build_generator, propagate, response_matrices
 
 _SEL = np.diag([0.0, 1.0, 1.0])
 
 
+def _consistency_residual(gen, t):
+    """|| K - (Gdot M + G D^T) || / (1 + ||K||), the cross-check relation."""
+    k, g, gd = propagate(gen, t)
+    alt = gd @ gen.coupling.mass_matrix + g @ gen.coupling.damping_matrix.T
+    return np.linalg.norm(k - alt) / (1.0 + np.linalg.norm(k))
+
+
 def test_generator_dimensions(open_config, closed_config):
-    assert build_generator(closed_config).dim == 6
-    assert build_generator(open_config, "renormalized").dim == 8
-    assert build_generator(open_config, "raw").dim == 8
+    assert build_generator(closed_config).generator.shape == (6, 6)
+    assert build_generator(open_config, "renormalized").generator.shape == (8, 8)
+    assert build_generator(open_config, "raw").generator.shape == (8, 8)
 
 
 def test_unknown_mode_rejected(open_config):
@@ -96,13 +96,13 @@ def test_consistency_identity_raw(open_config):
     """K = Gdot*M + G*D^T holds exactly for the raw dynamics."""
     gen = build_generator(open_config, "raw")
     for t in (0.3, 1.0, 2.5):
-        assert consistency_residual(gen, t) < 1e-10
+        assert _consistency_residual(gen, t) < 1e-10
 
 
 def test_consistency_identity_closed(closed_config):
     gen = build_generator(closed_config)
     for t in (0.3, 1.0, 2.5):
-        assert consistency_residual(gen, t) < 1e-12
+        assert _consistency_residual(gen, t) < 1e-12
 
 
 def test_consistency_renormalized_memory_correction(open_config):
@@ -129,26 +129,6 @@ def test_consistency_renormalized_memory_correction(open_config):
         # and without the correction the identity visibly fails
         bare = gd @ coup.mass_matrix + g @ coup.damping_matrix.T
         assert np.abs(k - bare).max() > 0.1
-
-
-def test_kdot_matches_finite_difference(open_config):
-    gen = build_generator(open_config, "renormalized")
-    t, h = 0.8, 1e-6
-    kp, _, _ = propagate(gen, t + h)
-    km, _, _ = propagate(gen, t - h)
-    fd = (kp - km) / (2 * h)
-    np.testing.assert_allclose(kdot(gen, t), fd, atol=1e-6)
-
-
-def test_propagate_grid_matches_pointwise(open_config):
-    gen = build_generator(open_config)
-    times = np.array([0.1, 0.7, 1.9])
-    grid = propagate_grid(gen, times)
-    for i, t in enumerate(times):
-        k, g, gd = propagate(gen, float(t))
-        np.testing.assert_allclose(grid.k[i], k)
-        np.testing.assert_allclose(grid.g[i], g)
-        np.testing.assert_allclose(grid.gdot[i], gd)
 
 
 def test_response_matrices_closed_det(closed_config):

@@ -59,9 +59,10 @@ def test_closed_sigma_closed_form(closed_config, default_moments):
     ev = CurveEvaluator(closed_config, default_moments, 3.0)
     t = 1.0
     p = ev.point(t)
-    from pointersim.oracle import closed_form_response
+    from pointersim.oracle import closed_form_eta0
+    from pointersim.propagator import response_matrices
 
-    a, b, _ = closed_form_response(closed_config, t)
+    a, b, _ = response_matrices(*closed_form_eta0(closed_config, t)[:2])
     s1, s2 = pointer_contributions(a, b, default_moments.cov_j)
     assert p.sigma1_sq == pytest.approx(s1, rel=1e-10)
     assert p.sigma2_sq == pytest.approx(s2, rel=1e-10)
