@@ -24,9 +24,9 @@ from .kernels import (
     noise_autocorrelation,
 )
 from .model import MeasurementConfig, gaussian_state_moments, validate_config
-from .optimize import find_optimal_time, thermal_sweep
+from .optimize import MIN_REL_TOL, find_optimal_time, thermal_sweep
 from .uncertainty import CurveEvaluator, uncertainty_curve
-from .propagator import build_generator, propagate, response_matrices
+from .propagator import build_generator, propagate
 from . import oracle
 
 EXIT_OK = 0
@@ -47,6 +47,11 @@ _CURVE_COLUMNS = (
     "det_a",
 )
 _SWEEP_COLUMNS = ("inv_beta", "t_opt", "u_sq_min")
+
+#: largest counts a config may ask for; the arrays they size stay in memory
+_MAX_TIME_POINTS = 100_000
+_MAX_SWEEP_POINTS = 1_000
+_MAX_COARSE_POINTS = 10_000
 
 _DEFAULT_CONFIG = {
     "kappa1": 2.0,
@@ -154,12 +159,21 @@ def build_moments(raw: dict):
     return gaussian_state_moments(**kwargs)
 
 
+def _count(raw: dict, path: str, least: int, most: int) -> int:
+    """The integer at ``path``, checked to lie in [least, most]; the upper
+    limit keeps the arrays a count sizes in memory."""
+    count = _number(raw, path, integer=True)
+    if not least <= count <= most:
+        raise ConfigError(f"config key '{path}' must be in [{least}, {most}], got {count}")
+    return count
+
+
 def time_grid(raw: dict) -> np.ndarray:
     start, stop = _number(raw, "time_grid.start"), _number(raw, "time_grid.stop")
-    count = _number(raw, "time_grid.count", integer=True)
+    count = _count(raw, "time_grid.count", 2, _MAX_TIME_POINTS)
     spacing = raw["time_grid"]["spacing"]
-    if not 0.0 < start < stop or count < 2:
-        raise ConfigError("time grid needs 0 < start < stop and count >= 2")
+    if not 0.0 < start < stop:
+        raise ConfigError("time grid needs 0 < start < stop")
     if spacing == "linear":
         return np.linspace(start, stop, count)
     if spacing == "log":
@@ -198,20 +212,21 @@ def cmd_uncertainty(args) -> int:
     _check_curve(curve)
     lines = _header_lines(raw, args.mode)
     lines.append(",".join(_CURVE_COLUMNS))
-    for p in curve:
-        lines.append(",".join(_fmt(getattr(p, c)) for c in _CURVE_COLUMNS))
+    rows = np.column_stack([curve.column(c) for c in _CURVE_COLUMNS]).tolist()
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     _write(args.out, lines)
     return EXIT_OK
 
 
 def _check_curve(curve) -> None:
     """Every row must satisfy u_sq >= bound before any row is emitted."""
-    for p in curve:
-        if p.u_sq < p.bound - 1e-8:
-            raise NumericalError(
-                f"row violates u_sq >= bound at t = {_fmt(p.t)}: "
-                f"u_sq = {_fmt(p.u_sq)}, bound = {_fmt(p.bound)}"
-            )
+    bad = np.flatnonzero(curve.column("u_sq") < curve.column("bound") - 1e-8)
+    if bad.size:
+        p = curve[bad[0]]
+        raise NumericalError(
+            f"row violates u_sq >= bound at t = {_fmt(p.t)}: "
+            f"u_sq = {_fmt(p.u_sq)}, bound = {_fmt(p.bound)}"
+        )
 
 
 def t_interval(raw: dict) -> tuple[float, float]:
@@ -224,15 +239,12 @@ def t_interval(raw: dict) -> tuple[float, float]:
 
 def search_options(raw: dict) -> dict:
     """``t_interval``, ``coarse_points`` and ``rel_tol`` of the optimal-time
-    search, checked.  Golden-section search cannot shrink its bracket below
-    the float spacing and never stops for a tolerance near 1e-16, so
-    ``rel_tol`` must be at least 1e-12."""
-    coarse_points = _number(raw, "optimize.coarse_points", integer=True)
+    search, checked.  Golden-section search never stops for a tolerance
+    near the float spacing, so ``rel_tol`` must be at least MIN_REL_TOL."""
+    coarse_points = _count(raw, "optimize.coarse_points", 3, _MAX_COARSE_POINTS)
     rel_tol = _number(raw, "optimize.rel_tol")
-    if coarse_points < 3:
-        raise ConfigError("optimize.coarse_points must be >= 3")
-    if rel_tol < 1e-12:
-        raise ConfigError("optimize.rel_tol must be >= 1e-12")
+    if rel_tol < MIN_REL_TOL:
+        raise ConfigError(f"optimize.rel_tol must be >= {MIN_REL_TOL:g}")
     return {"t_interval": t_interval(raw), "coarse_points": coarse_points, "rel_tol": rel_tol}
 
 
@@ -264,10 +276,10 @@ def cmd_optimize(args) -> int:
 def _sweep_grid(raw: dict) -> np.ndarray:
     if "inv_betas" in raw["sweep"]:
         grid = np.array(_numbers(raw, "sweep.inv_betas"), dtype=float)
+        if grid.size > _MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep.inv_betas must hold at most {_MAX_SWEEP_POINTS} values")
     else:
-        count = _number(raw, "sweep.count", integer=True)
-        if count < 1:
-            raise ConfigError("sweep.count must be >= 1")
+        count = _count(raw, "sweep.count", 1, _MAX_SWEEP_POINTS)
         grid = np.linspace(_number(raw, "sweep.start"), _number(raw, "sweep.stop"), count)
     if grid.size == 0 or not np.all(grid > 0) or np.any(np.diff(grid) < 0):
         raise ConfigError("sweep inv_beta values must be positive and ascending")
@@ -298,17 +310,10 @@ def cmd_sweep(args) -> int:
 
 def _gate_closed_limit():
     cfg = MeasurementConfig(eta=0.0)
-    gen = build_generator(cfg, "renormalized")
-    worst = 0.0
-    for t in np.linspace(0.0, 3.0, 61):
-        k, g, gd = propagate(gen, float(t))
-        kc, gc, gdc = oracle.closed_form_eta0(cfg, float(t))
-        worst = max(
-            worst,
-            float(np.abs(k - kc).max()),
-            float(np.abs(g - gc).max()),
-            float(np.abs(gd - gdc).max()),
-        )
+    times = np.linspace(0.0, 3.0, 61)
+    numeric = propagate(build_generator(cfg, "renormalized"), times)
+    exact = zip(*(oracle.closed_form_eta0(cfg, t) for t in times.tolist()))
+    worst = max(float(np.abs(x - np.array(y)).max()) for x, y in zip(numeric, exact))
     return worst, 1e-10
 
 

@@ -64,6 +64,8 @@ _MAX_STEP = 1.0 / 32.0
 _PANEL_WIDTH = 0.1
 _GRADED_START = 0.05
 _GRADED_RATIO = 0.18
+#: signs that turn the reversed transpose of a 2x2 matrix into its adjugate
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class PropagatorTable:
@@ -95,7 +97,7 @@ class PropagatorTable:
         self._c_exp, self._c_gram = c_exp, c_gram
 
         n = max(1, int(np.ceil(t_max / self.step)))
-        exps = np.array([checked_expm(gen, j * self.step) for j in range(n + 1)])
+        exps = checked_expm(gen, np.arange(n + 1) * self.step)
         self._exp_t = np.ascontiguousarray(exps.transpose(0, 2, 1))  # e^{F^T s_j}
         self._p_exp = np.ascontiguousarray(exps[:, 1:3, :])  # P e^{F s_j}
         w_step = self._taylor(self._c_gram, np.array([self.step]), 1)[0]
@@ -241,8 +243,10 @@ def xi_matrix(
 ) -> np.ndarray:
     """Congruence transform Xi^2 = A^-1 <Lambda Lambda^T> A^-T.
 
-    Raises SingularInference when |det A| is below det_rtol * ||A||^2.
+    A and Lambda may be stacks (..., 2, 2) that broadcast.  Raises
+    SingularInference when |det A| is below det_rtol * ||A||^2.
     """
     det_a = checked_det_a(a, det_rtol)
-    a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det_a
-    return a_inv @ lambda_cov @ a_inv.T
+    adjugate = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
+    a_inv = adjugate / det_a[..., None, None]
+    return a_inv @ lambda_cov @ np.swapaxes(a_inv, -1, -2)

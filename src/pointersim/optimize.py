@@ -18,6 +18,9 @@ from .uncertainty import CurveEvaluator
 __all__ = ["Optimum", "SweepResult", "golden_section", "find_optimal_time", "thermal_sweep"]
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+#: smallest rel_tol of golden_section: below it the bracket would have to
+#: shrink under the float spacing of its ends, and the search never stops
+MIN_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,10 @@ class SweepResult:
 
 
 def golden_section(f, a: float, b: float, rel_tol: float = 1e-5):
-    """Golden-section search for the minimum of a unimodal f on [a, b]."""
+    """Golden-section search for the minimum of a unimodal f on [a, b];
+    ValueError for a rel_tol below MIN_REL_TOL."""
+    if not rel_tol >= MIN_REL_TOL:
+        raise ValueError(f"rel_tol must be >= {MIN_REL_TOL:g}, got {rel_tol!r}")
     h = b - a
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h

@@ -306,17 +306,10 @@ def continuum_pointer_covariance(
     cov_x = np.diag([moments.var_xs0, cj[0, 0], cj[1, 1]])
     cov_p = np.diag([moments.var_ps0, cj[2, 2], cj[3, 3]])
     cov_xp = np.diag([0.0, cj[0, 2], cj[1, 3]])
-    out = np.empty((times.size, 2, 2))
-    for i, t in enumerate(times):
-        k, g, _ = propagate(gen, float(t))
-        full = (
-            k @ cov_x @ k.T
-            + g @ cov_p @ g.T
-            + k @ cov_xp @ g.T
-            + g @ cov_xp.T @ k.T
-        )
-        block = full[1:3, 1:3]
-        if cfg.eta > 0:
-            block = block + lambda_covariance(table, kernel, float(t))
-        out[i] = block
+    k, g, _ = propagate(gen, times)
+    k_t, g_t = k.transpose(0, 2, 1), g.transpose(0, 2, 1)
+    full = k @ cov_x @ k_t + g @ cov_p @ g_t + k @ cov_xp @ g_t + g @ cov_xp.T @ k_t
+    out = full[:, 1:3, 1:3]
+    if cfg.eta > 0:
+        out = out + np.array([lambda_covariance(table, kernel, t) for t in times.tolist()])
     return out

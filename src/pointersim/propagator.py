@@ -103,16 +103,19 @@ def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> Augme
     )
 
 
-def checked_expm(gen: AugmentedGenerator, t: float) -> np.ndarray:
-    """exp(F t) of the augmented generator, checked to be finite."""
-    e = expm(gen.generator * t)
-    if not np.all(np.isfinite(e)):
-        raise ExpNonConvergence(f"matrix exponential not finite at t = {t}")
+def checked_expm(gen: AugmentedGenerator, t: float | np.ndarray) -> np.ndarray:
+    """exp(F t) of the augmented generator, checked to be finite; a 1-D
+    array t gives the stack of exponentials from one ``expm`` call."""
+    t = np.asarray(t, dtype=float)
+    e = expm(t[..., None, None] * gen.generator)
+    if not np.isfinite(e).all():
+        bad = ~np.isfinite(e).all(axis=(-2, -1))
+        raise ExpNonConvergence(f"matrix exponential not finite at t = {np.extract(bad, t)[0]}")
     return e
 
 
 def _extract(gen: AugmentedGenerator, e: np.ndarray):
-    """K, G, Gdot from one augmented matrix exponential.
+    """K, G, Gdot from augmented matrix exponentials, one per leading index.
 
     Positions respond to initial positions both directly and through the
     initial velocities V(0) = M^-1 (P(0) + D X(0)), hence
@@ -120,15 +123,16 @@ def _extract(gen: AugmentedGenerator, e: np.ndarray):
     """
     m_inv = gen.coupling.mass_inverse
     d = gen.coupling.damping_matrix
-    g = e[0:3, 3:6] @ m_inv
-    k = e[0:3, 0:3] + g @ d
-    gdot = e[3:6, 3:6] @ m_inv
+    g = e[..., 0:3, 3:6] @ m_inv
+    k = e[..., 0:3, 0:3] + g @ d
+    gdot = e[..., 3:6, 3:6] @ m_inv
     return k, g, gdot
 
 
-def propagate(gen: AugmentedGenerator, t: float):
-    """Propagators (K(t), G(t), Gdot(t)) at a single time t >= 0."""
-    if t < 0:
+def propagate(gen: AugmentedGenerator, t: float | np.ndarray):
+    """Propagators (K(t), G(t), Gdot(t)) at a time t >= 0, each (3, 3), or
+    at every time of a 1-D array t, each stacked as (n, 3, 3)."""
+    if (np.asarray(t) < 0).any():
         raise ValueError("t must be >= 0")
     return _extract(gen, checked_expm(gen, t))
 
@@ -137,25 +141,25 @@ def response_matrices(k: np.ndarray, g: np.ndarray):
     """Response matrix A, inhomogeneity B, and det A from K(t), G(t).
 
     A maps the initial system phase-space point onto the pointer
-    positions; B carries the pointer-state leakage.
+    positions; B carries the pointer-state leakage.  Stacked K and G give
+    stacked A (..., 2, 2), B (..., 2, 4) and det A (...).
     """
-    a = np.array([[k[1, 0], g[1, 0]], [k[2, 0], g[2, 0]]])
-    b = np.array(
-        [
-            [k[1, 1], k[1, 2], g[1, 1], g[1, 2]],
-            [k[2, 1], k[2, 2], g[2, 1], g[2, 2]],
-        ]
-    )
-    det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return a, b, float(det_a)
+    a = np.concatenate([k[..., 1:3, :1], g[..., 1:3, :1]], axis=-1)
+    b = np.concatenate([k[..., 1:3, 1:3], g[..., 1:3, 1:3]], axis=-1)
+    det_a = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return a, b, det_a
 
 
-def checked_det_a(a: np.ndarray, det_rtol: float) -> float:
-    """det A of a 2x2 response matrix, checked for invertibility.
+def checked_det_a(a: np.ndarray, det_rtol: float):
+    """det A of 2x2 response matrices (..., 2, 2), checked for invertibility.
 
-    Raises SingularInference when |det A| <= det_rtol * ||A||^2.
+    Raises SingularInference at the first A with |det A| <= det_rtol * ||A||^2.
     """
-    det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det_a) <= det_rtol * max(np.linalg.norm(a) ** 2, 1e-300):
-        raise SingularInference(f"det A = {det_a:.3g} too small for inference")
+    det_a = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    scale = np.maximum((a * a).sum(axis=(-2, -1)), 1e-300)
+    singular = np.abs(det_a) <= det_rtol * scale
+    if singular.any():
+        raise SingularInference(
+            f"det A = {np.extract(singular, det_a)[0]:.3g} too small for inference"
+        )
     return det_a

@@ -11,7 +11,7 @@ measurement bound U^2 >= 1.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,10 +26,7 @@ __all__ = [
     "pointer_contributions",
     "inferred_variances",
     "collective_uncertainty",
-    "expanded_uncertainty",
     "lower_bound",
-    "wodkiewicz_f",
-    "matching_distance",
     "CurveEvaluator",
     "uncertainty_curve",
 ]
@@ -40,14 +37,15 @@ def pointer_contributions(
 ):
     """Pointer-state contributions sigma_1^2, sigma_2^2.
 
-    sigma_k^2 = v_k cov_J v_k^T with rows v_k of A^-1 B.  Raises
-    SingularInference when |det A| is below det_rtol * ||A||^2.
+    sigma_k^2 = v_k cov_J v_k^T with rows v_k of A^-1 B; stacked A and B
+    give stacked sigma_k^2.  Raises SingularInference when |det A| is below
+    det_rtol * ||A||^2.
     """
     checked_det_a(a, det_rtol)
-    v = np.linalg.solve(a, b)  # (2, 4)
-    s1 = float(v[0] @ cov_j @ v[0])
-    s2 = float(v[1] @ cov_j @ v[1])
-    return s1, s2
+    v = np.linalg.solve(a, b)  # (..., 2, 4)
+    # same bits as v_k @ cov_J @ v_k; einsum or a sum reduction round differently
+    sigma = np.matmul((v @ cov_j)[..., None, :], v[..., :, None])[..., 0, 0]
+    return sigma[..., 0], sigma[..., 1]
 
 
 def inferred_variances(
@@ -66,26 +64,6 @@ def inferred_variances(
 def collective_uncertainty(var_x: float, var_p: float) -> float:
     """U^2, the product of the inferred variances."""
     return var_x * var_p
-
-
-def expanded_uncertainty(
-    moments: GaussianMoments,
-    sigma1_sq: float,
-    sigma2_sq: float,
-    xi1_sq: float,
-    xi2_sq: float,
-) -> float:
-    """Five-term expanded form of U^2; algebraically identical to the
-    product form and used as a consistency oracle."""
-    dx, dp = moments.dx_s0, moments.dp_s0
-    s1, s2 = np.sqrt(sigma1_sq), np.sqrt(sigma2_sq)
-    return (
-        (dx * s2 - dp * s1) ** 2
-        + 0.5 * xi2_sq * ((dx + s1) ** 2 + (dx - s1) ** 2)
-        + xi1_sq * xi2_sq
-        + (dx * dp + s1 * s2) ** 2
-        + 0.5 * xi1_sq * ((dp + s2) ** 2 + (dp - s2) ** 2)
-    )
 
 
 def lower_bound(
@@ -110,21 +88,6 @@ def lower_bound(
     )
 
 
-def wodkiewicz_f(u_min_sq: float):
-    """Both branches of f = -1 +/- 2*sqrt(U_min^2)."""
-    root = 2.0 * np.sqrt(u_min_sq)
-    return (-1.0 - root, -1.0 + root)
-
-
-def matching_distance(moments: GaussianMoments, sigma1_sq: float, sigma2_sq: float):
-    """Diagnostic distance from the bound-saturating matching conditions
-    sigma_1 = DX_S(0), sigma_2 = DP_S(0)."""
-    return (
-        float(np.sqrt(sigma1_sq) - moments.dx_s0),
-        float(np.sqrt(sigma2_sq) - moments.dp_s0),
-    )
-
-
 @dataclass(frozen=True)
 class UncertaintyPoint:
     """All measurement figures of merit at a single interaction time."""
@@ -141,20 +104,33 @@ class UncertaintyPoint:
     det_a: float
 
 
-@dataclass(frozen=True)
+_COLUMNS = tuple(f.name for f in fields(UncertaintyPoint))
+
+
 class UncertaintyCurve:
-    """Uncertainty figures sampled on a time grid."""
+    """Uncertainty figures sampled on a time grid, one array per field of
+    :class:`UncertaintyPoint`; indexing and iteration give points.
 
-    points: tuple[UncertaintyPoint, ...]
+    The ``t`` column sets the length; the others broadcast against it.
+    """
 
-    def __iter__(self):
-        return iter(self.points)
+    def __init__(self, **columns):
+        t = np.asarray(columns["t"], dtype=float)
+        self._table = np.empty((len(_COLUMNS),) + t.shape)
+        for row, name in zip(self._table, _COLUMNS):
+            row[...] = columns[name]
 
     def __len__(self):
-        return len(self.points)
+        return self._table.shape[1]
+
+    def __getitem__(self, i: int) -> UncertaintyPoint:
+        return UncertaintyPoint(*self._table[:, i].tolist())
+
+    def __iter__(self):
+        return (UncertaintyPoint(*row) for row in self._table.T.tolist())
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(p, name) for p in self.points])
+        return self._table[_COLUMNS.index(name)]
 
 
 def _bath_kernel(cfg: MeasurementConfig) -> BathKernel:
@@ -162,7 +138,7 @@ def _bath_kernel(cfg: MeasurementConfig) -> BathKernel:
 
 
 class CurveEvaluator:
-    """Reusable single-time evaluator for one measurement configuration.
+    """Reusable evaluator for one measurement configuration.
 
     Builds the augmented generator and the exact propagator table once;
     the bath kernel can be swapped cheaply (the dynamics do not depend on
@@ -193,25 +169,26 @@ class CurveEvaluator:
         other.kernel = _bath_kernel(other.cfg)
         return other
 
-    def _dynamics(self, t: float):
-        """Beta-free part of a point: A, det A and sigma_k^2 at t."""
-        k, g, _ = propagate(self.gen, t)
+    def _dynamics(self, times: np.ndarray):
+        """Beta-free part of a curve: A, det A and sigma_k^2 at every time."""
+        k, g, _ = propagate(self.gen, times)
         a, b, det_a = response_matrices(k, g)
         rtol = self.cfg.numerical.det_a_rtol
         s1, s2 = pointer_contributions(a, b, self.moments.cov_j, rtol)
         return a, det_a, s1, s2
 
-    def _assemble(self, t: float, dynamics, lam) -> UncertaintyPoint:
-        """Point from its beta-free part and Lambda (None when eta = 0)."""
+    def _assemble(self, times, dynamics, lam) -> UncertaintyCurve:
+        """Curve from its beta-free part and the stacked Lambda (None when
+        eta = 0); a Lambda stack over kernels broadcasts against one time."""
         a, det_a, s1, s2 = dynamics
         if lam is None:
-            xi1 = xi2 = 0.0
+            xi1 = xi2 = np.zeros_like(s1)
         else:
             xi = xi_matrix(a, lam, self.cfg.numerical.det_a_rtol)
-            xi1, xi2 = float(xi[0, 0]), float(xi[1, 1])
+            xi1, xi2 = xi[..., 0, 0], xi[..., 1, 1]
         var_x, var_p = inferred_variances(self.moments, s1, s2, xi1, xi2)
-        return UncertaintyPoint(
-            t=t,
+        return UncertaintyCurve(
+            t=times,
             sigma1_sq=s1,
             sigma2_sq=s2,
             xi1_sq=xi1,
@@ -223,24 +200,31 @@ class CurveEvaluator:
             det_a=det_a,
         )
 
-    def point(self, t: float) -> UncertaintyPoint:
-        dynamics = self._dynamics(t)
+    def curve(self, times) -> UncertaintyCurve:
+        """Every figure of merit on a 1-D time grid: the dynamics of all
+        times in one pass, then one Lambda per time when eta > 0."""
+        times = np.asarray(times, dtype=float)
+        dynamics = self._dynamics(times)
         lam = None
         if self.cfg.eta > 0:
-            lam = lambda_covariance(self.table, self.kernel, t)
-        return self._assemble(t, dynamics, lam)
+            lam = np.array(
+                [lambda_covariance(self.table, self.kernel, t) for t in times.tolist()]
+            )
+        return self._assemble(times, dynamics, lam)
+
+    def point(self, t: float) -> UncertaintyPoint:
+        return self.curve([t])[0]
 
     def points(self, t: float, kernels) -> list[UncertaintyPoint]:
         """One point per bath kernel at t, sharing the dynamics and the
         Lambda rule; each equals ``point(t)`` of an evaluator with that
         kernel."""
-        dynamics = self._dynamics(t)
+        times = np.full(len(kernels), float(t))
+        lam = None
         if self.cfg.eta > 0:
             rule = lambda_rule(self.table, t)
-            lams = [rule.covariance(kernel) for kernel in kernels]
-        else:
-            lams = [None] * len(kernels)
-        return [self._assemble(t, dynamics, lam) for lam in lams]
+            lam = np.array([rule.covariance(kernel) for kernel in kernels])
+        return list(self._assemble(times, self._dynamics(times[:1]), lam))
 
     def u_sq(self, t: float) -> float:
         return self.point(t).u_sq
@@ -254,5 +238,4 @@ def uncertainty_curve(
 ) -> UncertaintyCurve:
     """Evaluate the full uncertainty curve on a time grid."""
     times = np.asarray(times, dtype=float)
-    ev = CurveEvaluator(cfg, moments, float(times.max()), mode)
-    return UncertaintyCurve(points=tuple(ev.point(float(t)) for t in times))
+    return CurveEvaluator(cfg, moments, float(times.max()), mode).curve(times)

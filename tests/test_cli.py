@@ -150,6 +150,12 @@ def test_invalid_grid_is_config_error(tmp_path):
         ("sweep", {"optimize": {"coarse_points": "x"}}),
         ("optimize", {"optimize": {"coarse_points": 0}}),
         ("optimize", {"optimize": {"rel_tol": 0}}),
+        ("uncertainty", {"eta": 0.0, "time_grid": {"count": 10**12}}),
+        ("uncertainty", {"time_grid": {"count": 100_001}}),
+        ("sweep", {"sweep": {"count": 10**12}}),
+        ("sweep", {"sweep": {"inv_betas": [1.0] * 1001}}),
+        ("optimize", {"optimize": {"coarse_points": 10**12}}),
+        ("sweep", {"optimize": {"coarse_points": 10**12}}),
     ],
     ids=[
         "unsorted-inv-betas",
@@ -163,6 +169,12 @@ def test_invalid_grid_is_config_error(tmp_path):
         "string-coarse-points",
         "zero-coarse-points",
         "zero-rel-tol",
+        "huge-time-count",
+        "time-count-over-limit",
+        "huge-sweep-count",
+        "long-inv-betas",
+        "huge-coarse-points",
+        "huge-coarse-points-sweep",
     ],
 )
 def test_bad_sweep_or_interval_is_config_error(tmp_path, capsys, command, overrides):
@@ -238,7 +250,7 @@ def test_bound_violation_exits_numerical(tmp_path, capsys, monkeypatch, to_file)
         argv += ["--out", str(out)]
     assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
-    assert "u_sq >= bound" in captured.err
+    assert "u_sq >= bound at t = 0.1:" in captured.err
     assert captured.out == ""
     assert not out.exists()
 

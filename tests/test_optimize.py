@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,17 +6,49 @@ import pytest
 from pointersim.errors import BoundaryMinimum
 from pointersim.model import MeasurementConfig, gaussian_state_moments
 from pointersim.optimize import (
+    MIN_REL_TOL,
     find_optimal_time,
     golden_section,
     thermal_sweep,
 )
-from pointersim.uncertainty import CurveEvaluator
+from pointersim.uncertainty import CurveEvaluator, UncertaintyCurve, UncertaintyPoint
 
 
 def test_golden_section_quadratic():
     t, v = golden_section(lambda x: (x - 1.3) ** 2 + 2.0, 0.5, 3.0, rel_tol=1e-8)
     assert t == pytest.approx(1.3, abs=1e-6)
     assert v == pytest.approx(2.0, abs=1e-10)
+
+
+def _at_most_500_calls(f):
+    """f, failing from its 501st call on, so a search that never stops
+    fails instead of hanging."""
+    calls = []
+
+    def limited(t):
+        calls.append(t)
+        if len(calls) > 500:
+            raise RuntimeError("more than 500 evaluations")
+        return f(t)
+
+    return limited
+
+
+@pytest.mark.parametrize("rel_tol", [1e-20, 0.0, float("nan")])
+def test_rel_tol_below_the_floor_is_rejected(closed_config, default_moments, rel_tol):
+    f = _at_most_500_calls(lambda t: (t - 1.0) ** 2)
+    with pytest.raises(ValueError, match="rel_tol"):
+        golden_section(f, 0.5, 1.5, rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        find_optimal_time(f, (0.5, 1.5), coarse_points=7, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        thermal_sweep(closed_config, default_moments, [1.0], coarse_points=7, rel_tol=rel_tol)
+
+
+def test_rel_tol_at_the_floor_converges():
+    f = _at_most_500_calls(lambda t: (t - 1.0) ** 2)
+    t, _ = golden_section(f, 0.5, 1.5, MIN_REL_TOL)
+    assert t == pytest.approx(1.0, abs=1e-6)
 
 
 def test_invalid_interval_rejected():
@@ -141,10 +173,13 @@ def test_batched_sweep_matches_per_beta_multiple_minima(
     near-degenerate minima."""
     original = CurveEvaluator._assemble
 
-    def two_wells(self, t, dynamics, lam):
-        p = original(self, t, dynamics, lam)
+    def two_wells(self, times, dynamics, lam):
+        curve = original(self, times, dynamics, lam)
+        t = curve.column("t")
         well = 1.0 + 0.5 * (t - 0.5) ** 2 * (t - 2.0) ** 2
-        return replace(p, u_sq=well + 1e-4 * p.xi1_sq)
+        columns = {f.name: curve.column(f.name) for f in fields(UncertaintyPoint)}
+        columns["u_sq"] = well + 1e-4 * curve.column("xi1_sq")
+        return UncertaintyCurve(**columns)
 
     monkeypatch.setattr(CurveEvaluator, "_assemble", two_wells)
     inv_betas, interval = [1.0, 3.0], (0.1, 2.8)

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointersim.errors import SingularInference
 from pointersim.model import MeasurementConfig
 from pointersim.oracle import closed_form_eta0
-from pointersim.propagator import build_generator, propagate, response_matrices
+from pointersim.propagator import (
+    build_generator,
+    checked_det_a,
+    propagate,
+    response_matrices,
+)
 
 _SEL = np.diag([0.0, 1.0, 1.0])
 
@@ -150,3 +156,37 @@ def test_response_matrix_entries(closed_config):
     assert a[0, 1] == pytest.approx(t**2, rel=1e-12)  # G_21
     assert a[1, 0] == pytest.approx(0.0, abs=1e-13)  # K_31
     assert a[1, 1] == pytest.approx(2.0 * t, rel=1e-12)  # G_31
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+@pytest.mark.parametrize("eta", [0.0, 0.25], ids=["closed", "open"])
+def test_propagate_on_a_grid_equals_per_time_calls(mode, eta):
+    """One stacked expm gives the same bits as one expm per time."""
+    gen = build_generator(MeasurementConfig(eta=eta), mode)
+    times = np.linspace(0.0, 3.0, 41)
+    stacked = propagate(gen, times)
+    single = [propagate(gen, float(t)) for t in times]
+    assert single[0][0].shape == (3, 3)
+    for got, want in zip(stacked, zip(*single)):
+        assert got.shape == (41, 3, 3)
+        np.testing.assert_array_equal(got, np.array(want))
+
+
+def test_response_matrices_on_a_grid(open_config):
+    gen = build_generator(open_config)
+    times = np.array([0.4, 1.1, 2.7])
+    a, b, det_a = response_matrices(*propagate(gen, times)[:2])
+    assert a.shape == (3, 2, 2) and b.shape == (3, 2, 4) and det_a.shape == (3,)
+    for i, t in enumerate(times.tolist()):
+        a_i, b_i, det_i = response_matrices(*propagate(gen, t)[:2])
+        np.testing.assert_array_equal(a[i], a_i)
+        np.testing.assert_array_equal(b[i], b_i)
+        assert det_a[i] == det_i
+
+
+def test_checked_det_a_names_the_first_singular_row():
+    # |det A| / ||A||^2: 0.5, then 0.5 / 12.25, then 0
+    a = np.array([np.eye(2), [[1.0, 2.0], [1.0, 2.5]], np.zeros((2, 2))])
+    with pytest.raises(SingularInference, match="det A = 0.5 "):
+        checked_det_a(a, 0.05)
+    np.testing.assert_array_equal(checked_det_a(a[:1], 0.05), [1.0])

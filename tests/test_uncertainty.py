@@ -4,18 +4,80 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.linalg import expm
+
+from pointersim.errors import SingularInference
+from pointersim.kernels import BathKernel
 from pointersim.model import MeasurementConfig, gaussian_state_moments
+from pointersim.noise import PropagatorTable, lambda_covariance, xi_matrix
+from pointersim.propagator import build_generator, response_matrices
 from pointersim.uncertainty import (
     CurveEvaluator,
     collective_uncertainty,
-    expanded_uncertainty,
     inferred_variances,
     lower_bound,
-    matching_distance,
     pointer_contributions,
     uncertainty_curve,
-    wodkiewicz_f,
 )
+
+
+def expanded_uncertainty(moments, sigma1_sq, sigma2_sq, xi1_sq, xi2_sq):
+    """Five-term expanded form of U^2; algebraically identical to the
+    product form and used as a consistency oracle."""
+    dx, dp = moments.dx_s0, moments.dp_s0
+    s1, s2 = np.sqrt(sigma1_sq), np.sqrt(sigma2_sq)
+    return (
+        (dx * s2 - dp * s1) ** 2
+        + 0.5 * xi2_sq * ((dx + s1) ** 2 + (dx - s1) ** 2)
+        + xi1_sq * xi2_sq
+        + (dx * dp + s1 * s2) ** 2
+        + 0.5 * xi1_sq * ((dp + s2) ** 2 + (dp - s2) ** 2)
+    )
+
+
+def wodkiewicz_f(u_min_sq):
+    """Both branches of f = -1 +/- 2*sqrt(U_min^2)."""
+    root = 2.0 * np.sqrt(u_min_sq)
+    return (-1.0 - root, -1.0 + root)
+
+
+def matching_distance(moments, sigma1_sq, sigma2_sq):
+    """Distance from the bound-saturating matching conditions
+    sigma_1 = DX_S(0), sigma_2 = DP_S(0)."""
+    return (
+        float(np.sqrt(sigma1_sq) - moments.dx_s0),
+        float(np.sqrt(sigma2_sq) - moments.dp_s0),
+    )
+
+
+def _per_point_curve(cfg, moments, times, mode):
+    """Columns of a curve evaluated one time at a time: one expm, 2-D
+    response matrices, solve, sigma_k^2 = v_k cov_J v_k^T, Lambda and a
+    2-D xi_matrix per time."""
+    gen = build_generator(cfg, mode)
+    table = PropagatorTable(gen, float(times.max())) if cfg.eta > 0 else None
+    kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
+    m_inv = np.linalg.inv(gen.coupling.mass_matrix)
+    cov_j = moments.cov_j
+    rows = []
+    for t in times.tolist():
+        e = expm(gen.generator * t)
+        g = e[0:3, 3:6] @ m_inv
+        k = e[0:3, 0:3] + g @ gen.coupling.damping_matrix
+        a, b, det_a = response_matrices(k, g)
+        v = np.linalg.solve(a, b)
+        s1, s2 = float(v[0] @ cov_j @ v[0]), float(v[1] @ cov_j @ v[1])
+        xi1 = xi2 = 0.0
+        if cfg.eta > 0:
+            xi = xi_matrix(a, lambda_covariance(table, kernel, t))
+            xi1, xi2 = float(xi[0, 0]), float(xi[1, 1])
+        var_x, var_p = inferred_variances(moments, s1, s2, xi1, xi2)
+        u_sq = collective_uncertainty(var_x, var_p)
+        bound = lower_bound(moments, s1, s2, xi1, xi2)
+        rows.append((t, s1, s2, xi1, xi2, var_x, var_p, u_sq, bound, det_a))
+    names = ("t", "sigma1_sq", "sigma2_sq", "xi1_sq", "xi2_sq", "var_x",
+             "var_p", "u_sq", "bound", "det_a")
+    return dict(zip(names, np.array(rows).T))
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +281,31 @@ def test_nonzero_mean_rejected(open_config, default_moments):
     )
     with pytest.raises(NonZeroMean):
         CurveEvaluator(open_config, biased, 3.0)
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+@pytest.mark.parametrize("eta", [0.0, 0.25], ids=["closed", "open"])
+def test_curve_equals_per_point_evaluation(default_moments, mode, eta):
+    """The array path changes no bit of any column."""
+    cfg = MeasurementConfig(eta=eta)
+    times = np.linspace(0.05, 3.0, 25)
+    curve = uncertainty_curve(cfg, default_moments, times, mode)
+    reference = _per_point_curve(cfg, default_moments, times, mode)
+    assert len(curve) == times.size
+    for name, column in reference.items():
+        np.testing.assert_array_equal(curve.column(name), column, err_msg=name)
+
+
+def test_point_is_a_one_time_curve(evaluator):
+    times = np.array([0.3, 0.9, 2.4])
+    curve = evaluator.curve(times)
+    assert evaluator.point(0.9) == evaluator.curve([0.9])[0] == curve[1]
+    assert list(curve) == [evaluator.point(t) for t in times.tolist()]
+    assert all(type(v) is float for v in vars(curve[0]).values())
+
+
+def test_singular_row_inside_a_grid_raises(closed_config, default_moments):
+    """A = 0 at t = 0, so a grid that holds t = 0 cannot be inferred."""
+    ev = CurveEvaluator(closed_config, default_moments, 3.0)
+    with pytest.raises(SingularInference):
+        ev.curve(np.array([0.5, 0.0, 1.0]))
