@@ -24,10 +24,9 @@ from .kernels import (
     noise_autocorrelation,
 )
 from .model import MeasurementConfig, gaussian_state_moments, validate_config
-from .optimize import MIN_REL_TOL, find_optimal_time, thermal_sweep
+from .optimize import MIN_REL_TOL, find_optimal_time, point_u_sq, thermal_sweep
 from .uncertainty import CurveEvaluator, uncertainty_curve
 from .propagator import build_generator, propagate
-from . import oracle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -209,7 +208,7 @@ def cmd_uncertainty(args) -> int:
     moments = build_moments(raw)
     times = time_grid(raw)
     curve = uncertainty_curve(cfg, moments, times, args.mode)
-    _check_curve(curve)
+    _check_bound(*(curve.column(c) for c in ("t", "u_sq", "bound")))
     lines = _header_lines(raw, args.mode)
     lines.append(",".join(_CURVE_COLUMNS))
     rows = np.column_stack([curve.column(c) for c in _CURVE_COLUMNS]).tolist()
@@ -218,14 +217,18 @@ def cmd_uncertainty(args) -> int:
     return EXIT_OK
 
 
-def _check_curve(curve) -> None:
-    """Every row must satisfy u_sq >= bound before any row is emitted."""
-    bad = np.flatnonzero(curve.column("u_sq") < curve.column("bound") - 1e-8)
+def _check_bound(t, u_sq, bound, inv_beta=None) -> None:
+    """Every row must satisfy u_sq >= bound before any row is emitted; the
+    rows of an optimum (nan when flagged) are named by their inv_beta."""
+    bad = np.flatnonzero(np.asarray(u_sq) < np.asarray(bound) - 1e-8)
     if bad.size:
-        p = curve[bad[0]]
+        i = bad[0]
+        at = f"t = {_fmt(t[i])}"
+        if inv_beta is not None:
+            at = f"inv_beta = {_fmt(inv_beta[i])}, t_opt = {_fmt(t[i])}"
         raise NumericalError(
-            f"row violates u_sq >= bound at t = {_fmt(p.t)}: "
-            f"u_sq = {_fmt(p.u_sq)}, bound = {_fmt(p.bound)}"
+            f"row violates u_sq >= bound at {at}: "
+            f"u_sq = {_fmt(u_sq[i])}, bound = {_fmt(bound[i])}"
         )
 
 
@@ -257,12 +260,13 @@ def cmd_optimize(args) -> int:
     lines = _header_lines(raw, args.mode)
     lines.append(",".join(_SWEEP_COLUMNS))
     try:
-        opt = find_optimal_time(ev.u_sq, **opts)
+        opt = find_optimal_time(ev.point, **opts, key=point_u_sq)
     except BoundaryMinimum as exc:
         lines.append(f"# boundary_minimum inv_beta={_fmt(cfg.inv_beta)}: {exc}")
         lines.append(",".join([_fmt(cfg.inv_beta), "nan", "nan"]))
         _write(args.out, lines)
         return EXIT_OK
+    _check_bound([opt.t_opt], [opt.u_sq_min], [opt.at_opt.bound], [cfg.inv_beta])
     if opt.multiple_minima:
         lines.append(
             f"# multiple_minima inv_beta={_fmt(cfg.inv_beta)}: "
@@ -293,6 +297,7 @@ def cmd_sweep(args) -> int:
     opts = search_options(raw)
     grid = _sweep_grid(raw)
     result = thermal_sweep(cfg, moments, grid, mode=args.mode, **opts)
+    _check_bound(result.t_opt, result.u_sq_min, result.bound, result.inv_betas)
     lines = _header_lines(raw, args.mode)
     lines.append(",".join(_SWEEP_COLUMNS))
     flagged = dict(result.flags)
@@ -309,6 +314,8 @@ def cmd_sweep(args) -> int:
 
 
 def _gate_closed_limit():
+    from . import oracle  # only these two gates need it; keep it off startup
+
     cfg = MeasurementConfig(eta=0.0)
     times = np.linspace(0.0, 3.0, 61)
     numeric = propagate(build_generator(cfg, "renormalized"), times)
@@ -318,6 +325,8 @@ def _gate_closed_limit():
 
 
 def _gate_discrete_bath(n_modes: int = 200):
+    from . import oracle
+
     cfg = MeasurementConfig()
     moments = gaussian_state_moments()
     times = np.arange(1, 11) * 0.2

@@ -11,11 +11,11 @@ the independent oracle for the series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import (
     EvaluationAtZero,
@@ -39,6 +39,8 @@ _QAWF_TOLERANCES = ((1e-14, 1e-13), (1e-12, 1e-10), (1e-10, 1.49e-8))
 
 def _oscillatory_quad(f, weight: str, wvar: float) -> tuple[float, float]:
     """Semi-infinite cos/sin transform, cross-validated across settings."""
+    from scipy import integrate  # only the oracle paths integrate; keep it off startup
+
     runs = []
     for epsabs, epsrel in _QAWF_TOLERANCES:
         res = integrate.quad(
@@ -91,6 +93,8 @@ def dissipation_kernel_scalar(t, kernel: BathKernel):
 
 def _exp_scaled_ei(x: np.ndarray) -> np.ndarray:
     """exp(-x) * Ei(x) for x > 0, stable against overflow."""
+    from scipy import special  # loaded on first use: eta = 0 runs never need it
+
     x = np.asarray(x, dtype=float)
     small = x < 600.0
     out = np.empty_like(x)
@@ -105,6 +109,8 @@ def _exp_scaled_ei(x: np.ndarray) -> np.ndarray:
 
 def _exp_scaled_e1(x: np.ndarray) -> np.ndarray:
     """exp(x) * E1(x) for x > 0, stable against overflow."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     small = x < 600.0
     out = np.empty_like(x)
@@ -126,28 +132,50 @@ def _cosine_lorentz_integral(tau: np.ndarray, a: float) -> np.ndarray:
     return -0.5 * (_exp_scaled_ei(x) - _exp_scaled_e1(x))
 
 
-@lru_cache(maxsize=64)
-def _quantum_moments(eta: float, omega_c: float, beta: float) -> tuple[float, float, float]:
-    """Small-time moments of the quantum part of the nu integrand.
+#: y = beta*omega_c/(2*pi) up to which the quantum moments come from
+#: digamma directly; above it that form cancels (R(2) is 1e-4 of its terms)
+_DIGAMMA_MAX_Y = 1.0
 
+
+@lru_cache(maxsize=None)
+def _bose_rule():
+    """t^2 and t^3 times the weight at the nodes t of the Gauss-Laguerre rule
+    in x = 2*pi*t for int_0^inf h(t) * 2/(e^(2*pi*t)-1) dt; 40 nodes give
+    the moments to 1e-13 relative for every y above _DIGAMMA_MAX_Y."""
+    x, w = np.polynomial.laguerre.laggauss(40)
+    t = x / (2.0 * np.pi)
+    t2, wt3 = t**2, w / (np.pi * -np.expm1(-x)) * t**3
+    t2.flags.writeable = wt3.flags.writeable = False
+    return t2, wt3
+
+
+def _quantum_moments(eta: float, omega_c: float, beta: float) -> tuple[float, float, float]:
+    """Small-time moments of the quantum part of the nu integrand,
     B_{2k} = (eta*omega_c^2/pi) * int_0^inf w^(2k+1) * (coth(b*w/2)-1)
              / (w^2+omega_c^2) dw  for k = 0, 1, 2.
+
+    In closed form, with y = beta*omega_c/(2*pi) and pref = eta*omega_c^2/pi:
+    B0 = pref*I0, B2 = -pref*omega_c^2*S and B4 = pref*omega_c^4*R, where
+    I0 = ln y - 1/(2y) - psi(y) = int_0^inf t/(t^2+y^2) * 2/(e^(2*pi*t)-1) dt
+    (Binet's second formula, DLMF 5.9.13), S = I0 - 1/(12 y^2) and
+    R = S + 1/(120 y^4).  For large y both differences cancel; taking the
+    terms t/y^2 and -t^3/y^4 of t/(t^2+y^2) out of the integral (they give
+    1/12 and -1/120) leaves S = -int t^3/(y^2 (t^2+y^2)) and
+    R = int t^5/(y^4 (t^2+y^2)) against the same weight.
     """
-    pref = eta * omega_c**2 / np.pi
+    pref = eta * omega_c**2 / math.pi
+    y = beta * omega_c / (2.0 * math.pi)
+    if y <= _DIGAMMA_MAX_Y:
+        from scipy.special import digamma
 
-    def moment(power: int) -> float:
-        def f(w):
-            # coth(x)-1 = 2/(exp(2x)-1), exponentially small for large w
-            bw = beta * w
-            if bw > 700.0:
-                return 0.0
-            e = np.exp(-bw)
-            return w**power * 2.0 * e / (1.0 - e) / (w**2 + omega_c**2)
-
-        val, err = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
-        return pref * val
-
-    return moment(1), moment(3), moment(5)
+        s = math.log(y) - 0.5 / y - float(digamma(y)) - 1.0 / (12.0 * y**2)
+        r = s + 1.0 / (120.0 * y**4)
+    else:
+        t2, wt3 = _bose_rule()
+        h = wt3 / (t2 + y**2)
+        s, r = -float(h.sum()) / y**2, float(h @ t2) / y**4
+    i0 = s + 1.0 / (12.0 * y**2)
+    return pref * i0, -pref * omega_c**2 * s, pref * omega_c**4 * r
 
 
 def _nu_series(tau: np.ndarray, kernel: BathKernel) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -127,9 +128,12 @@ class CouplingMatrices:
     damping_matrix: np.ndarray
     a: float
 
-    @property
+    @cached_property
     def mass_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.mass_matrix)
+        """M^-1, inverted on the first read only."""
+        m_inv = np.linalg.inv(self.mass_matrix)
+        m_inv.flags.writeable = False
+        return m_inv
 
 
 def build_coupling_matrices(cfg: MeasurementConfig) -> CouplingMatrices:

@@ -8,6 +8,7 @@ Everything is deterministic: identical inputs give identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -15,12 +16,18 @@ from .errors import BoundaryMinimum
 from .model import GaussianMoments, MeasurementConfig
 from .uncertainty import CurveEvaluator
 
-__all__ = ["Optimum", "SweepResult", "golden_section", "find_optimal_time", "thermal_sweep"]
+__all__ = [
+    "Optimum", "SweepResult", "golden_section", "find_optimal_time", "point_u_sq",
+    "thermal_sweep",
+]
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 #: smallest rel_tol of golden_section: below it the bracket would have to
 #: shrink under the float spacing of its ends, and the search never stops
 MIN_REL_TOL = 1e-12
+
+#: key of a search over CurveEvaluator.point: the U^2 of the point
+point_u_sq = attrgetter("u_sq")
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,9 @@ class Optimum:
     multiple_minima: bool = False
     #: coarse-grid candidates (t, value) within 1% of the best local minimum
     candidates: tuple = ()
+    #: what the evaluator returned at t_opt; the UncertaintyPoint, with its
+    #: bound, when the evaluator is CurveEvaluator.point
+    at_opt: object = None
 
 
 @dataclass(frozen=True)
@@ -41,12 +51,15 @@ class SweepResult:
     inv_betas: np.ndarray
     t_opt: np.ndarray
     u_sq_min: np.ndarray
+    #: lower bound of U^2 at each t_opt
+    bound: np.ndarray
     flags: tuple = ()
 
 
-def golden_section(f, a: float, b: float, rel_tol: float = 1e-5):
-    """Golden-section search for the minimum of a unimodal f on [a, b];
-    ValueError for a rel_tol below MIN_REL_TOL."""
+def golden_section(f, a: float, b: float, rel_tol: float = 1e-5, key=float):
+    """Golden-section search for the minimum of a unimodal key(f) on [a, b],
+    returning the best t and f's value there; ValueError for a rel_tol
+    below MIN_REL_TOL."""
     if not rel_tol >= MIN_REL_TOL:
         raise ValueError(f"rel_tol must be >= {MIN_REL_TOL:g}, got {rel_tol!r}")
     h = b - a
@@ -54,7 +67,7 @@ def golden_section(f, a: float, b: float, rel_tol: float = 1e-5):
     d = a + _INV_PHI * h
     fc, fd = f(c), f(d)
     while h > rel_tol * max(abs(a), abs(b)):
-        if fc < fd:
+        if key(fc) < key(fd):
             b, d, fd = d, c, fc
             h = b - a
             c = b - _INV_PHI * h
@@ -64,8 +77,7 @@ def golden_section(f, a: float, b: float, rel_tol: float = 1e-5):
             h = b - a
             d = a + _INV_PHI * h
             fd = f(d)
-    t = c if fc < fd else d
-    return t, (fc if fc < fd else fd)
+    return (c, fc) if key(fc) < key(fd) else (d, fd)
 
 
 def _coarse_grid(t_interval: tuple[float, float], coarse_points: int) -> np.ndarray:
@@ -82,10 +94,14 @@ def find_optimal_time(
     coarse_points: int = 60,
     rel_tol: float = 1e-5,
     coarse_values=None,
+    key=float,
 ) -> Optimum:
     """Locate the global minimum of a scalar landscape on (0, t_max].
 
-    ``evaluator`` is a callable t -> value (e.g. ``CurveEvaluator.u_sq``).
+    ``evaluator`` is a callable t -> value (e.g. ``CurveEvaluator.u_sq``),
+    and ``key`` maps its value to the number minimised; with
+    ``CurveEvaluator.point`` and a key that reads ``u_sq``, the optimum
+    keeps the point at t_opt.
     The coarse grid is geometric, dense near the t -> 0 divergence.  A
     minimum sitting on an interval edge raises :class:`BoundaryMinimum`;
     near-degenerate local minima are reported, not resolved.
@@ -95,7 +111,7 @@ def find_optimal_time(
     """
     grid = _coarse_grid(t_interval, coarse_points)
     if coarse_values is None:
-        vals = np.array([evaluator(float(t)) for t in grid])
+        vals = np.array([key(evaluator(float(t))) for t in grid])
     else:
         vals = np.asarray(coarse_values, dtype=float)
         if vals.shape != grid.shape:
@@ -118,14 +134,15 @@ def find_optimal_time(
     ]
     multiple = len(near) > 1
 
-    t_opt, u_min = golden_section(
-        evaluator, float(grid[best - 1]), float(grid[best + 1]), rel_tol
+    t_opt, at_opt = golden_section(
+        evaluator, float(grid[best - 1]), float(grid[best + 1]), rel_tol, key
     )
     return Optimum(
         t_opt=float(t_opt),
-        u_sq_min=float(u_min),
+        u_sq_min=float(key(at_opt)),
         multiple_minima=multiple,
         candidates=tuple(near) if multiple else (),
+        at_opt=at_opt,
     )
 
 
@@ -158,23 +175,24 @@ def thermal_sweep(
         [[p.u_sq for p in base.points(float(t), kernels)] for t in grid]
     ).T  # (n_beta, coarse_points)
 
-    t_opt = np.full(inv_betas.size, np.nan)
-    u_min = np.full(inv_betas.size, np.nan)
+    t_opt, u_min, bound = np.full((3, inv_betas.size), np.nan)
     flags = []
     for i, (ib, ev) in enumerate(zip(inv_betas, evaluators)):
         try:
             opt = find_optimal_time(
-                ev.u_sq, t_interval, coarse_points, rel_tol, coarse_values=coarse[i]
+                ev.point, t_interval, coarse_points, rel_tol, coarse_values=coarse[i],
+                key=point_u_sq,
             )
         except BoundaryMinimum as exc:
             flags.append((float(ib), f"boundary_minimum: {exc}"))
             continue
-        t_opt[i], u_min[i] = opt.t_opt, opt.u_sq_min
+        t_opt[i], u_min[i], bound[i] = opt.t_opt, opt.u_sq_min, opt.at_opt.bound
         if opt.multiple_minima:
             flags.append((float(ib), f"multiple_minima: {opt.candidates}"))
     return SweepResult(
         inv_betas=inv_betas,
         t_opt=t_opt,
         u_sq_min=u_min,
+        bound=bound,
         flags=tuple(flags),
     )

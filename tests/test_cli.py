@@ -1,11 +1,14 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pointersim
 from pointersim.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -253,6 +256,83 @@ def test_bound_violation_exits_numerical(tmp_path, capsys, monkeypatch, to_file)
     assert "u_sq >= bound at t = 0.1:" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("optimize", {"eta": 0.0}),
+        ("sweep", {"eta": 0.0, "sweep": {"inv_betas": [1.0, 2.0]}}),
+        ("sweep", {"sweep": {"inv_betas": [1.0, 2.0]}, "optimize": {"coarse_points": 12}}),
+    ],
+    ids=["optimize", "sweep", "sweep-open"],
+)
+def test_optimum_bound_violation_exits_numerical(
+    tmp_path, capsys, monkeypatch, command, overrides
+):
+    import pointersim.uncertainty
+
+    monkeypatch.setattr(
+        pointersim.uncertainty, "lower_bound", lambda *args: 1e6
+    )
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "violating.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: row violates u_sq >= bound at inv_beta = 1, t_opt = ")
+    assert "bound = 1000000" in err
+    assert not out.exists()
+
+
+_SRC = Path(pointersim.__file__).resolve().parents[1]
+
+#: runs CLI commands in this interpreter and prints which heavy modules
+#: each step left loaded
+_PROBE = """
+import json, sys
+from pointersim.cli import main
+names = ("scipy.integrate", "scipy.special", "pointersim.oracle")
+report = {"import": [m for m in names if m in sys.modules]}
+for step, argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, step
+    report[step] = [m for m in names if m in sys.modules]
+print(json.dumps(report))
+"""
+
+
+def _loaded_after(steps):
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(_SRC)!r})\n" + _PROBE,
+         json.dumps(steps)],
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_startup_loads_no_oracle_and_no_integrate(tmp_path):
+    """The quadrature module and the oracle cost import time that only
+    validate needs; scipy.special loads with the first eta > 0 run."""
+    closed = _write_config(tmp_path, eta=0.0, time_grid={"start": 0.1, "stop": 1.0, "count": 4})
+    opened = tmp_path / "open.json"
+    opened.write_text(json.dumps({"time_grid": {"start": 0.1, "stop": 1.0, "count": 4}}))
+    swept = tmp_path / "sweep.json"
+    swept.write_text(json.dumps({"sweep": {"inv_betas": [1.0, 3.5]}}))
+    out = str(tmp_path / "out.csv")
+    loaded = _loaded_after([
+        ["closed", ["uncertainty", "--config", closed, "--out", out]],
+        ["uncertainty", ["uncertainty", "--config", str(opened), "--out", out]],
+        ["sweep", ["sweep", "--config", str(swept), "--out", out]],
+    ])
+    assert loaded == {
+        "import": [], "closed": [], "uncertainty": ["scipy.special"], "sweep": ["scipy.special"],
+    }
+
+
+def test_validate_loads_oracle_and_integrate(tmp_path):
+    loaded = _loaded_after([["validate", ["validate", "--out", str(tmp_path / "v.txt")]]])
+    assert loaded["validate"] == ["scipy.integrate", "scipy.special", "pointersim.oracle"]
+    assert (tmp_path / "v.txt").read_text().count("PASS ") == 5
 
 
 def test_matsubara_resonance_exits_numerical(tmp_path, capsys):

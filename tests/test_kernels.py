@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from pointersim.errors import EvaluationAtZero, SeriesResonance
 from pointersim.kernels import (
     BathKernel,
+    _quantum_moments,
     dissipation_from_spectral_density,
     dissipation_kernel_scalar,
     noise_autocorrelation,
@@ -142,3 +144,62 @@ def test_nu_series_resonance_detection():
 def test_nu_unknown_method_rejected():
     with pytest.raises(ValueError):
         noise_autocorrelation(0.5, KERNEL, method="magic")
+
+
+def _quad_moments(eta, omega_c, beta):
+    """B0, B2, B4 by adaptive quadrature of their defining integrals
+    (eta*omega_c^2/pi) * int_0^inf w^(2k+1) * (coth(b*w/2)-1)/(w^2+omega_c^2) dw.
+
+    Absolute tolerance 0: at y = beta*omega_c/(2*pi) above about 400 the
+    B4 integral falls below 1e-13, and an absolute floor there would
+    stop the quadrature at a few percent."""
+    pref = eta * omega_c**2 / np.pi
+
+    def moment(power):
+        def f(w):
+            # coth(x)-1 = 2/(exp(2x)-1), exponentially small for large w
+            bw = beta * w
+            if bw > 700.0:
+                return 0.0
+            e = np.exp(-bw)
+            return w**power * 2.0 * e / (1.0 - e) / (w**2 + omega_c**2)
+
+        return pref * integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+    return moment(1), moment(3), moment(5)
+
+
+#: y = beta*omega_c/(2*pi): a geometric grid, both sides of the switch
+#: between the digamma and the Gauss-Laguerre forms (y = 1) and of y = 2,
+#: the stretch (1, 2) where the digamma form would lose 1e-12, and points
+#: within 1e-3 of a Matsubara resonance (an integer y)
+_MOMENT_YS = np.concatenate([
+    np.geomspace(0.01, 1000.0, 41),
+    [1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0 - 1e-9, 2.0, 2.0 + 1e-9],
+    np.linspace(1.1, 1.99, 9),
+    [1.0005, 1.9992, 3.0008, 6.9992, 318.0005],
+])
+
+
+@pytest.mark.parametrize("y", _MOMENT_YS)
+def test_quantum_moments_match_quadrature(y):
+    beta = 2.0 * np.pi * y / 20.0
+    closed = np.array(_quantum_moments(0.25, 20.0, beta))
+    quad = np.array(_quad_moments(0.25, 20.0, beta))
+    np.testing.assert_allclose(closed, quad, rtol=1e-10, atol=0.0)
+
+
+def test_quantum_moments_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    eta, wc = 0.25, 20.0
+    for y in _MOMENT_YS:
+        beta = 2.0 * np.pi * y / wc
+        with mpmath.workdps(40):
+            ym = mpmath.mpf(beta) * wc / (2 * mpmath.pi)
+            pref = eta * mpmath.mpf(wc) ** 2 / mpmath.pi
+            i0 = mpmath.log(ym) - 1 / (2 * ym) - mpmath.digamma(ym)
+            s = i0 - 1 / (12 * ym**2)
+            r = s + 1 / (120 * ym**4)
+            ref = [float(pref * i0), float(-pref * wc**2 * s), float(pref * wc**4 * r)]
+        closed = _quantum_moments(eta, wc, beta)
+        np.testing.assert_allclose(closed, ref, rtol=1e-12, atol=0.0, err_msg=f"y = {y}")
