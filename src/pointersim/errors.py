@@ -46,7 +46,7 @@ class SeriesResonance(NumericalError):
 
 
 class SingularMass(NumericalError):
-    """Effective mass matrix is singular (unreachable for validated configs)."""
+    """Effective mass matrix singular, or the couplings overflow its products."""
 
 
 class ExpNonConvergence(NumericalError):

@@ -37,8 +37,10 @@ __all__ = [
 _QAWF_TOLERANCES = ((1e-14, 1e-13), (1e-12, 1e-10), (1e-10, 1.49e-8))
 
 
-def _oscillatory_quad(f, weight: str, wvar: float) -> tuple[float, float]:
-    """Semi-infinite cos/sin transform, cross-validated across settings."""
+def _oscillatory_quad(f, weight: str, wvar: float, scale: float) -> float:
+    """Semi-infinite cos/sin transform, cross-validated across settings;
+    QuadratureNonConvergence when its error estimate exceeds 1e-6 of
+    max(|value|, scale)."""
     from scipy import integrate  # only the oracle paths integrate; keep it off startup
 
     runs = []
@@ -56,7 +58,12 @@ def _oscillatory_quad(f, weight: str, wvar: float) -> tuple[float, float]:
             if err < best[1]:
                 keep = runs[i] if runs[i][1] <= runs[j][1] else runs[j]
                 best = (keep[0], err)
-    return best
+    val, err = best
+    if err > 1e-6 * max(abs(val), scale):
+        raise QuadratureNonConvergence(
+            f"{weight} transform at {wvar} has error estimate {err:.3g}, too large"
+        )
+    return val
 
 #: below |t| = _SWITCH * beta the series path switches to the
 #: exponential-integral representation (see _nu_smalltime)
@@ -91,34 +98,21 @@ def dissipation_kernel_scalar(t, kernel: BathKernel):
     return kernel.eta * kernel.omega_c**2 * np.exp(-kernel.omega_c * t)
 
 
-def _exp_scaled_ei(x: np.ndarray) -> np.ndarray:
-    """exp(-x) * Ei(x) for x > 0, stable against overflow."""
+def _exp_scaled_ei(x: np.ndarray, sign: float) -> np.ndarray:
+    """exp(-x) * Ei(x) for sign = +1, exp(x) * E1(x) for sign = -1, at
+    x > 0 and stable against overflow."""
     from scipy import special  # loaded on first use: eta = 0 runs never need it
 
     x = np.asarray(x, dtype=float)
     small = x < 600.0
     out = np.empty_like(x)
     xs = np.where(small, x, 1.0)
-    out[small] = (np.exp(-xs) * special.expi(xs))[small]
+    integral = special.expi if sign > 0 else special.exp1
+    out[small] = (np.exp(-sign * xs) * integral(xs))[small]
     xl = x[~small]
     if xl.size:
-        # asymptotic Ei(x) ~ e^x/x * (1 + 1/x + 2/x^2 + 6/x^3)
-        out[~small] = (1.0 + 1.0 / xl + 2.0 / xl**2 + 6.0 / xl**3) / xl
-    return out
-
-
-def _exp_scaled_e1(x: np.ndarray) -> np.ndarray:
-    """exp(x) * E1(x) for x > 0, stable against overflow."""
-    from scipy import special
-
-    x = np.asarray(x, dtype=float)
-    small = x < 600.0
-    out = np.empty_like(x)
-    xs = np.where(small, x, 1.0)
-    out[small] = (np.exp(xs) * special.exp1(xs))[small]
-    xl = x[~small]
-    if xl.size:
-        out[~small] = (1.0 - 1.0 / xl + 2.0 / xl**2 - 6.0 / xl**3) / xl
+        # asymptotic e^(-x) Ei(x) ~ (1 + 1/x + 2/x^2 + 6/x^3)/x; E1 alternates
+        out[~small] = (1.0 + sign / xl + 2.0 / xl**2 + sign * 6.0 / xl**3) / xl
     return out
 
 
@@ -129,7 +123,7 @@ def _cosine_lorentz_integral(tau: np.ndarray, a: float) -> np.ndarray:
     diverges like -log(a*tau) for small tau.
     """
     x = a * np.asarray(tau, dtype=float)
-    return -0.5 * (_exp_scaled_ei(x) - _exp_scaled_e1(x))
+    return -0.5 * (_exp_scaled_ei(x, 1.0) - _exp_scaled_ei(x, -1.0))
 
 
 #: y = beta*omega_c/(2*pi) up to which the quantum moments come from
@@ -218,13 +212,7 @@ def _nu_quadrature(tau: float, kernel: BathKernel) -> float:
             return 2.0 * eta / (np.pi * beta)
         return (eta * wc**2 / np.pi) * w / np.tanh(0.5 * beta * w) / (w**2 + wc**2)
 
-    val, err = _oscillatory_quad(f, "cos", tau)
-    scale = max(abs(val), eta * wc * kernel.inv_beta)
-    if err > 1e-6 * scale:
-        raise QuadratureNonConvergence(
-            f"nu({tau}) quadrature error estimate {err:.3g} too large"
-        )
-    return val
+    return _oscillatory_quad(f, "cos", tau, eta * wc * kernel.inv_beta)
 
 
 def noise_autocorrelation(t, kernel: BathKernel, method: str = "series"):
@@ -282,9 +270,4 @@ def dissipation_from_spectral_density(t: float, kernel: BathKernel) -> float:
     def f(w):
         return float(spectral_density_scalar(w, kernel))
 
-    val, err = _oscillatory_quad(f, "sin", t)
-    if err > 1e-6 * max(abs(val), kernel.eta * kernel.omega_c**2):
-        raise QuadratureNonConvergence(
-            f"mu({t}) sine-transform error estimate {err:.3g} too large"
-        )
-    return val
+    return _oscillatory_quad(f, "sin", t, kernel.eta * kernel.omega_c**2)

@@ -1,8 +1,7 @@
 """Rescaled model definition: parameters, coupling matrices, initial moments.
 
 All quantities live in the dimensionless units based on the system's
-spreading time scale T and length scale lambda = sqrt(T*hbar/M_S); see
-:func:`rescale_physical` for the conversion from laboratory units.
+spreading time scale T and length scale lambda = sqrt(T*hbar/M_S).
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
     NegativeViscosity,
     NonPositive,
     NonZeroMean,
@@ -29,8 +29,6 @@ __all__ = [
     "validate_config",
     "build_coupling_matrices",
     "gaussian_state_moments",
-    "rescale_physical",
-    "unrescale_config",
 ]
 
 
@@ -98,6 +96,8 @@ def validate_config(cfg: MeasurementConfig, t_max: float | None = None) -> Measu
         If the mass ratio, cutoff frequency, or thermal energy is <= 0.
     NegativeViscosity
         If eta < 0.
+    ConfigError
+        If a product of couplings that enters the generator overflows.
     """
     if cfg.mass_ratio <= 0:
         raise NonPositive(f"mass_ratio must be > 0, got {cfg.mass_ratio}")
@@ -107,6 +107,14 @@ def validate_config(cfg: MeasurementConfig, t_max: float | None = None) -> Measu
         raise NonPositive(f"inv_beta must be > 0, got {cfg.inv_beta}")
     if cfg.eta < 0:
         raise NegativeViscosity(f"eta must be >= 0, got {cfg.eta}")
+    # products, not powers: a float power overflows with an exception, not inf
+    for key, name, value in (
+        ("kappa1", "kappa1**2/mass_ratio", cfg.kappa1 * cfg.kappa1 / cfg.mass_ratio),
+        ("kappa2", "kappa2**2/mass_ratio", cfg.kappa2 * cfg.kappa2 / cfg.mass_ratio),
+        ("omega_c", "eta*omega_c**2", cfg.eta * cfg.omega_c * cfg.omega_c),
+    ):
+        if not np.isfinite(value):
+            raise ConfigError(f"config key '{key}' is out of range: {name} overflows")
     if cfg.kappa2**2 == cfg.mass_ratio:
         raise SingularLagrangian(
             f"kappa2**2 == mass_ratio ({cfg.mass_ratio}): singular Lagrangian"
@@ -231,65 +239,3 @@ def require_zero_mean(moments: GaussianMoments) -> GaussianMoments:
     if np.any(moments.mean_j != 0.0):
         raise NonZeroMean("initial pointer means must be zero")
     return moments
-
-
-def rescale_physical(
-    system_mass: float,
-    pointer_mass: float,
-    kappa1: float,
-    kappa2: float,
-    eta: float,
-    omega_c: float,
-    inv_beta: float,
-    var_xs0: float,
-    var_ps0: float,
-    hbar: float = 1.0,
-    numerical: NumericalSettings | None = None,
-) -> MeasurementConfig:
-    """Convert laboratory-unit parameters to the rescaled configuration.
-
-    The characteristic time is T = DX_S(0) * M_S / DP_S(0) and the
-    characteristic length lambda = sqrt(T*hbar/M_S).  Couplings map as
-    kappa1' = kappa1*T*M/M_S and kappa2' = kappa2*M, the viscosity as
-    eta' = eta*T/M_S, frequencies as omega' = omega*T, and the thermal
-    energy as beta'^{-1} = beta^{-1}*T/hbar.
-    """
-    if system_mass <= 0 or pointer_mass <= 0:
-        raise NonPositive("masses must be > 0")
-    if var_xs0 <= 0 or var_ps0 <= 0:
-        raise NonPositive("initial system variances must be > 0")
-    T = np.sqrt(var_xs0) * system_mass / np.sqrt(var_ps0)
-    return MeasurementConfig(
-        kappa1=kappa1 * T * pointer_mass / system_mass,
-        kappa2=kappa2 * pointer_mass,
-        mass_ratio=pointer_mass / system_mass,
-        eta=eta * T / system_mass,
-        omega_c=omega_c * T,
-        inv_beta=inv_beta * T / hbar,
-        numerical=numerical or NumericalSettings(),
-    )
-
-
-def unrescale_config(
-    cfg: MeasurementConfig,
-    system_mass: float,
-    var_xs0: float,
-    var_ps0: float,
-    hbar: float = 1.0,
-) -> dict:
-    """Invert :func:`rescale_physical` given the physical system scales."""
-    if system_mass <= 0 or var_xs0 <= 0 or var_ps0 <= 0:
-        raise NonPositive("physical scales must be > 0")
-    T = np.sqrt(var_xs0) * system_mass / np.sqrt(var_ps0)
-    pointer_mass = cfg.mass_ratio * system_mass
-    return {
-        "system_mass": system_mass,
-        "pointer_mass": pointer_mass,
-        "kappa1": cfg.kappa1 * system_mass / (T * pointer_mass),
-        "kappa2": cfg.kappa2 / pointer_mass,
-        "eta": cfg.eta * system_mass / T,
-        "omega_c": cfg.omega_c / T,
-        "inv_beta": cfg.inv_beta * hbar / T,
-        "var_xs0": var_xs0,
-        "var_ps0": var_ps0,
-    }

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NegativeEigenvalue
+from .errors import ConfigError, NegativeEigenvalue
 from .kernels import BathKernel, noise_autocorrelation
 from .model import NumericalSettings
 from .propagator import AugmentedGenerator, checked_det_a, checked_expm
@@ -60,6 +60,9 @@ __all__ = [
 _TAYLOR_TERMS = 14
 #: the grid step when the generator's spectral radius is small
 _MAX_STEP = 1.0 / 32.0
+#: most grid nodes a table may hold, as many as a time grid may have points;
+#: the default config, at omega_c*t_max = 60, needs 120
+_MAX_NODES = 100_000
 #: outer u-panels: regular width, and where and how fast they grade toward 0
 _PANEL_WIDTH = 0.1
 _GRADED_START = 0.05
@@ -84,6 +87,12 @@ class PropagatorTable:
         self.step = 1.0 / max(2.0 * rho, 1.0 / _MAX_STEP)
         self.t_max = t_max
         self.gen = gen
+        if not t_max / self.step <= _MAX_NODES:
+            raise ConfigError(
+                f"the noise table on [0, {t_max:g}] needs {t_max / self.step:.3g} nodes at "
+                f"rho(F) = {rho:.3g}, more than {_MAX_NODES}; lower omega_c*t_max "
+                f"(= {gen.cfg.omega_c * t_max:.3g}), eta or the couplings"
+            )
         noise = gen.noise_map[:, 1:3]  # N
 
         # Taylor coefficients F^k / k! and L_k / (k+1)!

@@ -6,7 +6,8 @@ equations, and a discrete bath of N harmonic oscillators per pointer whose
 full Gaussian covariance is evolved symplectically under the complete
 quadratic Hamiltonian.  The discrete bath contains the potential shift and
 the slip term, so it validates the RAW (unrenormalized) continuum
-dynamics.
+dynamics.  ``GATES`` runs both oracles and three further checks as the
+self-test of the ``validate`` subcommand.
 """
 
 from __future__ import annotations
@@ -17,10 +18,17 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ExpNonConvergence, InsufficientModes
-from .kernels import BathKernel, dissipation_kernel_scalar
-from .model import GaussianMoments, MeasurementConfig
+from .kernels import (
+    BathKernel,
+    dissipation_from_spectral_density,
+    dissipation_kernel_scalar,
+    noise_autocorrelation,
+    spectral_density_scalar,
+)
+from .model import GaussianMoments, MeasurementConfig, gaussian_state_moments
 from .noise import PropagatorTable, lambda_covariance
 from .propagator import build_generator, propagate
+from .uncertainty import uncertainty_curve
 
 __all__ = [
     "DiscreteBath",
@@ -32,6 +40,7 @@ __all__ = [
     "symplectic_form",
     "discrete_pointer_covariance",
     "continuum_pointer_covariance",
+    "GATES",
 ]
 
 #: the stiff tail mode of a discrete bath sits at this multiple of omega_max
@@ -108,12 +117,9 @@ class DiscreteBath:
     has_tail: bool = False
 
     @property
-    def mode_spacing(self) -> float:
-        return self.omega_max / self.n_modes
-
-    @property
     def recurrence_time(self) -> float:
-        return 2.0 * np.pi / self.mode_spacing
+        """2*pi over the mode spacing omega_max / n_modes."""
+        return 2.0 * np.pi * self.n_modes / self.omega_max
 
     @property
     def potential_shift(self) -> float:
@@ -159,8 +165,7 @@ def discretize_bath(
     dw = omega_max / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
     kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
-    dens = (2.0 * cfg.eta / np.pi) * w / (w**2 / cfg.omega_c**2 + 1.0)
-    g2 = w * dens * dw
+    g2 = w * spectral_density_scalar(w, kernel) * dw
     if cfg.eta > 0:
         w_tail = _TAIL_FACTOR * omega_max
         g2_tail = w_tail**2 * (cfg.eta * cfg.omega_c - np.sum(g2 / w**2))
@@ -298,10 +303,6 @@ def continuum_pointer_covariance(
     """Pointer-position covariance from the continuum propagator pipeline."""
     times = np.asarray(times, dtype=float)
     gen = build_generator(cfg, mode)
-    kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
-    table = (
-        PropagatorTable(gen, float(times.max())) if cfg.eta > 0 else None
-    )
     cj = moments.cov_j
     cov_x = np.diag([moments.var_xs0, cj[0, 0], cj[1, 1]])
     cov_p = np.diag([moments.var_ps0, cj[2, 2], cj[3, 3]])
@@ -311,5 +312,78 @@ def continuum_pointer_covariance(
     full = k @ cov_x @ k_t + g @ cov_p @ g_t + k @ cov_xp @ g_t + g @ cov_xp.T @ k_t
     out = full[:, 1:3, 1:3]
     if cfg.eta > 0:
+        table = PropagatorTable(gen, float(times.max()))
+        kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
         out = out + np.array([lambda_covariance(table, kernel, t) for t in times.tolist()])
     return out
+
+
+# ---------------------------------------------------------------------------
+# validation gates
+
+
+def _closed_limit_error() -> float:
+    """Generator propagation against the exact eta = 0 polynomials."""
+    cfg = MeasurementConfig(eta=0.0)
+    times = np.linspace(0.0, 3.0, 61)
+    numeric = propagate(build_generator(cfg, "renormalized"), times)
+    exact = zip(*(closed_form_eta0(cfg, t) for t in times.tolist()))
+    return max(float(np.abs(x - np.array(y)).max()) for x, y in zip(numeric, exact))
+
+
+def _discrete_bath_error() -> float:
+    """Largest relative distance of the continuum pointer covariance from a
+    200-mode discrete bath."""
+    cfg = MeasurementConfig()
+    moments = gaussian_state_moments()
+    times = np.arange(1, 11) * 0.2
+    bath = discretize_bath(cfg, n_modes=200)
+    disc = discrete_pointer_covariance(cfg, moments, bath, times)
+    cont = continuum_pointer_covariance(cfg, moments, times, "raw")
+    err = np.linalg.norm(disc - cont, axis=(1, 2)) / np.linalg.norm(cont, axis=(1, 2))
+    return float(err.max())
+
+
+def _classical_limit_error() -> float:
+    """nu against its high-temperature limit eta*omega_c*inv_beta*e^(-omega_c t)."""
+    worst = 0.0
+    for inv_beta in (1e4, 2e4):
+        kernel = BathKernel(eta=0.25, omega_c=20.0, inv_beta=inv_beta)
+        for t in (0.01, 0.05, 0.1):
+            nu = noise_autocorrelation(t, kernel)
+            ref = kernel.eta * kernel.omega_c * inv_beta * np.exp(-kernel.omega_c * t)
+            worst = max(worst, abs(nu - ref) / ref)
+    return worst
+
+
+def _dissipation_transform_error() -> float:
+    """Closed-form mu(t) against the sine transform of the spectral density."""
+    kernel = BathKernel(eta=0.25, omega_c=20.0, inv_beta=1.0)
+    worst = 0.0
+    for t in np.linspace(0.05, 0.8, 12):
+        direct = dissipation_kernel_scalar(float(t), kernel)
+        recon = dissipation_from_spectral_density(float(t), kernel)
+        worst = max(worst, abs(direct - recon) / abs(direct))
+    return worst
+
+
+def _inequality_chain_margin() -> float:
+    """Largest violation of u_sq >= bound >= 1 on two default curves."""
+    moments = gaussian_state_moments()
+    times = np.linspace(0.05, 3.0, 40)
+    worst = -np.inf
+    for inv_beta in (1.0, 2.0):
+        for p in uncertainty_curve(MeasurementConfig(inv_beta=inv_beta), moments, times):
+            worst = max(worst, p.bound - p.u_sq, 1.0 - p.bound)
+    return float(worst)
+
+
+#: (name, measurement, tolerance) of every gate; a gate passes when its
+#: measurement is at most its tolerance
+GATES = (
+    ("closed-limit equivalence", _closed_limit_error, 1e-10),
+    ("discrete-bath covariance", _discrete_bath_error, 0.02),
+    ("kernel classical limit", _classical_limit_error, 1e-6),
+    ("dissipation sine transform", _dissipation_transform_error, 1e-8),
+    ("inequality chain", _inequality_chain_margin, 1e-8),
+)

@@ -52,14 +52,13 @@ class AugmentedGenerator:
 def _second_order_blocks(cfg: MeasurementConfig, coup: CouplingMatrices):
     """M^-1 times the position and velocity couplings of the bare dynamics."""
     m_inv = coup.mass_inverse
-    if not np.all(np.isfinite(m_inv)):
-        raise SingularMass("effective mass matrix is singular")
     d = coup.damping_matrix
-    pos = (cfg.kappa1**2 / cfg.mass_ratio) * np.outer(
-        np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
-    )
-    vel = d - d.T
-    return m_inv, m_inv @ pos, m_inv @ vel
+    pos = np.zeros((3, 3))
+    pos[0, 0] = cfg.kappa1**2 / cfg.mass_ratio
+    blocks = m_inv, m_inv @ pos, m_inv @ (d - d.T)
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise SingularMass("M^-1 times the couplings is not finite: singular M or huge kappa1")
+    return blocks
 
 
 def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> AugmentedGenerator:
@@ -74,18 +73,12 @@ def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> Augme
     m_inv, pos, vel = _second_order_blocks(cfg, coup)
     eta, wc = cfg.eta, cfg.omega_c
 
-    if eta == 0.0:
-        n = 6
-        gen = np.zeros((n, n))
-        gen[0:3, 3:6] = np.eye(3)
-        gen[3:6, 0:3] = pos
-        gen[3:6, 3:6] = vel
-    else:
-        n = 8
-        gen = np.zeros((n, n))
-        gen[0:3, 3:6] = np.eye(3)
-        gen[3:6, 0:3] = pos
-        gen[3:6, 3:6] = vel
+    n = 6 if eta == 0.0 else 8
+    gen = np.zeros((n, n))
+    gen[0:3, 3:6] = np.eye(3)
+    gen[3:6, 0:3] = pos
+    gen[3:6, 3:6] = vel
+    if eta != 0.0:  # two memory variables, one per pointer
         if mode == "renormalized":
             # memory term enters the force with a minus sign
             gen[3:6, 6:8] = -m_inv @ _S_SEL

@@ -159,6 +159,10 @@ def test_invalid_grid_is_config_error(tmp_path):
         ("sweep", {"sweep": {"inv_betas": [1.0] * 1001}}),
         ("optimize", {"optimize": {"coarse_points": 10**12}}),
         ("sweep", {"optimize": {"coarse_points": 10**12}}),
+        ("uncertainty", {"sweep": {"count": "abc"}}),
+        ("uncertainty", {"optimize": {"rel_tol": 0}}),
+        ("optimize", {"sweep": {"inv_betas": [2.0, 1.0]}}),
+        ("sweep", {"time_grid": {"spacing": "cubic"}}),
     ],
     ids=[
         "unsorted-inv-betas",
@@ -178,6 +182,10 @@ def test_invalid_grid_is_config_error(tmp_path):
         "long-inv-betas",
         "huge-coarse-points",
         "huge-coarse-points-sweep",
+        "unread-string-sweep-count",
+        "unread-zero-rel-tol",
+        "unread-unsorted-inv-betas",
+        "unread-unknown-spacing",
     ],
 )
 def test_bad_sweep_or_interval_is_config_error(tmp_path, capsys, command, overrides):
@@ -213,9 +221,43 @@ def test_readme_config_block_is_the_default(tmp_path):
     assert load_config(str(path)) == _DEFAULT_CONFIG
 
 
-def test_bad_mode_rejected():
-    with pytest.raises(SystemExit):
-        main(["uncertainty", "--mode", "physical"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uncertainty", "--mode", "physical"],
+        ["validate", "--mode", "raw"],
+        ["validate", "--config", "bad.json"],
+    ],
+    ids=["unknown-mode", "validate-mode", "validate-config"],
+)
+def test_bad_mode_rejected(argv):
+    """An unknown mode, and the flags validate does not read, are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"kappa1": 1e200},
+        {"kappa2": 1e200},
+        {"omega_c": 1e300},
+        {"eta": 1e300},
+        {"time_grid": {"stop": 1e300}},
+        {"kappa1": 1e154},
+        {"mass_ratio": 1e-300},
+    ],
+    ids=["kappa1", "kappa2", "omega_c", "eta", "time-grid-stop", "kappa1-over-m-inverse",
+         "tiny-mass-ratio"],
+)
+def test_huge_finite_value_exits_with_a_message(tmp_path, capsys, overrides):
+    """Couplings that overflow and noise tables too large to allocate end in
+    a mapped exit code, not in a traceback."""
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["uncertainty", "--config", cfg]) in (EXIT_CONFIG, EXIT_NUMERICAL)
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: ", "numerical error: ")) and "Traceback" not in err
 
 
 def test_stdout_output(small_grid_config, capsys):

@@ -18,8 +18,6 @@ from pointersim.model import (
     build_coupling_matrices,
     gaussian_state_moments,
     require_zero_mean,
-    rescale_physical,
-    unrescale_config,
     validate_config,
 )
 
@@ -149,47 +147,6 @@ def test_require_zero_mean():
     )
     with pytest.raises(NonZeroMean):
         require_zero_mean(biased)
-
-
-def test_rescale_round_trip():
-    cfg = rescale_physical(
-        system_mass=2.0,
-        pointer_mass=3.0,
-        kappa1=0.7,
-        kappa2=0.4,
-        eta=0.1,
-        omega_c=5.0,
-        inv_beta=2.5,
-        var_xs0=0.8,
-        var_ps0=0.3,
-        hbar=1.0,
-    )
-    back = unrescale_config(cfg, system_mass=2.0, var_xs0=0.8, var_ps0=0.3)
-    assert back["pointer_mass"] == pytest.approx(3.0)
-    assert back["kappa1"] == pytest.approx(0.7)
-    assert back["kappa2"] == pytest.approx(0.4)
-    assert back["eta"] == pytest.approx(0.1)
-    assert back["omega_c"] == pytest.approx(5.0)
-    assert back["inv_beta"] == pytest.approx(2.5)
-
-
-def test_rescale_identity_scales():
-    """With T = 1 scales the rescaled couplings reduce to simple products."""
-    cfg = rescale_physical(
-        system_mass=1.0,
-        pointer_mass=1.0,
-        kappa1=2.0,
-        kappa2=2.0,
-        eta=0.25,
-        omega_c=20.0,
-        inv_beta=1.0,
-        var_xs0=1.0,
-        var_ps0=1.0,
-    )
-    assert cfg.kappa1 == pytest.approx(2.0)
-    assert cfg.kappa2 == pytest.approx(2.0)
-    assert cfg.eta == pytest.approx(0.25)
-    assert cfg.omega_c == pytest.approx(20.0)
 
 
 def test_numerical_settings_doubled():
