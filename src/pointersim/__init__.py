@@ -5,7 +5,6 @@ measurement times."""
 from .model import (
     GaussianMoments,
     MeasurementConfig,
-    NumericalSettings,
     build_coupling_matrices,
     gaussian_state_moments,
     validate_config,
@@ -15,7 +14,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MeasurementConfig",
-    "NumericalSettings",
     "GaussianMoments",
     "validate_config",
     "build_coupling_matrices",

@@ -1,8 +1,9 @@
 """Command-line interface: config ingestion, pipeline runs, CSV emission.
 
 Subcommands: ``uncertainty`` (time series of all figures of merit),
-``optimize`` (single optimal-time search), ``sweep`` (thermal-energy
-sweep), ``validate`` (self-check gates against the independent oracles).
+``optimize`` (``sweep`` at the configured thermal energy), ``sweep``
+(thermal-energy sweep), ``validate`` (self-check gates against the
+independent oracles).
 All numeric output is deterministic: identical configs give byte-identical
 files.
 """
@@ -18,10 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import BoundaryMinimum, ConfigError, NumericalError, PointerSimError
+from .errors import ConfigError, NumericalError, PointerSimError
 from .model import GaussianMoments, MeasurementConfig, gaussian_state_moments, validate_config
-from .optimize import MIN_REL_TOL, find_optimal_time, point_u_sq, thermal_sweep
-from .uncertainty import CurveEvaluator, uncertainty_curve
+from .optimize import MIN_REL_TOL, thermal_sweep
+from .uncertainty import uncertainty_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -225,17 +226,19 @@ def _write(out_path: str | None, lines: list[str]) -> None:
 
 
 def _check_bound(t, u_sq, bound, inv_beta=None) -> None:
-    """Every row must satisfy u_sq >= bound before any row is emitted; the
-    rows of an optimum (nan when flagged) are named by their inv_beta."""
-    bad = np.flatnonzero(np.asarray(u_sq) < np.asarray(bound) - 1e-8)
+    """Every row must have a finite u_sq >= a finite bound before any row is
+    emitted; the rows of an optimum are named by their inv_beta, and a
+    flagged one (t_opt nan) passes."""
+    finite = np.isfinite(u_sq) & np.isfinite(bound)
+    bad = np.flatnonzero(~(finite | np.isnan(t)) | (u_sq < bound - 1e-8))
     if bad.size:
         i = bad[0]
         at = f"t = {_fmt(t[i])}"
         if inv_beta is not None:
             at = f"inv_beta = {_fmt(inv_beta[i])}, t_opt = {_fmt(t[i])}"
+        fault = "violates u_sq >= bound" if finite[i] else "has a non-finite u_sq or bound"
         raise NumericalError(
-            f"row violates u_sq >= bound at {at}: "
-            f"u_sq = {_fmt(u_sq[i])}, bound = {_fmt(bound[i])}"
+            f"row {fault} at {at}: u_sq = {_fmt(u_sq[i])}, bound = {_fmt(bound[i])}"
         )
 
 
@@ -248,28 +251,13 @@ def cmd_uncertainty(run: Inputs, mode: str) -> list[str]:
 
 
 def cmd_optimize(run: Inputs, mode: str) -> list[str]:
-    """CSV lines of the optimal time at the configured inv_beta; a minimum
-    on an edge of the interval gives a flagged row of nan."""
-    inv_beta = run.cfg.inv_beta
-    ev = CurveEvaluator(run.cfg, run.moments, run.search["t_interval"][1], mode)
-    lines = [",".join(_SWEEP_COLUMNS)]
-    try:
-        opt = find_optimal_time(ev.point, **run.search, key=point_u_sq)
-    except BoundaryMinimum as exc:
-        flag = f"# boundary_minimum inv_beta={_fmt(inv_beta)}: {exc}"
-        return lines + [flag, f"{_fmt(inv_beta)},nan,nan"]
-    _check_bound([opt.t_opt], [opt.u_sq_min], [opt.at_opt.bound], [inv_beta])
-    if opt.multiple_minima:
-        lines.append(
-            f"# multiple_minima inv_beta={_fmt(inv_beta)}: "
-            + " ".join(f"({_fmt(t)},{_fmt(v)})" for t, v in opt.candidates)
-        )
-    lines.append(",".join(_fmt(v) for v in (inv_beta, opt.t_opt, opt.u_sq_min)))
-    return lines
+    """CSV lines of the sweep of the configured inv_beta alone."""
+    return cmd_sweep(run._replace(inv_betas=np.array([run.cfg.inv_beta])), mode)
 
 
 def cmd_sweep(run: Inputs, mode: str) -> list[str]:
-    """CSV lines of the optimal time at every inv_beta of the sweep grid."""
+    """CSV lines of the optimal time at every inv_beta of the sweep grid; a
+    minimum on an edge of the interval gives a flagged row of nan."""
     result = thermal_sweep(run.cfg, run.moments, run.inv_betas, mode=mode, **run.search)
     _check_bound(result.t_opt, result.u_sq_min, result.bound, result.inv_betas)
     lines = [",".join(_SWEEP_COLUMNS)]

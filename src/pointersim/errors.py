@@ -21,10 +21,6 @@ class NegativeViscosity(ConfigError):
     """Bath viscosity eta must be non-negative."""
 
 
-class NonZeroMean(ConfigError):
-    """Initial pointer means must vanish for the inference formulas."""
-
-
 class UncertaintyViolation(ConfigError):
     """Requested Gaussian moments violate the Heisenberg relation."""
 

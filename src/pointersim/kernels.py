@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     EvaluationAtZero,
+    NumericalError,
     QuadratureNonConvergence,
     SeriesResonance,
 )
@@ -156,20 +157,32 @@ def _quantum_moments(eta: float, omega_c: float, beta: float) -> tuple[float, fl
     terms t/y^2 and -t^3/y^4 of t/(t^2+y^2) out of the integral (they give
     1/12 and -1/120) leaves S = -int t^3/(y^2 (t^2+y^2)) and
     R = int t^5/(y^4 (t^2+y^2)) against the same weight.
+
+    Raises NumericalError when a moment is not finite: below y ~ 1e-77,
+    1/y^4 overflows or y^4 underflows to zero.
     """
     pref = eta * omega_c**2 / math.pi
     y = beta * omega_c / (2.0 * math.pi)
-    if y <= _DIGAMMA_MAX_Y:
-        from scipy.special import digamma
+    try:
+        if y <= _DIGAMMA_MAX_Y:
+            from scipy.special import digamma
 
-        s = math.log(y) - 0.5 / y - float(digamma(y)) - 1.0 / (12.0 * y**2)
-        r = s + 1.0 / (120.0 * y**4)
-    else:
-        t2, wt3 = _bose_rule()
-        h = wt3 / (t2 + y**2)
-        s, r = -float(h.sum()) / y**2, float(h @ t2) / y**4
-    i0 = s + 1.0 / (12.0 * y**2)
-    return pref * i0, -pref * omega_c**2 * s, pref * omega_c**4 * r
+            s = math.log(y) - 0.5 / y - float(digamma(y)) - 1.0 / (12.0 * y**2)
+            r = s + 1.0 / (120.0 * y**4)
+        else:
+            t2, wt3 = _bose_rule()
+            h = wt3 / (t2 + y**2)
+            s, r = -float(h.sum()) / y**2, float(h @ t2) / y**4
+        i0 = s + 1.0 / (12.0 * y**2)
+        moments = pref * i0, -pref * omega_c**2 * s, pref * omega_c**4 * r
+    except ZeroDivisionError:
+        moments = (math.nan,)
+    if not all(map(math.isfinite, moments)):
+        raise NumericalError(
+            f"the small-time moments of nu are not finite at beta*omega_c/(2*pi) = {y:.3g}; "
+            "raise omega_c or lower inv_beta"
+        )
+    return moments
 
 
 def _nu_series(tau: np.ndarray, kernel: BathKernel) -> np.ndarray:
@@ -228,9 +241,10 @@ def noise_autocorrelation(t, kernel: BathKernel, method: str = "series"):
         Scalar or array of times, |t| > 0.
     method:
         "series" (default, fast) or "quadrature" (oracle).  The series
-        raises :class:`SeriesResonance` when beta*omega_c/(2*pi) lies
-        within ``_RESONANCE_TOL`` of an integer n >= 1, where omega_c
-        meets the n-th Matsubara frequency.
+        raises :class:`SeriesResonance` for a |t| >= _SWITCH*beta when
+        beta*omega_c/(2*pi) lies within ``_RESONANCE_TOL`` of an integer
+        n >= 1, where omega_c meets the n-th Matsubara frequency; the
+        small-time form below the switch has no pole.
     """
     scalar = np.isscalar(t)
     tau = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
@@ -243,19 +257,19 @@ def noise_autocorrelation(t, kernel: BathKernel, method: str = "series"):
     if method == "quadrature":
         out = np.array([_nu_quadrature(x, kernel) for x in tau])
     elif method == "series":
-        z = kernel.beta * kernel.omega_c / (2.0 * np.pi)
-        if abs(z - max(round(z), 1)) < _RESONANCE_TOL:
-            raise SeriesResonance(
-                f"beta*omega_c/(2*pi) = {z:.12g} is within {_RESONANCE_TOL:g} of an "
-                "integer, where omega_c meets a Matsubara frequency; move omega_c "
-                "or inv_beta so that it lies off the integer"
-            )
         out = np.empty_like(tau)
         cut = _SWITCH * kernel.beta
         small = tau < cut
         if np.any(small):
             out[small] = _nu_smalltime(tau[small], kernel)
         if np.any(~small):
+            z = kernel.beta * kernel.omega_c / (2.0 * np.pi)
+            if abs(z - max(round(z), 1)) < _RESONANCE_TOL:
+                raise SeriesResonance(
+                    f"beta*omega_c/(2*pi) = {z:.12g} is within {_RESONANCE_TOL:g} of an "
+                    "integer, where omega_c meets a Matsubara frequency; move omega_c "
+                    "or inv_beta so that it lies off the integer"
+                )
             out[~small] = _nu_series(tau[~small], kernel)
     else:
         raise ValueError(f"unknown nu evaluation method: {method!r}")

@@ -7,7 +7,7 @@ spreading time scale T and length scale lambda = sqrt(T*hbar/M_S).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -16,13 +16,11 @@ from .errors import (
     ConfigError,
     NegativeViscosity,
     NonPositive,
-    NonZeroMean,
     SingularLagrangian,
     UncertaintyViolation,
 )
 
 __all__ = [
-    "NumericalSettings",
     "MeasurementConfig",
     "CouplingMatrices",
     "GaussianMoments",
@@ -30,26 +28,6 @@ __all__ = [
     "build_coupling_matrices",
     "gaussian_state_moments",
 ]
-
-
-@dataclass(frozen=True)
-class NumericalSettings:
-    """Tolerances and resolutions shared by the numerical pipeline."""
-
-    #: outer convolution quadrature: nodes per panel, and the number of
-    #: graded panels toward the logarithmic singularity of nu at u = 0
-    conv_panel_nodes: int = 10
-    conv_graded_panels: int = 16
-    #: |det A| threshold relative to ||A||^2 below which inference fails
-    det_a_rtol: float = 1e-12
-
-    def doubled(self) -> "NumericalSettings":
-        """Settings with twice the convolution-quadrature resolution."""
-        return replace(
-            self,
-            conv_panel_nodes=2 * self.conv_panel_nodes,
-            conv_graded_panels=self.conv_graded_panels + 4,
-        )
 
 
 @dataclass(frozen=True)
@@ -78,11 +56,6 @@ class MeasurementConfig:
     eta: float = 0.25
     omega_c: float = 20.0
     inv_beta: float = 1.0
-    numerical: NumericalSettings = field(default_factory=NumericalSettings)
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / self.inv_beta
 
 
 def validate_config(cfg: MeasurementConfig, t_max: float | None = None) -> MeasurementConfig:
@@ -130,11 +103,10 @@ def validate_config(cfg: MeasurementConfig, t_max: float | None = None) -> Measu
 
 @dataclass(frozen=True)
 class CouplingMatrices:
-    """Effective mass matrix M, damping coupling D, and abbreviation a."""
+    """Effective mass matrix M, holding -a at [0, 0], and damping coupling D."""
 
     mass_matrix: np.ndarray
     damping_matrix: np.ndarray
-    a: float
 
     @cached_property
     def mass_inverse(self) -> np.ndarray:
@@ -161,18 +133,17 @@ def build_coupling_matrices(cfg: MeasurementConfig) -> CouplingMatrices:
     )
     damping = np.zeros((3, 3))
     damping[1, 0] = cfg.kappa1
-    return CouplingMatrices(mass_matrix=mass, damping_matrix=damping, a=a)
+    return CouplingMatrices(mass_matrix=mass, damping_matrix=damping)
 
 
 @dataclass(frozen=True)
 class GaussianMoments:
-    """First and symmetrized second moments of the initial Gaussian states.
+    """Second moments of the initial Gaussian states, whose means vanish.
 
     ``cov_j`` is the 4x4 covariance of J = (X1, X2, P1, P2) at t = 0;
     ``var_xs0`` and ``var_ps0`` are the initial system variances.
     """
 
-    mean_j: np.ndarray
     cov_j: np.ndarray
     var_xs0: float
     var_ps0: float
@@ -229,13 +200,4 @@ def gaussian_state_moments(
     cov = np.diag([vx1, vx2, vp1, vp2]).astype(float)
     cov[0, 2] = cov[2, 0] = c1
     cov[1, 3] = cov[3, 1] = c2
-    return GaussianMoments(
-        mean_j=np.zeros(4), cov_j=cov, var_xs0=vxs, var_ps0=vps
-    )
-
-
-def require_zero_mean(moments: GaussianMoments) -> GaussianMoments:
-    """Reject nonzero initial pointer means instead of silently biasing."""
-    if np.any(moments.mean_j != 0.0):
-        raise NonZeroMean("initial pointer means must be zero")
-    return moments
+    return GaussianMoments(cov_j=cov, var_xs0=vxs, var_ps0=vps)

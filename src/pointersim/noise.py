@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import ConfigError, NegativeEigenvalue
 from .kernels import BathKernel, noise_autocorrelation
-from .model import NumericalSettings
 from .propagator import AugmentedGenerator, checked_det_a, checked_expm
 
 __all__ = [
@@ -63,10 +62,14 @@ _MAX_STEP = 1.0 / 32.0
 #: most grid nodes a table may hold, as many as a time grid may have points;
 #: the default config, at omega_c*t_max = 60, needs 120
 _MAX_NODES = 100_000
-#: outer u-panels: regular width, and where and how fast they grade toward 0
+#: outer u-panels: Gauss-Legendre nodes per panel, regular width, and
+#: where, how fast and in how many panels they grade toward the
+#: logarithmic singularity of nu at u = 0
+_PANEL_NODES = 10
 _PANEL_WIDTH = 0.1
 _GRADED_START = 0.05
 _GRADED_RATIO = 0.18
+_GRADED_PANELS = 16
 #: signs that turn the reversed transpose of a 2x2 matrix into its adjugate
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -152,7 +155,7 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def _u_panels(t: float, settings: NumericalSettings):
+def _u_panels(t: float, graded_panels: int):
     """Panel edges of the outer u-integral on (0, t], graded near zero."""
     u0 = min(_GRADED_START, 0.5 * t)
     edges = [t]
@@ -163,7 +166,7 @@ def _u_panels(t: float, settings: NumericalSettings):
     edges.append(u0)
     # graded panels from u0 toward 0
     lo = u0
-    for _ in range(settings.conv_graded_panels):
+    for _ in range(graded_panels):
         lo *= _GRADED_RATIO
         edges.append(lo)
     edges.append(0.0)
@@ -204,18 +207,17 @@ class LambdaRule:
         return cov
 
 
-def lambda_rule(
-    table: PropagatorTable,
-    t: float,
-    settings: NumericalSettings | None = None,
-) -> LambdaRule:
-    """Outer nodes, weights and sym(u) of Lambda(t), all panels in one pass."""
-    settings = settings or table.gen.cfg.numerical
+def lambda_rule(table: PropagatorTable, t: float, doubled: bool = False) -> LambdaRule:
+    """Outer nodes, weights and sym(u) of Lambda(t), all panels in one pass.
+
+    ``doubled`` gives twice the nodes per panel and four more graded
+    panels, the reference resolution of the convergence checks.
+    """
     if t > table.t_max * (1.0 + 1e-12):
         raise ValueError(f"t = {t} exceeds the tabulated range {table.t_max}")
 
-    xg, wg = _gl_nodes(settings.conv_panel_nodes)
-    edges = _u_panels(t, settings)
+    xg, wg = _gl_nodes(2 * _PANEL_NODES if doubled else _PANEL_NODES)
+    edges = _u_panels(t, _GRADED_PANELS + 4 if doubled else _GRADED_PANELS)
     lo, width = edges[:-1], np.diff(edges)
     keep = width > 0.0
     lo, width = lo[keep], width[keep]
@@ -226,12 +228,7 @@ def lambda_rule(
     return LambdaRule(nodes=u, weights=wu, sym=h + h.transpose(0, 2, 1))
 
 
-def lambda_covariance(
-    table: PropagatorTable,
-    kernel: BathKernel,
-    t: float,
-    settings: NumericalSettings | None = None,
-) -> np.ndarray:
+def lambda_covariance(table: PropagatorTable, kernel: BathKernel, t: float) -> np.ndarray:
     """Symmetrized 2x2 covariance of the accumulated pointer noise at t.
 
     Raises
@@ -242,20 +239,16 @@ def lambda_covariance(
     """
     if kernel.eta == 0.0 or t == 0.0:
         return np.zeros((2, 2))
-    return lambda_rule(table, t, settings).covariance(kernel)
+    return lambda_rule(table, t).covariance(kernel)
 
 
-def xi_matrix(
-    a: np.ndarray,
-    lambda_cov: np.ndarray,
-    det_rtol: float = 1e-12,
-) -> np.ndarray:
+def xi_matrix(a: np.ndarray, lambda_cov: np.ndarray) -> np.ndarray:
     """Congruence transform Xi^2 = A^-1 <Lambda Lambda^T> A^-T.
 
     A and Lambda may be stacks (..., 2, 2) that broadcast.  Raises
-    SingularInference when |det A| is below det_rtol * ||A||^2.
+    SingularInference when det A fails :func:`checked_det_a`.
     """
-    det_a = checked_det_a(a, det_rtol)
+    det_a = checked_det_a(a)
     adjugate = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
     a_inv = adjugate / det_a[..., None, None]
     return a_inv @ lambda_cov @ np.swapaxes(a_inv, -1, -2)

@@ -12,7 +12,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import BoundaryMinimum
+from .errors import BoundaryMinimum, NumericalError
 from .model import GaussianMoments, MeasurementConfig
 from .uncertainty import CurveEvaluator
 
@@ -162,7 +162,8 @@ def thermal_sweep(
     energies at once: at each grid time one propagation and one beta-free
     Lambda rule, contracted with the nu of every energy.  Each energy then
     only runs the golden-section refinement of :func:`find_optimal_time`
-    on its row of the coarse values.
+    on its row of the coarse values; a row with a value that is not
+    finite raises NumericalError.
     """
     inv_betas = np.asarray(inv_betas, dtype=float)
     if np.any(inv_betas <= 0) or np.any(np.diff(inv_betas) < 0):
@@ -174,6 +175,9 @@ def thermal_sweep(
     coarse = np.array(
         [[p.u_sq for p in base.points(float(t), kernels)] for t in grid]
     ).T  # (n_beta, coarse_points)
+    finite = np.isfinite(coarse).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"U^2 is not finite at inv_beta = {inv_betas[~finite][0]:.12g}")
 
     t_opt, u_min, bound = np.full((3, inv_betas.size), np.nan)
     flags = []

@@ -36,6 +36,8 @@ __all__ = [
 
 #: selection matrix sending the two pointer components into 3-vectors
 _S_SEL = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+#: |det A| threshold relative to ||A||^2 below which inference fails
+_DET_A_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,14 @@ def response_matrices(k: np.ndarray, g: np.ndarray):
     return a, b, det_a
 
 
-def checked_det_a(a: np.ndarray, det_rtol: float):
+def checked_det_a(a: np.ndarray):
     """det A of 2x2 response matrices (..., 2, 2), checked for invertibility.
 
-    Raises SingularInference at the first A with |det A| <= det_rtol * ||A||^2.
+    Raises SingularInference at the first A with |det A| <= _DET_A_RTOL * ||A||^2.
     """
     det_a = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     scale = np.maximum((a * a).sum(axis=(-2, -1)), 1e-300)
-    singular = np.abs(det_a) <= det_rtol * scale
+    singular = np.abs(det_a) <= _DET_A_RTOL * scale
     if singular.any():
         raise SingularInference(
             f"det A = {np.extract(singular, det_a)[0]:.3g} too small for inference"

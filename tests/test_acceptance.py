@@ -21,7 +21,7 @@ from pointersim.kernels import (
     noise_autocorrelation,
 )
 from pointersim.model import MeasurementConfig, gaussian_state_moments
-from pointersim.noise import PropagatorTable, lambda_covariance
+from pointersim.noise import PropagatorTable, lambda_covariance, lambda_rule
 from pointersim.optimize import find_optimal_time, thermal_sweep
 from pointersim.propagator import build_generator, propagate, response_matrices
 from pointersim.uncertainty import CurveEvaluator, uncertainty_curve
@@ -218,9 +218,7 @@ def test_criterion_7_numerical_hygiene(tmp_path):
         cov = lambda_covariance(table, kern, float(t))
         trace = np.trace(cov)
         worst_eig = max(worst_eig, -np.linalg.eigvalsh(cov)[0] / trace)
-        fine = lambda_covariance(
-            table, kern, float(t), cfg.numerical.doubled()
-        )
+        fine = lambda_rule(table, float(t), doubled=True).covariance(kern)
         worst_doubling = max(
             worst_doubling, np.abs(fine - cov).max() / np.abs(cov).max()
         )

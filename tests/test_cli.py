@@ -114,13 +114,20 @@ def test_optimize_boundary_is_flagged_row(tmp_path):
 
 
 def test_sweep_single_point_matches_optimize(tmp_path):
-    cfg = _write_config(tmp_path, eta=0.0, sweep={"inv_betas": [1.0]})
-    out_s, out_o = tmp_path / "s.csv", tmp_path / "o.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out_s)]) == EXIT_OK
-    assert main(["optimize", "--config", cfg, "--out", str(out_o)]) == EXIT_OK
-    _, rows_s = _rows(out_s)
-    _, rows_o = _rows(out_o)
-    assert rows_s == rows_o
+    """optimize prints what sweep prints for sweep.inv_betas = [inv_beta]
+    after the two header lines, flag comments included."""
+    boundary = {"eta": 0.0, "optimize": {"t_interval": [0.02, 0.5]}}
+    for overrides in ({"eta": 0.0}, {}, boundary):
+        cfg = _write_config(tmp_path, **overrides, sweep={"inv_betas": [1.0]})
+        for mode in ("renormalized", "raw"):
+            lines = {}
+            for command in ("optimize", "sweep"):
+                out = tmp_path / f"{command}.csv"
+                argv = [command, "--config", cfg, "--mode", mode, "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                lines[command] = out.read_text().splitlines()[2:]
+            assert lines["optimize"] == lines["sweep"]
+            assert lines["optimize"][1].startswith("# flagged") == (overrides is boundary)
 
 
 def test_missing_config_is_config_error(tmp_path, capsys):
@@ -238,26 +245,34 @@ def test_bad_mode_rejected(argv):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "command, overrides",
     [
-        {"kappa1": 1e200},
-        {"kappa2": 1e200},
-        {"omega_c": 1e300},
-        {"eta": 1e300},
-        {"time_grid": {"stop": 1e300}},
-        {"kappa1": 1e154},
-        {"mass_ratio": 1e-300},
+        ("uncertainty", {"kappa1": 1e200}),
+        ("uncertainty", {"kappa2": 1e200}),
+        ("uncertainty", {"omega_c": 1e300}),
+        ("uncertainty", {"eta": 1e300}),
+        ("uncertainty", {"time_grid": {"stop": 1e300}}),
+        ("uncertainty", {"kappa1": 1e154}),
+        ("uncertainty", {"mass_ratio": 1e-300}),
+        ("uncertainty", {"inv_beta": 1e300}),
+        ("optimize", {"inv_beta": 1e300}),
+        ("uncertainty", {"omega_c": 1e-100}),
+        ("optimize", {"omega_c": 1e-300}),
     ],
     ids=["kappa1", "kappa2", "omega_c", "eta", "time-grid-stop", "kappa1-over-m-inverse",
-         "tiny-mass-ratio"],
+         "tiny-mass-ratio", "inv_beta-uncertainty", "inv_beta-optimize", "tiny-omega_c",
+         "tinier-omega_c"],
 )
-def test_huge_finite_value_exits_with_a_message(tmp_path, capsys, overrides):
-    """Couplings that overflow and noise tables too large to allocate end in
-    a mapped exit code, not in a traceback."""
+def test_huge_finite_value_exits_with_a_message(tmp_path, capsys, command, overrides):
+    """Couplings that overflow, noise tables too large to allocate, figures
+    of merit that overflow and cutoffs too small for the small-time moments
+    of nu end in a mapped exit code, not in a traceback, and write nothing."""
     cfg = _write_config(tmp_path, **overrides)
-    assert main(["uncertainty", "--config", cfg]) in (EXIT_CONFIG, EXIT_NUMERICAL)
-    err = capsys.readouterr().err
-    assert err.startswith(("config error: ", "numerical error: ")) and "Traceback" not in err
+    assert main([command, "--config", cfg]) in (EXIT_CONFIG, EXIT_NUMERICAL)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(("config error: ", "numerical error: "))
+    assert "Traceback" not in captured.err
 
 
 def test_stdout_output(small_grid_config, capsys):

@@ -141,6 +141,21 @@ def test_nu_series_resonance_detection():
     )
 
 
+def test_nu_small_time_has_no_resonance():
+    """At an integer beta*omega_c/(2*pi), times below the switch 0.05*beta
+    take the small-time form, which has no pole; a time at the switch
+    takes the series and raises."""
+    inv_beta = 20.0 / (3 * 2.0 * np.pi)
+    kern = BathKernel(eta=0.25, omega_c=20.0, inv_beta=inv_beta)
+    cut = 0.05 * kern.beta
+    taus = np.array([0.1, 0.5, 0.9]) * cut
+    small = noise_autocorrelation(taus, kern)
+    quad = noise_autocorrelation(taus, kern, method="quadrature")
+    np.testing.assert_allclose(small, quad, rtol=1e-6)
+    with pytest.raises(SeriesResonance):
+        noise_autocorrelation(np.append(taus, cut), kern)
+
+
 def test_nu_unknown_method_rejected():
     with pytest.raises(ValueError):
         noise_autocorrelation(0.5, KERNEL, method="magic")

@@ -8,16 +8,13 @@ from hypothesis import given, strategies as st
 import pointersim
 from pointersim.errors import (
     NonPositive,
-    NonZeroMean,
     SingularLagrangian,
     UncertaintyViolation,
 )
 from pointersim.model import (
-    GaussianMoments,
     MeasurementConfig,
     build_coupling_matrices,
     gaussian_state_moments,
-    require_zero_mean,
     validate_config,
 )
 
@@ -30,7 +27,6 @@ def test_default_config_values():
     assert cfg.eta == 0.25
     assert cfg.omega_c == 20.0
     assert cfg.inv_beta == 1.0
-    assert cfg.beta == 1.0
 
 
 def test_config_is_frozen():
@@ -68,7 +64,7 @@ def test_coupling_matrices_structure(open_config):
     coup = build_coupling_matrices(open_config)
     k2, m0 = open_config.kappa2, open_config.mass_ratio
     a = m0 / (k2**2 - m0)
-    assert coup.a == pytest.approx(a)
+    assert coup.mass_matrix[0, 0] == pytest.approx(-a)
     expected = np.array([[-a, 0, a * k2], [0, m0, 0], [a * k2, 0, -a * m0]])
     np.testing.assert_allclose(coup.mass_matrix, expected)
     d = np.zeros((3, 3))
@@ -134,26 +130,6 @@ def test_moments_accept_valid_states(vx, ratio, corr_frac):
     for i in range(2):
         prod = m.cov_j[i, i] * m.cov_j[2 + i, 2 + i]
         assert prod >= 0.25 + m.cov_j[i, 2 + i] ** 2 - 1e-9
-
-
-def test_require_zero_mean():
-    m = gaussian_state_moments()
-    assert require_zero_mean(m) is m
-    biased = GaussianMoments(
-        mean_j=np.array([0.1, 0.0, 0.0, 0.0]),
-        cov_j=m.cov_j,
-        var_xs0=1.0,
-        var_ps0=0.25,
-    )
-    with pytest.raises(NonZeroMean):
-        require_zero_mean(biased)
-
-
-def test_numerical_settings_doubled():
-    cfg = MeasurementConfig()
-    doubled = cfg.numerical.doubled()
-    assert doubled.conv_panel_nodes == 2 * cfg.numerical.conv_panel_nodes
-    assert doubled.conv_graded_panels == cfg.numerical.conv_graded_panels + 4
 
 
 @pytest.mark.parametrize(

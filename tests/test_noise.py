@@ -8,6 +8,8 @@ from pointersim.errors import SingularInference
 from pointersim.kernels import BathKernel, noise_autocorrelation
 from pointersim.model import MeasurementConfig
 from pointersim.noise import (
+    _GRADED_PANELS,
+    _PANEL_NODES,
     PropagatorTable,
     _gl_nodes,
     _u_panels,
@@ -25,13 +27,13 @@ def _pointer_block(table, tau):
     return block.reshape(tau.shape + (2, 2))
 
 
-def _panel_loop_lambda(table, kernel, t, settings=None, inner_nodes=48):
+def _panel_loop_lambda(table, kernel, t, doubled=False, inner_nodes=48):
     """Reference Lambda(t): one panel at a time, nu and G per panel, and the
-    inner integral H(u) by an ``inner_nodes``-point Gauss-Legendre rule."""
-    settings = settings or table.gen.cfg.numerical
-    xg, wg = _gl_nodes(settings.conv_panel_nodes)
+    inner integral H(u) by an ``inner_nodes``-point Gauss-Legendre rule;
+    ``doubled`` as in :func:`lambda_rule`."""
+    xg, wg = _gl_nodes(2 * _PANEL_NODES if doubled else _PANEL_NODES)
     xr, wr = _gl_nodes(inner_nodes)
-    edges = _u_panels(t, settings)
+    edges = _u_panels(t, _GRADED_PANELS + 4 if doubled else _GRADED_PANELS)
     cov = np.zeros((2, 2))
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo <= 0.0:
@@ -67,10 +69,9 @@ class _SplineTable:
 def _spline_lambda(table, kernel, t, inner_nodes=48):
     """The former Lambda(t): the panel loop of :func:`_panel_loop_lambda`
     with all panels in one pass, on a :class:`_SplineTable`."""
-    settings = table.gen.cfg.numerical
-    xg, wg = _gl_nodes(settings.conv_panel_nodes)
+    xg, wg = _gl_nodes(_PANEL_NODES)
     xr, wr = _gl_nodes(inner_nodes)
-    edges = _u_panels(t, settings)
+    edges = _u_panels(t, _GRADED_PANELS)
     lo, width = edges[:-1], np.diff(edges)
     u = (lo[:, None] + width[:, None] * xg).ravel()
     wu = (width[:, None] * wg).ravel()
@@ -186,13 +187,11 @@ def test_lambda_symmetric_and_psd(table, bath_kernel):
         assert np.linalg.eigvalsh(cov)[0] >= -1e-10 * np.trace(cov)
 
 
-def test_lambda_doubling_stability(open_config, table, bath_kernel):
+def test_lambda_doubling_stability(table, bath_kernel):
     """Doubling the quadrature resolution barely moves the result."""
     for t in (0.3, 1.0, 2.0):
         base = lambda_covariance(table, bath_kernel, t)
-        fine = lambda_covariance(
-            table, bath_kernel, t, open_config.numerical.doubled()
-        )
+        fine = lambda_rule(table, t, doubled=True).covariance(bath_kernel)
         rel = np.abs(fine - base).max() / np.abs(base).max()
         assert rel < 1e-4
 
@@ -203,10 +202,9 @@ def test_lambda_matches_panel_loop(open_config, bath_kernel, time_grid_200, mode
     """The vectorised rule reproduces the panel loop on the 200-point grid."""
     gen = build_generator(open_config, mode)
     table = PropagatorTable(gen, 3.0)
-    settings = open_config.numerical.doubled() if doubled else open_config.numerical
     for t in time_grid_200:
-        ref = _panel_loop_lambda(table, bath_kernel, float(t), settings, 96 if doubled else 48)
-        new = lambda_covariance(table, bath_kernel, float(t), settings)
+        ref = _panel_loop_lambda(table, bath_kernel, float(t), doubled, 96 if doubled else 48)
+        new = lambda_rule(table, float(t), doubled).covariance(bath_kernel)
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 

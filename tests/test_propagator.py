@@ -185,8 +185,8 @@ def test_response_matrices_on_a_grid(open_config):
 
 
 def test_checked_det_a_names_the_first_singular_row():
-    # |det A| / ||A||^2: 0.5, then 0.5 / 12.25, then 0
-    a = np.array([np.eye(2), [[1.0, 2.0], [1.0, 2.5]], np.zeros((2, 2))])
-    with pytest.raises(SingularInference, match="det A = 0.5 "):
-        checked_det_a(a, 0.05)
-    np.testing.assert_array_equal(checked_det_a(a[:1], 0.05), [1.0])
+    # |det A| / ||A||^2: 0.5, then 2^-43 / 4 (below 1e-12), then 0
+    a = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 2.0**-43]], np.zeros((2, 2))])
+    with pytest.raises(SingularInference, match="det A = 1.14e-13 "):
+        checked_det_a(a)
+    np.testing.assert_array_equal(checked_det_a(a[:1]), [1.0])
