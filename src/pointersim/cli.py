@@ -313,10 +313,14 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.func is cmd_validate:
-            return cmd_validate(args)
-        raw = load_config(args.config)
-        lines = args.func(read_config(raw), args.mode)
+        # a figure that overflows is refused with a message further down
+        # (_check_bound, the coarse scan, the moments of nu); numpy's own
+        # warnings about it would only come first
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.func is cmd_validate:
+                return cmd_validate(args)
+            raw = load_config(args.config)
+            lines = args.func(read_config(raw), args.mode)
         _write(args.out, _header_lines(raw, args.mode) + lines)
         return EXIT_OK
     except ConfigError as exc:

@@ -12,7 +12,7 @@ coordinate u = s1 - s2, where the logarithmic singularity of nu lives:
     H(u) = int_0^{t-u} G_p(r) G_p(r+u)^T dr,
 
 with G_p the 2x2 pointer block of G.  The outer integral uses
-Gauss-Legendre panels with a geometrically graded mesh toward u = 0.
+Gauss-Legendre panels, graded geometrically toward u = 0.
 
 The inner integral needs no quadrature.  With F the augmented generator,
 P the pointer-position rows and N the pointer columns of the noise map,
@@ -28,11 +28,21 @@ the node below, by d in [0, h), with short Taylor series:
 
 with L_0 = N N^T and L_k = F L_{k-1} + L_{k-1} F^T.
 
+The outer panels of Lambda(t) are 16 graded panels on [0, u0], with
+u0 = min(0.05, t/2), then regular panels of width 0.1 whose edges sit at
+u0 + k*0.1, and a last, partial panel that ends at t.  From t = 0.1 on,
+u0 = 0.05 for every t, so every panel but the last is a panel of one outer
+mesh on [0, t_max] that :class:`PropagatorTable` builds with its nodes,
+weights and P e^{Fu}.  The first time a bath kernel meets the mesh, nu is
+tabulated on the whole mesh up to t_max and kept per kernel; Lambda(t) for
+t >= 0.1 then evaluates nu afresh only on the 10 nodes of its last panel.
+Below t = 0.1 the graded panels scale with t, and every node is fresh.
+
 Only nu depends on the bath temperature, and Lambda is linear in nu.  So
 :func:`lambda_rule` builds, once per time point and for all panels in one
 vectorised pass, the outer nodes, their weights and sym(u) = H(u) + H(u)^T;
-:meth:`LambdaRule.covariance` then contracts that rule with one call of nu
-on all nodes for each bath kernel.
+:meth:`LambdaRule.covariance` then contracts that rule with the nu of each
+bath kernel.
 """
 
 from __future__ import annotations
@@ -70,6 +80,9 @@ _PANEL_WIDTH = 0.1
 _GRADED_START = 0.05
 _GRADED_RATIO = 0.18
 _GRADED_PANELS = 16
+#: most values of nu the outer-mesh cache of a table may hold over all its
+#: bath kernels, about 100*t_max + 160 per kernel; the default sweep holds 4,500
+_MAX_MESH_NU = 10_000_000
 #: signs that turn the reversed transpose of a 2x2 matrix into its adjugate
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -117,6 +130,31 @@ class PropagatorTable:
         self._p_gram = np.zeros_like(self._p_exp)  # P W(s_j)
         np.cumsum(gain, axis=0, out=self._p_gram[1:])
 
+        # the outer mesh: every panel of Lambda(t_max) but the last
+        self.mesh_nodes, self.mesh_weights = _panel_nodes(
+            _u_panels(t_max, _GRADED_PANELS)[:-1], _PANEL_NODES
+        )
+        self.mesh_exp = self.pointer_exp(self.mesh_nodes)  # P e^{Fu}
+        self._mesh_nu: dict[BathKernel, np.ndarray] = {}
+
+    def check_mesh_nu(self, kernels: int) -> None:
+        """ConfigError when nu of ``kernels`` bath kernels on the outer mesh
+        would hold more than _MAX_MESH_NU values."""
+        size = kernels * self.mesh_nodes.size
+        if size > _MAX_MESH_NU:
+            raise ConfigError(
+                f"nu of {kernels} thermal energies on the {self.mesh_nodes.size}-node mesh of "
+                f"[0, {self.t_max:g}] needs {size:.3g} values, more than {_MAX_MESH_NU}; "
+                "lower sweep.count or t_max"
+            )
+
+    def mesh_nu(self, kernel: BathKernel) -> np.ndarray:
+        """nu of ``kernel`` on every mesh node, tabulated on first use."""
+        nu = self._mesh_nu.get(kernel)
+        if nu is None:
+            nu = self._mesh_nu[kernel] = noise_autocorrelation(self.mesh_nodes, kernel)
+        return nu
+
     @staticmethod
     def _taylor(coeffs: np.ndarray, d: np.ndarray, shift: int) -> np.ndarray:
         """sum_k coeffs[k] d^(k+shift) for every step d, stacked along axis 0."""
@@ -155,22 +193,26 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def _u_panels(t: float, graded_panels: int):
-    """Panel edges of the outer u-integral on (0, t], graded near zero."""
+def _u_panels(t: float, graded_panels: int) -> np.ndarray:
+    """Panel edges of the outer u-integral on (0, t], ascending from 0:
+    ``graded_panels`` graded panels below u0 = min(_GRADED_START, t/2),
+    regular edges at u0 + k*_PANEL_WIDTH below t, and t."""
     u0 = min(_GRADED_START, 0.5 * t)
-    edges = [t]
-    # regular panels from t down to u0
-    n_reg = max(1, int(np.ceil((t - u0) / _PANEL_WIDTH)))
-    for i in range(1, n_reg):
-        edges.append(t - i * (t - u0) / n_reg)
-    edges.append(u0)
-    # graded panels from u0 toward 0
-    lo = u0
+    graded = [u0]
     for _ in range(graded_panels):
-        lo *= _GRADED_RATIO
-        edges.append(lo)
-    edges.append(0.0)
-    return np.array(edges[::-1])  # ascending, starting at 0
+        graded.append(graded[-1] * _GRADED_RATIO)
+    regular = u0 + _PANEL_WIDTH * np.arange(1, int((t - u0) / _PANEL_WIDTH) + 2)
+    return np.concatenate(([0.0], graded[::-1], regular[regular < t], [t]))
+
+
+def _panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of an n-point Gauss-Legendre rule on each non-empty
+    panel between consecutive edges."""
+    xg, wg = _gl_nodes(n)
+    lo, width = edges[:-1], np.diff(edges)
+    keep = width > 0.0
+    lo, width = lo[keep], width[keep]
+    return (lo[:, None] + width[:, None] * xg).ravel(), (width[:, None] * wg).ravel()
 
 
 @dataclass(frozen=True)
@@ -184,6 +226,9 @@ class LambdaRule:
     nodes: np.ndarray  # (n,) outer u-nodes on (0, t)
     weights: np.ndarray  # (n,) outer quadrature weights
     sym: np.ndarray  # (n, 2, 2) H(u) + H(u)^T at the nodes
+    table: PropagatorTable
+    #: how many leading nodes are the leading nodes of the table's outer mesh
+    n_mesh: int
 
     def covariance(self, kernel: BathKernel) -> np.ndarray:
         """Contract the rule with nu of ``kernel``; PSD-checked 2x2 result.
@@ -194,7 +239,9 @@ class LambdaRule:
             If the result has an eigenvalue below -1e-10 * trace, which
             signals a quadrature failure rather than physics.
         """
-        nu_vals = noise_autocorrelation(self.nodes, kernel)
+        nu_vals = noise_autocorrelation(self.nodes[self.n_mesh:], kernel)
+        if self.n_mesh:
+            nu_vals = np.concatenate((self.table.mesh_nu(kernel)[: self.n_mesh], nu_vals))
         cov = np.tensordot(self.weights * nu_vals, self.sym, axes=1)
         cov = 0.5 * (cov + cov.T)
         trace = np.trace(cov)
@@ -210,22 +257,30 @@ class LambdaRule:
 def lambda_rule(table: PropagatorTable, t: float, doubled: bool = False) -> LambdaRule:
     """Outer nodes, weights and sym(u) of Lambda(t), all panels in one pass.
 
-    ``doubled`` gives twice the nodes per panel and four more graded
-    panels, the reference resolution of the convergence checks.
+    For 2*_GRADED_START <= t <= t_max every panel but the last is a panel
+    of the table's outer mesh.  ``doubled`` gives twice the nodes per panel
+    and four more graded panels, the reference resolution of the
+    convergence checks, all off the mesh.
     """
     if t > table.t_max * (1.0 + 1e-12):
         raise ValueError(f"t = {t} exceeds the tabulated range {table.t_max}")
 
-    xg, wg = _gl_nodes(2 * _PANEL_NODES if doubled else _PANEL_NODES)
     edges = _u_panels(t, _GRADED_PANELS + 4 if doubled else _GRADED_PANELS)
-    lo, width = edges[:-1], np.diff(edges)
-    keep = width > 0.0
-    lo, width = lo[keep], width[keep]
-    u = (lo[:, None] + width[:, None] * xg).ravel()  # (n,)
-    wu = (width[:, None] * wg).ravel()
+    # a t past t_max, within the rounding allowed above, may end beyond the mesh
+    on_mesh = not doubled and 2.0 * _GRADED_START <= t <= table.t_max
+    mesh_panels = edges.size - 2 if on_mesh else 0
+    u, wu = _panel_nodes(edges[mesh_panels:], 2 * _PANEL_NODES if doubled else _PANEL_NODES)
+    p_exp = table.pointer_exp(u)  # P e^{Fu}
+    n_mesh = mesh_panels * _PANEL_NODES
+    if n_mesh:
+        u = np.concatenate((table.mesh_nodes[:n_mesh], u))
+        wu = np.concatenate((table.mesh_weights[:n_mesh], wu))
+        p_exp = np.concatenate((table.mesh_exp[:n_mesh], p_exp))
     # H(u) = P W(t-u) (P e^{Fu})^T
-    h = table.pointer_gramian(t - u) @ table.pointer_exp(u).transpose(0, 2, 1)
-    return LambdaRule(nodes=u, weights=wu, sym=h + h.transpose(0, 2, 1))
+    h = table.pointer_gramian(t - u) @ p_exp.transpose(0, 2, 1)
+    return LambdaRule(
+        nodes=u, weights=wu, sym=h + h.transpose(0, 2, 1), table=table, n_mesh=n_mesh
+    )
 
 
 def lambda_covariance(table: PropagatorTable, kernel: BathKernel, t: float) -> np.ndarray:

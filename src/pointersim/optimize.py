@@ -107,7 +107,8 @@ def find_optimal_time(
     near-degenerate local minima are reported, not resolved.
     ``coarse_values``, when given, are the values of ``evaluator`` on the
     coarse grid, computed elsewhere; only the refinement then calls
-    ``evaluator``.
+    ``evaluator``.  A coarse value that is not finite raises
+    :class:`NumericalError`.
     """
     grid = _coarse_grid(t_interval, coarse_points)
     if coarse_values is None:
@@ -116,6 +117,9 @@ def find_optimal_time(
         vals = np.asarray(coarse_values, dtype=float)
         if vals.shape != grid.shape:
             raise ValueError(f"need {coarse_points} coarse values, got {vals.shape}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NumericalError(f"U^2 is not finite at t = {grid[bad[0]]:.6g}")
 
     best = int(vals.argmin())
     if best == 0 or best == coarse_points - 1:
@@ -163,21 +167,23 @@ def thermal_sweep(
     Lambda rule, contracted with the nu of every energy.  Each energy then
     only runs the golden-section refinement of :func:`find_optimal_time`
     on its row of the coarse values; a row with a value that is not
-    finite raises NumericalError.
+    finite raises NumericalError, and every NumericalError of a search
+    names its energy.  ConfigError when
+    nu on the outer mesh of every energy would be too many values (see
+    :meth:`PropagatorTable.check_mesh_nu`).
     """
     inv_betas = np.asarray(inv_betas, dtype=float)
     if np.any(inv_betas <= 0) or np.any(np.diff(inv_betas) < 0):
         raise ValueError("inv_beta values must be positive and ascending")
     base = CurveEvaluator(cfg, moments, t_interval[1], mode)
+    if base.table is not None:
+        base.table.check_mesh_nu(inv_betas.size)
     evaluators = [base.with_inv_beta(float(ib)) for ib in inv_betas]
     kernels = [ev.kernel for ev in evaluators]
     grid = _coarse_grid(t_interval, coarse_points)
     coarse = np.array(
         [[p.u_sq for p in base.points(float(t), kernels)] for t in grid]
     ).T  # (n_beta, coarse_points)
-    finite = np.isfinite(coarse).all(axis=1)
-    if not finite.all():
-        raise NumericalError(f"U^2 is not finite at inv_beta = {inv_betas[~finite][0]:.12g}")
 
     t_opt, u_min, bound = np.full((3, inv_betas.size), np.nan)
     flags = []
@@ -190,6 +196,8 @@ def thermal_sweep(
         except BoundaryMinimum as exc:
             flags.append((float(ib), f"boundary_minimum: {exc}"))
             continue
+        except NumericalError as exc:
+            raise type(exc)(f"{exc}, inv_beta = {ib:.12g}") from exc
         t_opt[i], u_min[i], bound[i] = opt.t_opt, opt.u_sq_min, opt.at_opt.bound
         if opt.multiple_minima:
             flags.append((float(ib), f"multiple_minima: {opt.candidates}"))

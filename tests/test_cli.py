@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -273,6 +274,30 @@ def test_huge_finite_value_exits_with_a_message(tmp_path, capsys, command, overr
     assert captured.out == ""
     assert captured.err.startswith(("config error: ", "numerical error: "))
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["uncertainty", "optimize"])
+def test_overflow_message_comes_first(tmp_path, command):
+    """numpy's overflow warnings do not precede the mapped message."""
+    cfg = _write_config(tmp_path, inv_beta=1e300)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pointersim.cli", command, "--config", cfg],
+        capture_output=True, text=True, timeout=300, check=False,
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+    )
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr.startswith("numerical error:")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_mesh_nu_cache_bound_is_config_error(tmp_path, capsys, monkeypatch):
+    import pointersim.noise
+
+    monkeypatch.setattr(pointersim.noise, "_MAX_MESH_NU", 1000)
+    assert main(["sweep", "--out", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "sweep.count" in err and "t_max" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_stdout_output(small_grid_config, capsys):

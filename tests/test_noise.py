@@ -4,12 +4,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
-from pointersim.errors import SingularInference
+import pointersim.noise
+from pointersim.errors import ConfigError, SingularInference
 from pointersim.kernels import BathKernel, noise_autocorrelation
 from pointersim.model import MeasurementConfig
 from pointersim.noise import (
     _GRADED_PANELS,
+    _GRADED_RATIO,
+    _GRADED_START,
     _PANEL_NODES,
+    _PANEL_WIDTH,
     PropagatorTable,
     _gl_nodes,
     _u_panels,
@@ -28,9 +32,10 @@ def _pointer_block(table, tau):
 
 
 def _panel_loop_lambda(table, kernel, t, doubled=False, inner_nodes=48):
-    """Reference Lambda(t): one panel at a time, nu and G per panel, and the
-    inner integral H(u) by an ``inner_nodes``-point Gauss-Legendre rule;
-    ``doubled`` as in :func:`lambda_rule`."""
+    """Reference Lambda(t) on the panels of :func:`lambda_rule`: one panel
+    at a time, nu and G per panel, and the inner integral H(u) by an
+    ``inner_nodes``-point Gauss-Legendre rule; ``doubled`` as in
+    :func:`lambda_rule`."""
     xg, wg = _gl_nodes(2 * _PANEL_NODES if doubled else _PANEL_NODES)
     xr, wr = _gl_nodes(inner_nodes)
     edges = _u_panels(t, _GRADED_PANELS + 4 if doubled else _GRADED_PANELS)
@@ -49,6 +54,36 @@ def _panel_loop_lambda(table, kernel, t, doubled=False, inner_nodes=48):
         h = np.einsum("urak,urbk,ur->uab", g1, g2, w_in)
         sym = h + np.transpose(h, (0, 2, 1))
         cov += np.einsum("u,u,uab->ab", wu, nu_vals, sym)
+    return 0.5 * (cov + cov.T)
+
+
+def _spread_u_panels(t, graded_panels):
+    """The former outer layout: the graded panels below u0 of
+    :func:`_u_panels`, and regular panels spread evenly over [u0, t]."""
+    u0 = min(_GRADED_START, 0.5 * t)
+    edges = [t]
+    n_reg = max(1, int(np.ceil((t - u0) / _PANEL_WIDTH)))
+    for i in range(1, n_reg):
+        edges.append(t - i * (t - u0) / n_reg)
+    edges.append(u0)
+    lo = u0
+    for _ in range(graded_panels):
+        lo *= _GRADED_RATIO
+        edges.append(lo)
+    edges.append(0.0)
+    return np.array(edges[::-1])
+
+
+def _spread_lambda(table, kernel, t):
+    """Lambda(t) on the former layout :func:`_spread_u_panels`, with nu
+    evaluated afresh on every node."""
+    xg, wg = _gl_nodes(_PANEL_NODES)
+    edges = _spread_u_panels(t, _GRADED_PANELS)
+    lo, width = edges[:-1], np.diff(edges)
+    u = (lo[:, None] + width[:, None] * xg).ravel()
+    wu = (width[:, None] * wg).ravel()
+    h = table.pointer_gramian(t - u) @ table.pointer_exp(u).transpose(0, 2, 1)
+    cov = np.tensordot(wu * noise_autocorrelation(u, kernel), h + h.transpose(0, 2, 1), axes=1)
     return 0.5 * (cov + cov.T)
 
 
@@ -206,6 +241,90 @@ def test_lambda_matches_panel_loop(open_config, bath_kernel, time_grid_200, mode
         ref = _panel_loop_lambda(table, bath_kernel, float(t), doubled, 96 if doubled else 48)
         new = lambda_rule(table, float(t), doubled).covariance(bath_kernel)
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("omega_c, inv_beta", [(20.0, 1.0), (40.0, 0.5), (10.0, 5.0)])
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_lambda_matches_spread_layout(time_grid_200, mode, omega_c, inv_beta):
+    """The aligned outer mesh agrees with the former evenly spread panels to
+    1e-10 of the largest entry on the 200-point grid."""
+    cfg = MeasurementConfig(omega_c=omega_c, inv_beta=inv_beta)
+    table = PropagatorTable(build_generator(cfg, mode), 3.0)
+    kernel = BathKernel(eta=cfg.eta, omega_c=omega_c, inv_beta=inv_beta)
+    for t in time_grid_200:
+        ref = _spread_lambda(table, kernel, float(t))
+        new = lambda_covariance(table, kernel, float(t))
+        assert np.abs(new - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_u_panels_align_on_the_mesh(table):
+    """From t = 2*_GRADED_START on, every panel but the last is a mesh panel,
+    and the last one ends at t; below, the layout is the former one."""
+    mesh = _u_panels(table.t_max, _GRADED_PANELS)[:-1]
+    aligned = _GRADED_START + 3 * _PANEL_WIDTH
+    for t in (0.1, 0.13, 0.15, 0.25, aligned, 1.0, 1.05, 2.4999):
+        edges = _u_panels(t, _GRADED_PANELS)
+        np.testing.assert_array_equal(edges[:-1], mesh[: edges.size - 1])
+        # an aligned t ends a full panel, one rounding of its edges wide
+        assert edges[-1] == t and 0.0 < t - edges[-2] <= _PANEL_WIDTH * (1.0 + 1e-15)
+    for t in (0.0, 0.02, 0.07, 0.0999):
+        np.testing.assert_array_equal(
+            _u_panels(t, _GRADED_PANELS), _spread_u_panels(t, _GRADED_PANELS)
+        )
+
+
+def test_mesh_nu_is_a_fresh_evaluation(table, bath_kernel):
+    """The cached nu equals a fresh evaluation on the mesh nodes bit for bit,
+    and the rule takes its leading nodes from the mesh."""
+    lambda_covariance(table, bath_kernel, 1.7)
+    np.testing.assert_array_equal(
+        table.mesh_nu(bath_kernel), noise_autocorrelation(table.mesh_nodes, bath_kernel)
+    )
+    rule = lambda_rule(table, 1.7)
+    assert rule.n_mesh == rule.nodes.size - _PANEL_NODES
+    np.testing.assert_array_equal(rule.nodes[: rule.n_mesh], table.mesh_nodes[: rule.n_mesh])
+
+
+def _count_nu_points(monkeypatch):
+    """Point counter around the nu of :mod:`pointersim.noise`."""
+    points = [0]
+    nu = pointersim.noise.noise_autocorrelation
+
+    def counted(t, kernel, *args, **kwargs):
+        points[0] += np.size(t)
+        return nu(t, kernel, *args, **kwargs)
+
+    monkeypatch.setattr(pointersim.noise, "noise_autocorrelation", counted)
+    return points
+
+
+def test_lambda_on_the_mesh_evaluates_one_panel_of_nu(monkeypatch, open_config, bath_kernel):
+    table = PropagatorTable(build_generator(open_config, "renormalized"), 2.5)
+    points = _count_nu_points(monkeypatch)
+    lambda_covariance(table, bath_kernel, 1.3)
+    assert points[0] == table.mesh_nodes.size + _PANEL_NODES
+    for t in (0.1, 0.64, 2.5):
+        points[0] = 0
+        lambda_covariance(table, bath_kernel, t)
+        assert points[0] == _PANEL_NODES
+
+
+def test_default_sweep_evaluates_a_quarter_of_the_nu_points(monkeypatch, tmp_path):
+    """The default sweep evaluated nu on 197,200 points before the outer
+    mesh; it may evaluate at most a quarter of that."""
+    from pointersim.cli import main
+
+    points = _count_nu_points(monkeypatch)
+    assert main(["sweep", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert points[0] <= 197_200 // 4
+
+
+def test_mesh_nu_cache_is_bounded(monkeypatch, table):
+    table.check_mesh_nu(1000)
+    monkeypatch.setattr(pointersim.noise, "_MAX_MESH_NU", 10 * table.mesh_nodes.size)
+    table.check_mesh_nu(10)
+    with pytest.raises(ConfigError, match="sweep.count or t_max"):
+        table.check_mesh_nu(11)
 
 
 def test_lambda_rule_is_beta_free(table):

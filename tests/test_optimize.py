@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pointersim.errors import BoundaryMinimum
+from pointersim.errors import BoundaryMinimum, NumericalError
 from pointersim.model import MeasurementConfig, gaussian_state_moments
 from pointersim.optimize import (
     MIN_REL_TOL,
@@ -64,6 +64,18 @@ def test_boundary_minimum_raised():
         find_optimal_time(lambda t: -t, (0.1, 2.0))
     with pytest.raises(BoundaryMinimum):
         find_optimal_time(lambda t: t, (0.1, 2.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_landscape_raises(bad):
+    """A landscape that is not finite on the coarse grid is a numerical
+    failure, not a minimum at an interval edge."""
+    grid = np.geomspace(0.02, 3.0, 60)
+    with pytest.raises(NumericalError, match="t = 0.02"):
+        find_optimal_time(lambda t: bad, (0.02, 3.0))
+    partly = np.where(grid > 1.0, bad, grid)
+    with pytest.raises(NumericalError, match="not finite"):
+        find_optimal_time(lambda t: t, (0.02, 3.0), coarse_values=partly)
 
 
 def test_closed_measurement_optimum(closed_config, default_moments):
