@@ -14,6 +14,8 @@ import argparse
 import json
 import reprlib
 import sys
+import warnings
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -22,25 +24,13 @@ from . import __version__
 from .errors import ConfigError, NumericalError, PointerSimError
 from .model import GaussianMoments, MeasurementConfig, gaussian_state_moments, validate_config
 from .optimize import MIN_REL_TOL, thermal_sweep
-from .uncertainty import uncertainty_curve
+from .uncertainty import UncertaintyPoint, uncertainty_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_GATE = 4
 
-_CURVE_COLUMNS = (
-    "t",
-    "var_x",
-    "var_p",
-    "u_sq",
-    "bound",
-    "sigma1_sq",
-    "sigma2_sq",
-    "xi1_sq",
-    "xi2_sq",
-    "det_a",
-)
 _SWEEP_COLUMNS = ("inv_beta", "t_opt", "u_sq_min")
 
 
@@ -177,7 +167,7 @@ def read_config(raw: dict) -> Inputs:
         val.setdefault(section, {})[key] = None if absent else reader(value, path, bounds)
 
     cfg = MeasurementConfig(**val[""])
-    validate_config(cfg, t_max=val["time_grid"]["stop"])
+    validate_config(cfg)
     moments = gaussian_state_moments(**{k: v for k, v in val["state"].items() if v is not None})
 
     grid = val["time_grid"]
@@ -192,6 +182,14 @@ def read_config(raw: dict) -> Inputs:
         raise ConfigError("optimize.t_interval needs 0 < lo < hi")
     if search["rel_tol"] < MIN_REL_TOL:
         raise ConfigError(f"optimize.rel_tol must be >= {MIN_REL_TOL:g}")
+    # a curve runs up to the grid's stop, a search up to the interval's end
+    for key, t_max in (("time_grid.stop", grid["stop"]), ("optimize.t_interval", hi)):
+        if cfg.eta > 0 and cfg.omega_c * t_max < 10.0:
+            warnings.warn(
+                f"omega_c * t_max = {cfg.omega_c * t_max:.3g} at {key} is not >> 1; "
+                "the high-cutoff renormalization may be inaccurate",
+                stacklevel=2,
+            )
 
     sweep = val["sweep"]
     inv_betas = sweep["inv_betas"]
@@ -246,8 +244,9 @@ def cmd_uncertainty(run: Inputs, mode: str) -> list[str]:
     """CSV lines of the uncertainty curve on the configured time grid."""
     curve = uncertainty_curve(run.cfg, run.moments, run.times, mode)
     _check_bound(*(curve.column(c) for c in ("t", "u_sq", "bound")))
-    rows = np.column_stack([curve.column(c) for c in _CURVE_COLUMNS]).tolist()
-    return [",".join(_CURVE_COLUMNS)] + [",".join(map(_fmt, row)) for row in rows]
+    columns = [f.name for f in fields(UncertaintyPoint)]
+    rows = np.column_stack([curve.column(c) for c in columns]).tolist()
+    return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
 
 
 def cmd_optimize(run: Inputs, mode: str) -> list[str]:

@@ -29,6 +29,7 @@ __all__ = [
     "spectral_density_scalar",
     "dissipation_kernel_scalar",
     "noise_autocorrelation",
+    "nu_quadrature",
     "dissipation_from_spectral_density",
 ]
 
@@ -81,6 +82,11 @@ class BathKernel:
     eta: float
     omega_c: float
     inv_beta: float
+
+    @classmethod
+    def from_config(cls, cfg) -> "BathKernel":
+        """The bath of a :class:`~pointersim.model.MeasurementConfig`."""
+        return cls(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
 
     @property
     def beta(self) -> float:
@@ -216,8 +222,19 @@ def _nu_smalltime(tau: np.ndarray, kernel: BathKernel) -> np.ndarray:
     return classical + b0 - 0.5 * b2 * tau**2 + b4 * tau**4 / 24.0
 
 
-def _nu_quadrature(tau: float, kernel: BathKernel) -> float:
-    """Direct oscillatory quadrature of the nu frequency integral."""
+def _abs_times(t) -> np.ndarray:
+    """|t| as a 1-D array; EvaluationAtZero where t = 0."""
+    tau = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
+    if np.any(tau == 0.0):
+        raise EvaluationAtZero("nu(t) diverges logarithmically at t = 0")
+    return tau
+
+
+def nu_quadrature(t, kernel: BathKernel):
+    """nu(t) by direct oscillatory quadrature of its frequency integral, the
+    independent oracle for :func:`noise_autocorrelation`; a scalar or an
+    array of times, |t| > 0."""
+    tau = _abs_times(t)
     eta, wc, beta = kernel.eta, kernel.omega_c, kernel.beta
 
     def f(w):
@@ -225,55 +242,42 @@ def _nu_quadrature(tau: float, kernel: BathKernel) -> float:
             return 2.0 * eta / (np.pi * beta)
         return (eta * wc**2 / np.pi) * w / np.tanh(0.5 * beta * w) / (w**2 + wc**2)
 
-    return _oscillatory_quad(f, "cos", tau, eta * wc * kernel.inv_beta)
+    out = np.array([_oscillatory_quad(f, "cos", x, eta * wc * kernel.inv_beta) for x in tau])
+    return float(out[0]) if np.isscalar(t) else out
 
 
-def noise_autocorrelation(t, kernel: BathKernel, method: str = "series"):
+def noise_autocorrelation(t, kernel: BathKernel):
     """Symmetric noise autocorrelation nu(t) (common pointer diagonal entry).
 
     nu(t) = (eta*wc^2/pi) int_0^inf dw w*coth(beta*w/2)*cos(w*t)/(w^2+wc^2).
     Even in t, with an integrable logarithmic divergence at t = 0, where
-    evaluation is rejected.
+    evaluation is rejected.  ``t`` is a scalar or an array of times,
+    |t| > 0.
 
-    Parameters
-    ----------
-    t:
-        Scalar or array of times, |t| > 0.
-    method:
-        "series" (default, fast) or "quadrature" (oracle).  The series
-        raises :class:`SeriesResonance` for a |t| >= _SWITCH*beta when
-        beta*omega_c/(2*pi) lies within ``_RESONANCE_TOL`` of an integer
-        n >= 1, where omega_c meets the n-th Matsubara frequency; the
-        small-time form below the switch has no pole.
+    Below |t| = _SWITCH*beta the small-time form is used; above it the
+    Matsubara series, which raises :class:`SeriesResonance` when
+    beta*omega_c/(2*pi) lies within ``_RESONANCE_TOL`` of an integer
+    n >= 1, where omega_c meets the n-th Matsubara frequency.  The
+    small-time form has no pole.
     """
-    scalar = np.isscalar(t)
-    tau = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
-    if np.any(tau == 0.0):
-        raise EvaluationAtZero("nu(t) diverges logarithmically at t = 0")
+    tau = _abs_times(t)
+    out = np.zeros_like(tau)
     if kernel.eta == 0.0:
-        out = np.zeros_like(tau)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.isscalar(t) else out
 
-    if method == "quadrature":
-        out = np.array([_nu_quadrature(x, kernel) for x in tau])
-    elif method == "series":
-        out = np.empty_like(tau)
-        cut = _SWITCH * kernel.beta
-        small = tau < cut
-        if np.any(small):
-            out[small] = _nu_smalltime(tau[small], kernel)
-        if np.any(~small):
-            z = kernel.beta * kernel.omega_c / (2.0 * np.pi)
-            if abs(z - max(round(z), 1)) < _RESONANCE_TOL:
-                raise SeriesResonance(
-                    f"beta*omega_c/(2*pi) = {z:.12g} is within {_RESONANCE_TOL:g} of an "
-                    "integer, where omega_c meets a Matsubara frequency; move omega_c "
-                    "or inv_beta so that it lies off the integer"
-                )
-            out[~small] = _nu_series(tau[~small], kernel)
-    else:
-        raise ValueError(f"unknown nu evaluation method: {method!r}")
-    return float(out[0]) if scalar else out
+    small = tau < _SWITCH * kernel.beta
+    if np.any(small):
+        out[small] = _nu_smalltime(tau[small], kernel)
+    if np.any(~small):
+        z = kernel.beta * kernel.omega_c / (2.0 * np.pi)
+        if abs(z - max(round(z), 1)) < _RESONANCE_TOL:
+            raise SeriesResonance(
+                f"beta*omega_c/(2*pi) = {z:.12g} is within {_RESONANCE_TOL:g} of an "
+                "integer, where omega_c meets a Matsubara frequency; move omega_c "
+                "or inv_beta so that it lies off the integer"
+            )
+        out[~small] = _nu_series(tau[~small], kernel)
+    return float(out[0]) if np.isscalar(t) else out
 
 
 def dissipation_from_spectral_density(t: float, kernel: BathKernel) -> float:

@@ -6,7 +6,6 @@ spreading time scale T and length scale lambda = sqrt(T*hbar/M_S).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,7 +57,7 @@ class MeasurementConfig:
     inv_beta: float = 1.0
 
 
-def validate_config(cfg: MeasurementConfig, t_max: float | None = None) -> MeasurementConfig:
+def validate_config(cfg: MeasurementConfig) -> MeasurementConfig:
     """Check the model invariants and return ``cfg`` unchanged.
 
     Raises
@@ -91,12 +90,6 @@ def validate_config(cfg: MeasurementConfig, t_max: float | None = None) -> Measu
     if cfg.kappa2**2 == cfg.mass_ratio:
         raise SingularLagrangian(
             f"kappa2**2 == mass_ratio ({cfg.mass_ratio}): singular Lagrangian"
-        )
-    if t_max is not None and cfg.eta > 0 and cfg.omega_c * t_max < 10.0:
-        warnings.warn(
-            f"omega_c * t_max = {cfg.omega_c * t_max:.3g} is not >> 1; the "
-            "high-cutoff renormalization may be inaccurate",
-            stacklevel=2,
         )
     return cfg
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, NegativeEigenvalue
 from .kernels import BathKernel, noise_autocorrelation
-from .propagator import AugmentedGenerator, checked_det_a, checked_expm
+from .propagator import AugmentedGenerator, checked_expm
 
 __all__ = [
     "PropagatorTable",
@@ -83,8 +83,6 @@ _GRADED_PANELS = 16
 #: most values of nu the outer-mesh cache of a table may hold over all its
 #: bath kernels, about 100*t_max + 160 per kernel; the default sweep holds 4,500
 _MAX_MESH_NU = 10_000_000
-#: signs that turn the reversed transpose of a 2x2 matrix into its adjugate
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class PropagatorTable:
@@ -284,26 +282,15 @@ def lambda_rule(table: PropagatorTable, t: float, doubled: bool = False) -> Lamb
 
 
 def lambda_covariance(table: PropagatorTable, kernel: BathKernel, t: float) -> np.ndarray:
-    """Symmetrized 2x2 covariance of the accumulated pointer noise at t.
-
-    Raises
-    ------
-    NegativeEigenvalue
-        If the result has an eigenvalue below -1e-10 * trace, which
-        signals a quadrature failure rather than physics.
-    """
+    """Symmetrized 2x2 covariance of the accumulated pointer noise at t,
+    PSD-checked by :meth:`LambdaRule.covariance`."""
     if kernel.eta == 0.0 or t == 0.0:
         return np.zeros((2, 2))
     return lambda_rule(table, t).covariance(kernel)
 
 
-def xi_matrix(a: np.ndarray, lambda_cov: np.ndarray) -> np.ndarray:
-    """Congruence transform Xi^2 = A^-1 <Lambda Lambda^T> A^-T.
-
-    A and Lambda may be stacks (..., 2, 2) that broadcast.  Raises
-    SingularInference when det A fails :func:`checked_det_a`.
-    """
-    det_a = checked_det_a(a)
-    adjugate = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
-    a_inv = adjugate / det_a[..., None, None]
+def xi_matrix(a_inv: np.ndarray, lambda_cov: np.ndarray) -> np.ndarray:
+    """Congruence transform Xi^2 = A^-1 <Lambda Lambda^T> A^-T of the checked
+    inverse ``a_inv`` (:func:`~pointersim.propagator.checked_inverse`); A^-1
+    and Lambda may be stacks (..., 2, 2) that broadcast."""
     return a_inv @ lambda_cov @ np.swapaxes(a_inv, -1, -2)

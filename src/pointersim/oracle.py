@@ -164,7 +164,7 @@ def discretize_bath(
         raise ValueError("omega_max must exceed omega_c")
     dw = omega_max / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
-    kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
+    kernel = BathKernel.from_config(cfg)
     g2 = w * spectral_density_scalar(w, kernel) * dw
     if cfg.eta > 0:
         w_tail = _TAIL_FACTOR * omega_max
@@ -313,7 +313,7 @@ def continuum_pointer_covariance(
     out = full[:, 1:3, 1:3]
     if cfg.eta > 0:
         table = PropagatorTable(gen, float(times.max()))
-        kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
+        kernel = BathKernel.from_config(cfg)
         out = out + np.array([lambda_covariance(table, kernel, t) for t in times.tolist()])
     return out
 

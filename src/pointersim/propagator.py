@@ -28,8 +28,8 @@ from .model import CouplingMatrices, MeasurementConfig, build_coupling_matrices
 __all__ = [
     "AugmentedGenerator",
     "build_generator",
-    "checked_det_a",
     "checked_expm",
+    "checked_inverse",
     "propagate",
     "response_matrices",
 ]
@@ -38,6 +38,8 @@ __all__ = [
 _S_SEL = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 #: |det A| threshold relative to ||A||^2 below which inference fails
 _DET_A_RTOL = 1e-12
+#: signs that turn the reversed transpose of a 2x2 matrix into its adjugate
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,11 @@ def propagate(gen: AugmentedGenerator, t: float | np.ndarray):
     return _extract(gen, checked_expm(gen, t))
 
 
+def _det(a: np.ndarray) -> np.ndarray:
+    """det A of stacked 2x2 matrices (..., 2, 2)."""
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
 def response_matrices(k: np.ndarray, g: np.ndarray):
     """Response matrix A, inhomogeneity B, and det A from K(t), G(t).
 
@@ -141,20 +148,22 @@ def response_matrices(k: np.ndarray, g: np.ndarray):
     """
     a = np.concatenate([k[..., 1:3, :1], g[..., 1:3, :1]], axis=-1)
     b = np.concatenate([k[..., 1:3, 1:3], g[..., 1:3, 1:3]], axis=-1)
-    det_a = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    return a, b, det_a
+    return a, b, _det(a)
 
 
-def checked_det_a(a: np.ndarray):
-    """det A of 2x2 response matrices (..., 2, 2), checked for invertibility.
+def checked_inverse(a: np.ndarray) -> np.ndarray:
+    """A^-1 of 2x2 response matrices (..., 2, 2), the adjugate over det A.
 
-    Raises SingularInference at the first A with |det A| <= _DET_A_RTOL * ||A||^2.
+    The one inversion of the inference: both the pointer term A^-1 B and
+    the bath term A^-1 Lambda A^-T use it.  Raises SingularInference at the
+    first A with |det A| <= _DET_A_RTOL * ||A||^2.
     """
-    det_a = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    det_a = _det(a)
     scale = np.maximum((a * a).sum(axis=(-2, -1)), 1e-300)
     singular = np.abs(det_a) <= _DET_A_RTOL * scale
     if singular.any():
         raise SingularInference(
             f"det A = {np.extract(singular, det_a)[0]:.3g} too small for inference"
         )
-    return det_a
+    adjugate = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
+    return adjugate / det_a[..., None, None]

@@ -1,11 +1,11 @@
 """Inferred-observable variances, collective uncertainty, and its bound.
 
-The variance of the inferred position (momentum) observable decomposes
-into three parts: the initial system variance, the pointer-state
-contribution sigma_k^2, and the environmental noise contribution Xi_k^2.
-The collective uncertainty is the product of the two inferred variances,
-bounded from below by a state-dependent extension of the closed
-measurement bound U^2 >= 1.
+The system's position and momentum are inferred from the pointer readings
+through the response matrix A(t), inverted once per time.  Each inferred
+variance is the initial system variance plus the pointer term sigma_k^2
+(rows v_k of A^-1 B against cov_J) plus the bath term Xi_k^2 (diagonal of
+A^-1 Lambda A^-T).  U^2 is the product of the two, bounded below by a
+state-dependent extension of the closed measurement bound U^2 >= 1.
 """
 
 from __future__ import annotations
@@ -18,50 +18,15 @@ import numpy as np
 from .kernels import BathKernel
 from .model import GaussianMoments, MeasurementConfig
 from .noise import PropagatorTable, lambda_covariance, lambda_rule, xi_matrix
-from .propagator import build_generator, checked_det_a, propagate, response_matrices
+from .propagator import build_generator, checked_inverse, propagate, response_matrices
 
 __all__ = [
     "UncertaintyPoint",
     "UncertaintyCurve",
-    "pointer_contributions",
-    "inferred_variances",
-    "collective_uncertainty",
     "lower_bound",
     "CurveEvaluator",
     "uncertainty_curve",
 ]
-
-
-def pointer_contributions(a: np.ndarray, b: np.ndarray, cov_j: np.ndarray):
-    """Pointer-state contributions sigma_1^2, sigma_2^2.
-
-    sigma_k^2 = v_k cov_J v_k^T with rows v_k of A^-1 B; stacked A and B
-    give stacked sigma_k^2.  Raises SingularInference when det A fails
-    :func:`checked_det_a`.
-    """
-    checked_det_a(a)
-    v = np.linalg.solve(a, b)  # (..., 2, 4)
-    # same bits as v_k @ cov_J @ v_k; einsum or a sum reduction round differently
-    sigma = np.matmul((v @ cov_j)[..., None, :], v[..., :, None])[..., 0, 0]
-    return sigma[..., 0], sigma[..., 1]
-
-
-def inferred_variances(
-    moments: GaussianMoments,
-    sigma1_sq: float,
-    sigma2_sq: float,
-    xi1_sq: float,
-    xi2_sq: float,
-):
-    """Three-part sums for the inferred position and momentum variances."""
-    var_x = moments.var_xs0 + sigma1_sq + xi1_sq
-    var_p = moments.var_ps0 + sigma2_sq + xi2_sq
-    return var_x, var_p
-
-
-def collective_uncertainty(var_x: float, var_p: float) -> float:
-    """U^2, the product of the inferred variances."""
-    return var_x * var_p
 
 
 def lower_bound(
@@ -88,17 +53,18 @@ def lower_bound(
 
 @dataclass(frozen=True)
 class UncertaintyPoint:
-    """All measurement figures of merit at a single interaction time."""
+    """All measurement figures of merit at a single interaction time, in
+    the column order of the CSV."""
 
     t: float
-    sigma1_sq: float
-    sigma2_sq: float
-    xi1_sq: float
-    xi2_sq: float
     var_x: float
     var_p: float
     u_sq: float
     bound: float
+    sigma1_sq: float
+    sigma2_sq: float
+    xi1_sq: float
+    xi2_sq: float
     det_a: float
 
 
@@ -131,10 +97,6 @@ class UncertaintyCurve:
         return self._table[_COLUMNS.index(name)]
 
 
-def _bath_kernel(cfg: MeasurementConfig) -> BathKernel:
-    return BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
-
-
 class CurveEvaluator:
     """Reusable evaluator for one measurement configuration.
 
@@ -152,47 +114,49 @@ class CurveEvaluator:
     ):
         self.cfg = cfg
         self.moments = moments
-        self.mode = mode
         self.gen = build_generator(cfg, mode)
         self.table = (
             PropagatorTable(self.gen, t_max) if cfg.eta > 0 else None
         )
-        self.kernel = _bath_kernel(cfg)
+        self.kernel = BathKernel.from_config(cfg)
 
     def with_inv_beta(self, inv_beta: float) -> "CurveEvaluator":
         """Shallow copy sharing the propagator table, different bath energy."""
         other = copy.copy(self)
         other.cfg = replace(self.cfg, inv_beta=inv_beta)
-        other.kernel = _bath_kernel(other.cfg)
+        other.kernel = BathKernel.from_config(other.cfg)
         return other
 
     def _dynamics(self, times: np.ndarray):
-        """Beta-free part of a curve: A, det A and sigma_k^2 at every time."""
+        """Beta-free part of a curve at every time: A^-1 from the one
+        checked inverse, det A, and sigma_k^2 = v_k cov_J v_k^T with rows
+        v_k of A^-1 B."""
         k, g, _ = propagate(self.gen, times)
         a, b, det_a = response_matrices(k, g)
-        s1, s2 = pointer_contributions(a, b, self.moments.cov_j)
-        return a, det_a, s1, s2
+        a_inv = checked_inverse(a)
+        v = a_inv @ b  # (n, 2, 4)
+        # same bits as v_k @ cov_J @ v_k; einsum or a sum reduction round differently
+        sigma = np.matmul((v @ self.moments.cov_j)[..., None, :], v[..., :, None])[..., 0, 0]
+        return a_inv, det_a, sigma[..., 0], sigma[..., 1]
 
     def _assemble(self, times, dynamics, lam) -> UncertaintyCurve:
         """Curve from its beta-free part and the stacked Lambda (None when
         eta = 0); a Lambda stack over kernels broadcasts against one time."""
-        a, det_a, s1, s2 = dynamics
-        if lam is None:
-            xi1 = xi2 = np.zeros_like(s1)
-        else:
-            xi = xi_matrix(a, lam)
-            xi1, xi2 = xi[..., 0, 0], xi[..., 1, 1]
-        var_x, var_p = inferred_variances(self.moments, s1, s2, xi1, xi2)
+        a_inv, det_a, s1, s2 = dynamics
+        xi = np.zeros((2, 2)) if lam is None else xi_matrix(a_inv, lam)
+        xi1, xi2 = xi[..., 0, 0], xi[..., 1, 1]
+        var_x = self.moments.var_xs0 + s1 + xi1
+        var_p = self.moments.var_ps0 + s2 + xi2
         return UncertaintyCurve(
             t=times,
+            var_x=var_x,
+            var_p=var_p,
+            u_sq=var_x * var_p,
+            bound=lower_bound(self.moments, s1, s2, xi1, xi2),
             sigma1_sq=s1,
             sigma2_sq=s2,
             xi1_sq=xi1,
             xi2_sq=xi2,
-            var_x=var_x,
-            var_p=var_p,
-            u_sq=collective_uncertainty(var_x, var_p),
-            bound=lower_bound(self.moments, s1, s2, xi1, xi2),
             det_a=det_a,
         )
 

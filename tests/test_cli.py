@@ -131,6 +131,30 @@ def test_sweep_single_point_matches_optimize(tmp_path):
             assert lines["optimize"][1].startswith("# flagged") == (overrides is boundary)
 
 
+def _cutoff_warnings(record):
+    return [str(w.message) for w in record if "high-cutoff" in str(w.message)]
+
+
+def test_low_cutoff_warns_for_the_time_grid(tmp_path):
+    """omega_c * time_grid.stop = 8 warns and names the key; the search
+    interval ends at 3 and does not warn."""
+    cfg = _write_config(tmp_path, time_grid={"start": 0.1, "stop": 0.4, "count": 4})
+    with pytest.warns(UserWarning) as record:
+        assert main(["uncertainty", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 0
+    (message,) = _cutoff_warnings(record)
+    assert "omega_c * t_max = 8 at time_grid.stop" in message
+
+
+def test_low_cutoff_warns_for_the_search_interval(tmp_path):
+    """A search runs up to the end of optimize.t_interval, so a sweep over
+    [0.02, 0.4] warns and names that key."""
+    cfg = _write_config(tmp_path, optimize={"t_interval": [0.02, 0.4]}, sweep={"inv_betas": [1.0]})
+    with pytest.warns(UserWarning) as record:
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    (message,) = _cutoff_warnings(record)
+    assert "omega_c * t_max = 8 at optimize.t_interval" in message
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     code = main(["uncertainty", "--config", str(tmp_path / "nope.json")])
     assert code == EXIT_CONFIG

@@ -9,6 +9,7 @@ from pointersim.kernels import (
     dissipation_from_spectral_density,
     dissipation_kernel_scalar,
     noise_autocorrelation,
+    nu_quadrature,
     spectral_density_scalar,
 )
 
@@ -57,8 +58,8 @@ def test_nu_series_matches_quadrature_20_points():
     for inv_beta in (0.5, 2.0):
         kern = BathKernel(eta=0.25, omega_c=20.0, inv_beta=inv_beta)
         for t in ts:
-            s = noise_autocorrelation(float(t), kern, method="series")
-            q = noise_autocorrelation(float(t), kern, method="quadrature")
+            s = noise_autocorrelation(float(t), kern)
+            q = nu_quadrature(float(t), kern)
             assert abs(s - q) / max(abs(q), 1e-300) < 1e-8
 
 
@@ -99,6 +100,8 @@ def test_nu_continuous_at_small_time_switch():
 def test_nu_rejects_t_zero():
     with pytest.raises(EvaluationAtZero):
         noise_autocorrelation(0.0, KERNEL)
+    with pytest.raises(EvaluationAtZero):
+        nu_quadrature(np.array([0.5, 0.0]), KERNEL)
 
 
 def test_nu_eta_zero():
@@ -131,10 +134,10 @@ def test_nu_series_resonance_detection():
     inv_beta = 20.0 / (3 * 2.0 * np.pi)
     kern = BathKernel(eta=0.25, omega_c=20.0, inv_beta=inv_beta)
     with pytest.raises(SeriesResonance, match=r"beta\*omega_c/\(2\*pi\) = 3\b"):
-        noise_autocorrelation(0.5, kern, method="series")
+        noise_autocorrelation(0.5, kern)
     # the quadrature oracle has no resonance and agrees with a nearby
     # non-resonant series evaluation
-    val = noise_autocorrelation(0.5, kern, method="quadrature")
+    val = nu_quadrature(0.5, kern)
     near = BathKernel(eta=0.25, omega_c=20.0, inv_beta=inv_beta * (1 + 1e-4))
     assert val == pytest.approx(
         noise_autocorrelation(0.5, near), rel=1e-2
@@ -150,15 +153,10 @@ def test_nu_small_time_has_no_resonance():
     cut = 0.05 * kern.beta
     taus = np.array([0.1, 0.5, 0.9]) * cut
     small = noise_autocorrelation(taus, kern)
-    quad = noise_autocorrelation(taus, kern, method="quadrature")
+    quad = nu_quadrature(taus, kern)
     np.testing.assert_allclose(small, quad, rtol=1e-6)
     with pytest.raises(SeriesResonance):
         noise_autocorrelation(np.append(taus, cut), kern)
-
-
-def test_nu_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        noise_autocorrelation(0.5, KERNEL, method="magic")
 
 
 def _quad_moments(eta, omega_c, beta):

@@ -55,11 +55,6 @@ def test_validate_rejects_negative_viscosity():
         validate_config(MeasurementConfig(eta=-0.1))
 
 
-def test_validate_warns_on_low_cutoff():
-    with pytest.warns(UserWarning):
-        validate_config(MeasurementConfig(omega_c=2.0), t_max=3.0)
-
-
 def test_coupling_matrices_structure(open_config):
     coup = build_coupling_matrices(open_config)
     k2, m0 = open_config.kappa2, open_config.mass_ratio

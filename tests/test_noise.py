@@ -5,7 +5,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 import pointersim.noise
-from pointersim.errors import ConfigError, SingularInference
+from pointersim.errors import ConfigError
 from pointersim.kernels import BathKernel, noise_autocorrelation
 from pointersim.model import MeasurementConfig
 from pointersim.noise import (
@@ -21,7 +21,7 @@ from pointersim.noise import (
     lambda_rule,
     xi_matrix,
 )
-from pointersim.propagator import build_generator, propagate
+from pointersim.propagator import build_generator, checked_inverse, propagate
 
 
 def _pointer_block(table, tau):
@@ -31,29 +31,41 @@ def _pointer_block(table, tau):
     return block.reshape(tau.shape + (2, 2))
 
 
-def _panel_loop_lambda(table, kernel, t, doubled=False, inner_nodes=48):
-    """Reference Lambda(t) on the panels of :func:`lambda_rule`: one panel
-    at a time, nu and G per panel, and the inner integral H(u) by an
-    ``inner_nodes``-point Gauss-Legendre rule; ``doubled`` as in
+def _table_block(table):
+    """G pointer block P e^{Fs} N of the table as a function of the times s,
+    shaped (..., 2, 2): the table's forward Taylor step from the node below,
+    with N folded into its coefficients (a quarter of the work of
+    ``pointer_exp(s) @ N``)."""
+    coeffs = table._c_exp @ table.gen.noise_map[:, 1:3]
+
+    def block(s):
+        j, d = table._split(s)
+        return (table._p_exp[j] @ table._taylor(coeffs, d, 0)).reshape(np.shape(s) + (2, 2))
+
+    return block
+
+
+def _panel_loop_lambda(block, kernel, t, doubled=False, inner_nodes=48):
+    """Reference Lambda(t) on the panels of :func:`lambda_rule`, with G given
+    by ``block``: nu and G on all panels of t at once, and the inner integral
+    H(u) by an ``inner_nodes``-point Gauss-Legendre rule; ``doubled`` as in
     :func:`lambda_rule`."""
     xg, wg = _gl_nodes(2 * _PANEL_NODES if doubled else _PANEL_NODES)
     xr, wr = _gl_nodes(inner_nodes)
     edges = _u_panels(t, _GRADED_PANELS + 4 if doubled else _GRADED_PANELS)
-    cov = np.zeros((2, 2))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 0.0:
-            continue
-        u = lo + (hi - lo) * xg
-        wu = (hi - lo) * wg
-        nu_vals = noise_autocorrelation(u, kernel)
-        span = t - u
-        r = span[:, None] * xr[None, :]
-        w_in = span[:, None] * wr[None, :]
-        g1 = _pointer_block(table, r)
-        g2 = _pointer_block(table, r + u[:, None])
-        h = np.einsum("urak,urbk,ur->uab", g1, g2, w_in)
-        sym = h + np.transpose(h, (0, 2, 1))
-        cov += np.einsum("u,u,uab->ab", wu, nu_vals, sym)
+    lo, width = edges[:-1], np.diff(edges)
+    keep = width > 0.0
+    u = (lo[keep, None] + width[keep, None] * xg).ravel()
+    wu = (width[keep, None] * wg).ravel()
+    span = t - u
+    r = span[:, None] * xr
+    g1 = block(r) * (span[:, None] * wr)[..., None, None]
+    g2 = block(r + u[:, None])
+    # H(u)_ab = sum over r and k of g1[u, r, a, k] g2[u, r, b, k], one matmul per u
+    h = g1.transpose(0, 2, 1, 3).reshape(u.size, 2, -1) @ g2.transpose(0, 1, 3, 2).reshape(
+        u.size, -1, 2
+    )
+    cov = np.einsum("u,u,uab->ab", wu, noise_autocorrelation(u, kernel), h + h.transpose(0, 2, 1))
     return 0.5 * (cov + cov.T)
 
 
@@ -99,24 +111,6 @@ class _SplineTable:
 
     def pointer_block(self, tau):
         return self._spline(np.asarray(tau, dtype=float))
-
-
-def _spline_lambda(table, kernel, t, inner_nodes=48):
-    """The former Lambda(t): the panel loop of :func:`_panel_loop_lambda`
-    with all panels in one pass, on a :class:`_SplineTable`."""
-    xg, wg = _gl_nodes(_PANEL_NODES)
-    xr, wr = _gl_nodes(inner_nodes)
-    edges = _u_panels(t, _GRADED_PANELS)
-    lo, width = edges[:-1], np.diff(edges)
-    u = (lo[:, None] + width[:, None] * xg).ravel()
-    wu = (width[:, None] * wg).ravel()
-    span = t - u
-    r = span[:, None] * xr[None, :]
-    g1 = table.pointer_block(r)
-    g2 = table.pointer_block(r + u[:, None])
-    h = np.einsum("urak,urbk,ur->uab", g1, g2, span[:, None] * wr[None, :])
-    cov = np.einsum("u,u,uab->ab", wu, noise_autocorrelation(u, kernel), h + h.transpose(0, 2, 1))
-    return 0.5 * (cov + cov.T)
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +184,7 @@ def test_lambda_matches_spline_table(open_config, bath_kernel, time_grid_200, mo
     table = PropagatorTable(gen, 3.0)
     spline = _SplineTable(gen, 3.0)
     for t in time_grid_200:
-        ref = _spline_lambda(spline, bath_kernel, float(t))
+        ref = _panel_loop_lambda(spline.pointer_block, bath_kernel, float(t))
         new = lambda_covariance(table, bath_kernel, float(t))
         assert np.abs(new - ref).max() <= 1e-7 * np.abs(ref).max()
 
@@ -237,8 +231,9 @@ def test_lambda_matches_panel_loop(open_config, bath_kernel, time_grid_200, mode
     """The vectorised rule reproduces the panel loop on the 200-point grid."""
     gen = build_generator(open_config, mode)
     table = PropagatorTable(gen, 3.0)
+    block = _table_block(table)
     for t in time_grid_200:
-        ref = _panel_loop_lambda(table, bath_kernel, float(t), doubled, 96 if doubled else 48)
+        ref = _panel_loop_lambda(block, bath_kernel, float(t), doubled, 96 if doubled else 48)
         new = lambda_rule(table, float(t), doubled).covariance(bath_kernel)
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
@@ -347,12 +342,7 @@ def test_lambda_grows_with_temperature(open_config, table):
 
 def test_xi_matrix_identity_transform():
     lam = np.array([[2.0, 0.3], [0.3, 1.0]])
-    np.testing.assert_allclose(xi_matrix(np.eye(2), lam), lam)
-
-
-def test_xi_matrix_singular_a_rejected():
-    with pytest.raises(SingularInference):
-        xi_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+    np.testing.assert_allclose(xi_matrix(checked_inverse(np.eye(2)), lam), lam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,7 +361,7 @@ def test_xi_matrix_congruence_preserves_psd(a11, a12, a21, a22, l1, l2, c):
     if abs(det) < 1e-3 * max(np.linalg.norm(a) ** 2, 1e-6):
         return  # near-singular draws are not the property under test
     cov = np.array([[l1, c * np.sqrt(l1 * l2)], [c * np.sqrt(l1 * l2), l2]])
-    xi = xi_matrix(a, cov)
+    xi = xi_matrix(checked_inverse(a), cov)
     np.testing.assert_allclose(xi, xi.T, atol=1e-10)
     assert np.linalg.eigvalsh(xi)[0] >= -1e-9 * max(np.trace(xi), 1.0)
     # explicit congruence with the inverse

@@ -7,7 +7,7 @@ from pointersim.model import MeasurementConfig
 from pointersim.oracle import closed_form_eta0
 from pointersim.propagator import (
     build_generator,
-    checked_det_a,
+    checked_inverse,
     propagate,
     response_matrices,
 )
@@ -184,9 +184,31 @@ def test_response_matrices_on_a_grid(open_config):
         assert det_a[i] == det_i
 
 
-def test_checked_det_a_names_the_first_singular_row():
+def test_checked_inverse_names_the_first_singular_row():
     # |det A| / ||A||^2: 0.5, then 2^-43 / 4 (below 1e-12), then 0
     a = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 2.0**-43]], np.zeros((2, 2))])
     with pytest.raises(SingularInference, match="det A = 1.14e-13 "):
-        checked_det_a(a)
-    np.testing.assert_array_equal(checked_det_a(a[:1]), [1.0])
+        checked_inverse(a)
+    np.testing.assert_array_equal(checked_inverse(a[:1]), [np.eye(2)])
+
+
+def test_checked_inverse_singular_a_rejected():
+    with pytest.raises(SingularInference):
+        checked_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+@pytest.mark.parametrize("eta", [0.0, 0.25], ids=["closed", "open"])
+def test_checked_inverse_matches_solve(default_moments, time_grid_200, mode, eta):
+    """A^-1 B from the adjugate inverse agrees with a direct solve to 1e-14
+    of each row's largest entry (a small entry that cancels moves by more of
+    itself), and sigma_k^2 = v_k cov_J v_k^T to 1e-14 of itself."""
+    gen = build_generator(MeasurementConfig(eta=eta), mode)
+    a, b, _ = response_matrices(*propagate(gen, time_grid_200)[:2])
+    v, ref = checked_inverse(a) @ b, np.linalg.solve(a, b)
+    assert np.all(np.abs(v - ref) <= 1e-14 * np.abs(ref).max(axis=-1, keepdims=True))
+    cov_j = default_moments.cov_j
+    np.testing.assert_allclose(
+        np.einsum("tki,ij,tkj->tk", v, cov_j, v), np.einsum("tki,ij,tkj->tk", ref, cov_j, ref),
+        rtol=1e-14,
+    )

@@ -8,15 +8,19 @@ from pointersim.errors import SingularInference
 from pointersim.kernels import BathKernel
 from pointersim.model import MeasurementConfig, gaussian_state_moments
 from pointersim.noise import PropagatorTable, lambda_covariance, xi_matrix
-from pointersim.propagator import build_generator, response_matrices
-from pointersim.uncertainty import (
-    CurveEvaluator,
-    collective_uncertainty,
-    inferred_variances,
-    lower_bound,
-    pointer_contributions,
-    uncertainty_curve,
-)
+from pointersim.propagator import build_generator, checked_inverse, response_matrices
+from pointersim.uncertainty import CurveEvaluator, lower_bound, uncertainty_curve
+
+
+def inferred_variances(moments, sigma1_sq, sigma2_sq, xi1_sq, xi2_sq):
+    """Three-part sums for the inferred position and momentum variances."""
+    return moments.var_xs0 + sigma1_sq + xi1_sq, moments.var_ps0 + sigma2_sq + xi2_sq
+
+
+def pointer_contributions(a, b, cov_j):
+    """sigma_1^2, sigma_2^2 = v_k cov_J v_k^T with rows v_k of A^-1 B."""
+    v = checked_inverse(a) @ b
+    return float(v[0] @ cov_j @ v[0]), float(v[1] @ cov_j @ v[1])
 
 
 def expanded_uncertainty(moments, sigma1_sq, sigma2_sq, xi1_sq, xi2_sq):
@@ -50,11 +54,11 @@ def matching_distance(moments, sigma1_sq, sigma2_sq):
 
 def _per_point_curve(cfg, moments, times, mode):
     """Columns of a curve evaluated one time at a time: one expm, 2-D
-    response matrices, solve, sigma_k^2 = v_k cov_J v_k^T, Lambda and a
-    2-D xi_matrix per time."""
+    response matrices, the adjugate inverse, sigma_k^2 = v_k cov_J v_k^T,
+    Lambda and a 2-D xi_matrix per time."""
     gen = build_generator(cfg, mode)
     table = PropagatorTable(gen, float(times.max())) if cfg.eta > 0 else None
-    kernel = BathKernel(eta=cfg.eta, omega_c=cfg.omega_c, inv_beta=cfg.inv_beta)
+    kernel = BathKernel.from_config(cfg)
     m_inv = np.linalg.inv(gen.coupling.mass_matrix)
     cov_j = moments.cov_j
     rows = []
@@ -63,18 +67,18 @@ def _per_point_curve(cfg, moments, times, mode):
         g = e[0:3, 3:6] @ m_inv
         k = e[0:3, 0:3] + g @ gen.coupling.damping_matrix
         a, b, det_a = response_matrices(k, g)
-        v = np.linalg.solve(a, b)
+        a_inv = checked_inverse(a)
+        v = a_inv @ b
         s1, s2 = float(v[0] @ cov_j @ v[0]), float(v[1] @ cov_j @ v[1])
         xi1 = xi2 = 0.0
         if cfg.eta > 0:
-            xi = xi_matrix(a, lambda_covariance(table, kernel, t))
+            xi = xi_matrix(a_inv, lambda_covariance(table, kernel, t))
             xi1, xi2 = float(xi[0, 0]), float(xi[1, 1])
         var_x, var_p = inferred_variances(moments, s1, s2, xi1, xi2)
-        u_sq = collective_uncertainty(var_x, var_p)
         bound = lower_bound(moments, s1, s2, xi1, xi2)
-        rows.append((t, s1, s2, xi1, xi2, var_x, var_p, u_sq, bound, det_a))
-    names = ("t", "sigma1_sq", "sigma2_sq", "xi1_sq", "xi2_sq", "var_x",
-             "var_p", "u_sq", "bound", "det_a")
+        rows.append((t, var_x, var_p, var_x * var_p, bound, s1, s2, xi1, xi2, det_a))
+    names = ("t", "var_x", "var_p", "u_sq", "bound", "sigma1_sq", "sigma2_sq",
+             "xi1_sq", "xi2_sq", "det_a")
     return dict(zip(names, np.array(rows).T))
 
 
@@ -138,7 +142,7 @@ def test_closed_sigma_closed_form(closed_config, default_moments):
 def test_expanded_uncertainty_identity(default_moments, s1, s2, x1, x2):
     """Five-term expansion is algebraically the product of the variances."""
     var_x, var_p = inferred_variances(default_moments, s1, s2, x1, x2)
-    product = collective_uncertainty(var_x, var_p)
+    product = var_x * var_p
     expanded = expanded_uncertainty(default_moments, s1, s2, x1, x2)
     assert expanded == pytest.approx(product, rel=1e-12)
 
@@ -156,7 +160,7 @@ def test_bound_below_uncertainty(default_moments, s1, ratio, x1, x2):
     pointer states do."""
     s2 = ratio * 0.25 / s1
     var_x, var_p = inferred_variances(default_moments, s1, s2, x1, x2)
-    u_sq = collective_uncertainty(var_x, var_p)
+    u_sq = var_x * var_p
     b = lower_bound(default_moments, s1, s2, x1, x2)
     assert b >= 1.0
     assert u_sq >= b - 1e-9 * max(u_sq, 1.0)
@@ -167,7 +171,7 @@ def test_bound_saturates_at_matching(default_moments):
     s1 = default_moments.var_xs0
     s2 = default_moments.var_ps0
     var_x, var_p = inferred_variances(default_moments, s1, s2, 0.0, 0.0)
-    u_sq = collective_uncertainty(var_x, var_p)
+    u_sq = var_x * var_p
     b = lower_bound(default_moments, s1, s2, 0.0, 0.0)
     assert u_sq == pytest.approx(b)
     d1, d2 = matching_distance(default_moments, s1, s2)
@@ -224,17 +228,13 @@ def test_points_match_point_per_kernel(evaluator):
     assert batch == [ev.point(0.8) for ev in evaluators]
 
 
-def test_det_a_rtol_rejects_in_both_guards(closed_config, default_moments, monkeypatch):
+def test_det_a_rtol_rejects_in_the_checked_inverse(closed_config, default_moments, monkeypatch):
     import pointersim.propagator
-    from pointersim.errors import SingularInference
-    from pointersim.noise import xi_matrix
 
     # |det A| / ||A||^2 = 2^-43 / 4, below the fixed 1e-12
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-43]])
     with pytest.raises(SingularInference):
-        pointer_contributions(a, np.ones((2, 4)), default_moments.cov_j)
-    with pytest.raises(SingularInference):
-        xi_matrix(a, np.eye(2))
+        checked_inverse(a)
     monkeypatch.setattr(pointersim.propagator, "_DET_A_RTOL", 1.0)
     with pytest.raises(SingularInference):
         CurveEvaluator(closed_config, default_moments, 3.0).point(1.0)
