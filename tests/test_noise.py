@@ -5,7 +5,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 import pointersim.noise
-from pointersim.errors import ConfigError
+from pointersim.errors import ConfigError, SingularInference
 from pointersim.kernels import BathKernel, noise_autocorrelation
 from pointersim.model import MeasurementConfig
 from pointersim.noise import (
@@ -343,6 +343,12 @@ def test_lambda_grows_with_temperature(open_config, table):
 def test_xi_matrix_identity_transform():
     lam = np.array([[2.0, 0.3], [0.3, 1.0]])
     np.testing.assert_allclose(xi_matrix(checked_inverse(np.eye(2)), lam), lam)
+
+
+def test_xi_matrix_singular_a_rejected():
+    """Xi^2 takes A^-1, so a singular A is refused before the congruence."""
+    with pytest.raises(SingularInference):
+        xi_matrix(checked_inverse(np.array([[1.0, 1.0], [1.0, 1.0]])), np.eye(2))
 
 
 @settings(max_examples=40, deadline=None)

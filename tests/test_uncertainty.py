@@ -228,7 +228,9 @@ def test_points_match_point_per_kernel(evaluator):
     assert batch == [ev.point(0.8) for ev in evaluators]
 
 
-def test_det_a_rtol_rejects_in_the_checked_inverse(closed_config, default_moments, monkeypatch):
+def test_det_a_rtol_rejects_in_both_guards(closed_config, default_moments, monkeypatch):
+    """The checked inverse refuses a near-singular A at the fixed rtol, and
+    CurveEvaluator goes through the same guard (rtol patched to 1)."""
     import pointersim.propagator
 
     # |det A| / ||A||^2 = 2^-43 / 4, below the fixed 1e-12
