@@ -246,7 +246,8 @@ def cmd_uncertainty(run: Inputs, mode: str) -> list[str]:
     _check_bound(*(curve.column(c) for c in ("t", "u_sq", "bound")))
     columns = [f.name for f in fields(UncertaintyPoint)]
     rows = np.column_stack([curve.column(c) for c in columns]).tolist()
-    return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+    row_format = ",".join(["%.12g"] * len(columns))
+    return [",".join(columns)] + [row_format % tuple(row) for row in rows]
 
 
 def cmd_optimize(run: Inputs, mode: str) -> list[str]:

@@ -18,13 +18,13 @@ The inner integral needs no quadrature.  With F the augmented generator,
 P the pointer-position rows and N the pointer columns of the noise map,
 G_p(r) = P e^{Fr} N, so H(u) = P W(t-u) e^{F^T u} P^T with the
 controllability Gramian W(s) = int_0^s e^{Fr} N N^T e^{F^T r} dr (Van Loan,
-IEEE TAC 23:395, 1978).  :class:`PropagatorTable` holds P e^{F s_j},
-e^{F s_j} and P W(s_j) on a uniform grid s_j = j h and steps forward from
-the node below, by d in [0, h), with short Taylor series:
+IEEE TAC 23:395, 1978).  :class:`PropagatorTable` is the exponential table
+of :mod:`~pointersim.propagator`, whose grid s_j = j h and Taylor step it
+shares; it adds P W(s_j) on the same grid and steps it forward from the
+node below, by d in [0, h):
 
-    P e^{F(s_j + d)} = P e^{F s_j} T_e(d),
     P W(s_j + d) = P W(s_j) + P e^{F s_j} T_W(d) e^{F^T s_j},
-    T_e(d) = sum_k F^k d^k / k!,  T_W(d) = sum_k L_k d^(k+1) / (k+1)!,
+    T_W(d) = sum_k L_k d^(k+1) / (k+1)!,
 
 with L_0 = N N^T and L_k = F L_{k-1} + L_{k-1} F^T.
 
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, NegativeEigenvalue
 from .kernels import BathKernel, noise_autocorrelation
-from .propagator import AugmentedGenerator, checked_expm
+from .propagator import _TAYLOR_TERMS, AugmentedGenerator, ExpTable, _taylor
 
 __all__ = [
     "PropagatorTable",
@@ -64,14 +64,6 @@ __all__ = [
     "xi_matrix",
 ]
 
-#: Taylor terms of a step; with h * rho(F) <= 1/2 the first omitted term
-#: is below (1/2)^14 / 14! < 1e-15 of the step's scale
-_TAYLOR_TERMS = 14
-#: the grid step when the generator's spectral radius is small
-_MAX_STEP = 1.0 / 32.0
-#: most grid nodes a table may hold, as many as a time grid may have points;
-#: the default config, at omega_c*t_max = 60, needs 120
-_MAX_NODES = 100_000
 #: outer u-panels: Gauss-Legendre nodes per panel, regular width, and
 #: where, how fast and in how many panels they grade toward the
 #: logarithmic singularity of nu at u = 0
@@ -85,52 +77,31 @@ _GRADED_PANELS = 16
 _MAX_MESH_NU = 10_000_000
 
 
-class PropagatorTable:
-    """Exact pointer rows of e^{Fs} and of the Gramian W(s) on [0, t_max].
+class PropagatorTable(ExpTable):
+    """The exponential table with the exact pointer rows of the Gramian W(s)
+    on [0, t_max], and the outer mesh of Lambda.
 
-    The grid step is h = 1/(2 rho(F)), at most 1/32, with rho the spectral
-    radius of the generator; rho only sets the scale.  Off the grid every
-    value is a forward Taylor step from the node below, so W(s) is a sum
-    of positive semidefinite terms.
+    W(s) off the grid is a forward Taylor step from the node below, so it
+    is a sum of positive semidefinite terms.
     """
 
     def __init__(self, gen: AugmentedGenerator, t_max: float):
-        f = gen.generator
-        dim = f.shape[0]
-        rho = float(np.abs(np.linalg.eigvals(f)).max())
-        self.step = 1.0 / max(2.0 * rho, 1.0 / _MAX_STEP)
-        self.t_max = t_max
-        self.gen = gen
-        if not t_max / self.step <= _MAX_NODES:
-            raise ConfigError(
-                f"the noise table on [0, {t_max:g}] needs {t_max / self.step:.3g} nodes at "
-                f"rho(F) = {rho:.3g}, more than {_MAX_NODES}; lower omega_c*t_max "
-                f"(= {gen.cfg.omega_c * t_max:.3g}), eta or the couplings"
-            )
-        noise = gen.noise_map[:, 1:3]  # N
-
-        # Taylor coefficients F^k / k! and L_k / (k+1)!
-        c_exp = np.empty((_TAYLOR_TERMS, dim, dim))
-        c_gram = np.empty_like(c_exp)
-        c_exp[0] = np.eye(dim)
-        c_gram[0] = noise @ noise.T
+        super().__init__(gen, t_max)
+        f, noise = gen.generator, gen.noise_map[:, 1:3]  # F, N
+        c_gram = [noise @ noise.T]  # L_k / (k+1)!
         for k in range(1, _TAYLOR_TERMS):
-            c_exp[k] = c_exp[k - 1] @ f / k
-            c_gram[k] = (f @ c_gram[k - 1] + c_gram[k - 1] @ f.T) / (k + 1)
-        self._c_exp, self._c_gram = c_exp, c_gram
-
-        n = max(1, int(np.ceil(t_max / self.step)))
-        exps = checked_expm(gen, np.arange(n + 1) * self.step)
-        self._exp_t = np.ascontiguousarray(exps.transpose(0, 2, 1))  # e^{F^T s_j}
-        self._p_exp = np.ascontiguousarray(exps[:, 1:3, :])  # P e^{F s_j}
-        w_step = self._taylor(self._c_gram, np.array([self.step]), 1)[0]
-        gain = self._p_exp[:-1] @ w_step @ self._exp_t[:-1]
-        self._p_gram = np.zeros_like(self._p_exp)  # P W(s_j)
+            c_gram.append((f @ c_gram[-1] + c_gram[-1] @ f.T) / (k + 1))
+        self._c_gram = np.array(c_gram)
+        self._exp_t = np.ascontiguousarray(self._exp.transpose(0, 2, 1))  # e^{F^T s_j}
+        w_step = _taylor(self._c_gram, np.array([self.step]), 1)[0]
+        gain = self._exp[:-1, 1:3] @ w_step @ self._exp_t[:-1]
+        self._p_gram = np.zeros((len(self._exp), 2, f.shape[0]))  # P W(s_j)
         np.cumsum(gain, axis=0, out=self._p_gram[1:])
 
-        # the outer mesh: every panel of Lambda(t_max) but the last
+        # the outer mesh: every panel of Lambda(t_max) but the last; the
+        # closed measurement (eta = 0) has no noise, and no mesh
         self.mesh_nodes, self.mesh_weights = _panel_nodes(
-            _u_panels(t_max, _GRADED_PANELS)[:-1], _PANEL_NODES
+            _u_panels(t_max if gen.cfg.eta > 0 else 0.0, _GRADED_PANELS)[:-1], _PANEL_NODES
         )
         self.mesh_exp = self.pointer_exp(self.mesh_nodes)  # P e^{Fu}
         self._mesh_nu: dict[BathKernel, np.ndarray] = {}
@@ -153,34 +124,14 @@ class PropagatorTable:
             nu = self._mesh_nu[kernel] = noise_autocorrelation(self.mesh_nodes, kernel)
         return nu
 
-    @staticmethod
-    def _taylor(coeffs: np.ndarray, d: np.ndarray, shift: int) -> np.ndarray:
-        """sum_k coeffs[k] d^(k+shift) for every step d, stacked along axis 0."""
-        powers = np.empty((_TAYLOR_TERMS + shift, d.size))
-        powers[0] = 1.0
-        for k in range(1, powers.shape[0]):
-            np.multiply(powers[k - 1], d, out=powers[k])
-        terms = powers[shift:].T @ coeffs.reshape(_TAYLOR_TERMS, -1)
-        return terms.reshape((-1,) + coeffs.shape[1:])
-
-    def _split(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """Node index j and forward step d = s - s_j of every time s."""
-        s = np.asarray(s, dtype=float).ravel()
-        j = np.floor(s / self.step).astype(np.intp)
-        if s.size and (s.min() < 0.0 or j.max() >= len(self._p_exp)):
-            raise ValueError(f"times outside the tabulated range [0, {self.t_max}]")
-        return j, s - j * self.step
-
     def pointer_exp(self, s) -> np.ndarray:
         """P e^{Fs} at the times s, as (n, 2, dim)."""
-        j, d = self._split(s)
-        return self._p_exp[j] @ self._taylor(self._c_exp, d, 0)
+        return self.exp(np.ravel(s), slice(1, 3))
 
     def pointer_gramian(self, s) -> np.ndarray:
         """P W(s) at the times s, as (n, 2, dim)."""
         j, d = self._split(s)
-        step = self._taylor(self._c_gram, d, 1)
-        return self._p_gram[j] + self._p_exp[j] @ step @ self._exp_t[j]
+        return self._p_gram[j] + self._exp[j, 1:3] @ _taylor(self._c_gram, d, 1) @ self._exp_t[j]
 
 
 @lru_cache(maxsize=None)

@@ -98,10 +98,9 @@ def find_optimal_time(
 ) -> Optimum:
     """Locate the global minimum of a scalar landscape on (0, t_max].
 
-    ``evaluator`` is a callable t -> value (e.g. ``CurveEvaluator.u_sq``),
-    and ``key`` maps its value to the number minimised; with
-    ``CurveEvaluator.point`` and a key that reads ``u_sq``, the optimum
-    keeps the point at t_opt.
+    ``evaluator`` is a callable t -> value, and ``key`` maps its value to
+    the number minimised; with ``CurveEvaluator.point`` and the key
+    ``point_u_sq``, the optimum keeps the point at t_opt.
     The coarse grid is geometric, dense near the t -> 0 divergence.  A
     minimum sitting on an interval edge raises :class:`BoundaryMinimum`;
     near-degenerate local minima are reported, not resolved.
@@ -176,8 +175,7 @@ def thermal_sweep(
     if np.any(inv_betas <= 0) or np.any(np.diff(inv_betas) < 0):
         raise ValueError("inv_beta values must be positive and ascending")
     base = CurveEvaluator(cfg, moments, t_interval[1], mode)
-    if base.table is not None:
-        base.table.check_mesh_nu(inv_betas.size)
+    base.table.check_mesh_nu(inv_betas.size)
     evaluators = [base.with_inv_beta(float(ib)) for ib in inv_betas]
     kernels = [ev.kernel for ev in evaluators]
     grid = _coarse_grid(t_interval, coarse_points)

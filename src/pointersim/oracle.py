@@ -121,11 +121,6 @@ class DiscreteBath:
         """2*pi over the mode spacing omega_max / n_modes."""
         return 2.0 * np.pi * self.n_modes / self.omega_max
 
-    @property
-    def potential_shift(self) -> float:
-        """Total bath-induced static potential shift sum_j g_j^2/omega_j^2."""
-        return float(np.sum(self.couplings**2 / self.frequencies**2))
-
 
 def reconstructed_dissipation(bath: DiscreteBath, t):
     """mu_N(t) = sum_j g_j^2/omega_j * sin(omega_j t) of the discrete sum.
@@ -276,7 +271,8 @@ def discrete_pointer_covariance(
     """Pointer-position 2x2 covariance blocks on a uniform time grid.
 
     The grid must be uniformly spaced starting at its step (t_m = m*dt);
-    the covariance is advanced stepwise with a single matrix exponential.
+    the two pointer rows of the flow are advanced stepwise with a single
+    matrix exponential.
     """
     times = np.asarray(times, dtype=float)
     dt = times[0]
@@ -287,10 +283,11 @@ def discrete_pointer_covariance(
     if not np.all(np.isfinite(step)):
         raise ExpNonConvergence("flow step matrix not finite")
     sig = initial_covariance(cfg, moments, bath)
+    rows = np.eye(f.shape[0])[1:3]  # the pointer positions
     out = np.empty((times.size, 2, 2))
     for m in range(times.size):
-        sig = step @ sig @ step.T
-        out[m] = sig[1:3, 1:3]
+        rows = rows @ step
+        out[m] = rows @ sig @ rows.T
     return out
 
 
@@ -307,15 +304,12 @@ def continuum_pointer_covariance(
     cov_x = np.diag([moments.var_xs0, cj[0, 0], cj[1, 1]])
     cov_p = np.diag([moments.var_ps0, cj[2, 2], cj[3, 3]])
     cov_xp = np.diag([0.0, cj[0, 2], cj[1, 3]])
-    k, g, _ = propagate(gen, times)
+    table = PropagatorTable(gen, float(times.max()))
+    k, g, _ = table.propagators(times)
     k_t, g_t = k.transpose(0, 2, 1), g.transpose(0, 2, 1)
     full = k @ cov_x @ k_t + g @ cov_p @ g_t + k @ cov_xp @ g_t + g @ cov_xp.T @ k_t
-    out = full[:, 1:3, 1:3]
-    if cfg.eta > 0:
-        table = PropagatorTable(gen, float(times.max()))
-        kernel = BathKernel.from_config(cfg)
-        out = out + np.array([lambda_covariance(table, kernel, t) for t in times.tolist()])
-    return out
+    kernel = BathKernel.from_config(cfg)
+    return full[:, 1:3, 1:3] + np.array([lambda_covariance(table, kernel, t) for t in times])
 
 
 # ---------------------------------------------------------------------------

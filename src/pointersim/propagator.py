@@ -13,6 +13,12 @@ zero.  In "renormalized" mode y accumulates the velocity convolution
 eta*omega_c * int exp(-omega_c(t-s)) V_k(s) ds; in "raw" mode it holds the
 position convolution with the full dissipation kernel (potential shift
 and slip term retained).
+
+Every e^{Ft} comes from one :class:`ExpTable` (Van Loan, IEEE TAC 23:395,
+1978): full rows of e^{F s_j} on a uniform grid s_j = j h, and a forward
+Taylor step from the node below, e^{F(s_j + d)} = e^{F s_j} sum_k F^k d^k / k!.
+The generator of the closed measurement (eta = 0) is nilpotent, so its
+series ends at F^3 and its table is the single node s = 0, exact at any t.
 """
 
 from __future__ import annotations
@@ -22,13 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ExpNonConvergence, SingularInference, SingularMass
+from .errors import ConfigError, ExpNonConvergence, SingularInference, SingularMass
 from .model import CouplingMatrices, MeasurementConfig, build_coupling_matrices
 
 __all__ = [
     "AugmentedGenerator",
+    "ExpTable",
     "build_generator",
-    "checked_expm",
     "checked_inverse",
     "propagate",
     "response_matrices",
@@ -40,13 +46,21 @@ _S_SEL = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 _DET_A_RTOL = 1e-12
 #: signs that turn the reversed transpose of a 2x2 matrix into its adjugate
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+#: Taylor terms of a step; with h * rho(F) <= 1/2 the first omitted term
+#: is below (1/2)^14 / 14! < 1e-15 of the step's scale
+_TAYLOR_TERMS = 14
+#: a power F^k at most this fraction of |F|^k, entry by entry, is rounding
+#: noise: the error bound of its product chain, k*dim*2^-53, is below it for k <= dim <= 8
+_ROUNDING = 1e-14
+#: most grid nodes a table may hold, as many as a time grid may have points;
+#: the default config, at omega_c*t_max = 60, needs 120
+_MAX_NODES = 100_000
 
 
 @dataclass(frozen=True)
 class AugmentedGenerator:
     """Constant-coefficient generator of the augmented linear system."""
 
-    mode: str
     generator: np.ndarray  # (n, n)
     noise_map: np.ndarray  # (n, 3): injects the stochastic force
     coupling: CouplingMatrices
@@ -95,43 +109,93 @@ def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> Augme
 
     noise = np.zeros((n, 3))
     noise[3:6, :] = m_inv
-    return AugmentedGenerator(
-        mode=mode, generator=gen, noise_map=noise, coupling=coup, cfg=cfg
-    )
+    return AugmentedGenerator(generator=gen, noise_map=noise, coupling=coup, cfg=cfg)
 
 
-def checked_expm(gen: AugmentedGenerator, t: float | np.ndarray) -> np.ndarray:
-    """exp(F t) of the augmented generator, checked to be finite; a 1-D
-    array t gives the stack of exponentials from one ``expm`` call."""
-    t = np.asarray(t, dtype=float)
-    e = expm(t[..., None, None] * gen.generator)
-    if not np.isfinite(e).all():
-        bad = ~np.isfinite(e).all(axis=(-2, -1))
-        raise ExpNonConvergence(f"matrix exponential not finite at t = {np.extract(bad, t)[0]}")
-    return e
+def _taylor(coeffs: np.ndarray, d: np.ndarray, shift: int = 0) -> np.ndarray:
+    """sum_k coeffs[k] d^(k+shift) for every step d, stacked along axis 0; one
+    small matmul per step, so a step has the same bits alone as in a batch."""
+    powers = np.empty((len(coeffs) + shift, d.size))
+    powers[0] = 1.0
+    for k in range(1, len(powers)):
+        np.multiply(powers[k - 1], d, out=powers[k])
+    terms = np.ascontiguousarray(powers[shift:].T)[:, None, :] @ coeffs.reshape(len(coeffs), -1)
+    return terms.reshape((d.size,) + coeffs.shape[1:])
 
 
-def _extract(gen: AugmentedGenerator, e: np.ndarray):
-    """K, G, Gdot from augmented matrix exponentials, one per leading index.
+class ExpTable:
+    """e^{Fs} of the augmented generator on [0, t_max].
 
-    Positions respond to initial positions both directly and through the
-    initial velocities V(0) = M^-1 (P(0) + D X(0)), hence
-    K = E_xx + G D with G = E_xv M^-1; Gdot comes from the velocity rows.
+    The grid step is h = 1/(2 rho(F)), at most 1/32, with rho the spectral
+    radius of the generator; rho only sets the scale.  Off the grid every
+    value is a forward Taylor step from the node below.  The series ends
+    before the first power of F that vanishes to rounding; a nilpotent F
+    then needs the node s = 0 alone, with no limit on t_max.
     """
-    m_inv = gen.coupling.mass_inverse
-    d = gen.coupling.damping_matrix
-    g = e[..., 0:3, 3:6] @ m_inv
-    k = e[..., 0:3, 0:3] + g @ d
-    gdot = e[..., 3:6, 3:6] @ m_inv
-    return k, g, gdot
+
+    def __init__(self, gen: AugmentedGenerator, t_max: float):
+        f, dim = gen.generator, gen.generator.shape[0]
+        self.gen, self.t_max = gen, t_max
+        c_exp, scale = [np.eye(dim)], np.eye(dim)  # F^k / k! and |F|^k / k!
+        for k in range(1, _TAYLOR_TERMS):
+            term, scale = c_exp[-1] @ f / k, scale @ np.abs(f) / k
+            if k <= dim and (np.abs(term) <= _ROUNDING * scale).all():
+                break  # F^k = 0: the series is the exponential at any step
+            c_exp.append(term)
+        self._c_exp = np.array(c_exp)
+        rho = float(np.abs(np.linalg.eigvals(f)).max())
+        self.step = 1.0 / max(2.0 * rho, 32.0)
+        if len(c_exp) < _TAYLOR_TERMS:
+            n, self._last = 0, np.inf
+        elif t_max / self.step <= _MAX_NODES:
+            n = self._last = max(1, int(np.ceil(t_max / self.step)))
+        else:
+            raise ConfigError(
+                f"the propagator table on [0, {t_max:g}] needs {t_max / self.step:.3g} nodes "
+                f"at rho(F) = {rho:.3g}, more than {_MAX_NODES}; lower omega_c*t_max "
+                f"(= {gen.cfg.omega_c * t_max:.3g}), eta or the couplings"
+            )
+        self._exp = expm(np.arange(n + 1)[:, None, None] * self.step * f)  # e^{F s_j}
+
+    def _split(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Node index j and forward step d = s - s_j of every time s."""
+        s = np.asarray(s, dtype=float).ravel()
+        j = np.floor(s / self.step)
+        if s.size and not (s.min() >= 0.0 and j.max() <= self._last):
+            raise ValueError(f"times outside the tabulated range [0, {self.t_max}]")
+        j = np.minimum(j, len(self._exp) - 1).astype(np.intp)
+        return j, s - j * self.step
+
+    def exp(self, s, rows=slice(None)) -> np.ndarray:
+        """The rows ``rows`` of e^{Fs} at the times s, shaped s.shape + (rows,
+        dim); ExpNonConvergence at the first time where one is not finite."""
+        s = np.asarray(s, dtype=float)
+        j, d = self._split(s)
+        e = _taylor(self._c_exp, d)
+        # the one node of an exact table is e^{F*0} = I
+        e = e[:, rows] if len(self._exp) == 1 else self._exp[j, rows] @ e
+        bad = ~np.isfinite(e).all(axis=(-2, -1))
+        if bad.any():
+            raise ExpNonConvergence(f"matrix exponential not finite at t = {s.ravel()[bad][0]}")
+        return e.reshape(s.shape + e.shape[1:])
+
+    def propagators(self, t):
+        """(K(t), G(t), Gdot(t)), each t.shape + (3, 3).
+
+        Positions respond to initial positions both directly and through the
+        initial velocities V(0) = M^-1 (P(0) + D X(0)), hence
+        K = E_xx + G D with G = E_xv M^-1; Gdot comes from the velocity rows.
+        """
+        e, m_inv = self.exp(t, slice(0, 6)), self.gen.coupling.mass_inverse
+        g = e[..., 0:3, 3:6] @ m_inv
+        return e[..., 0:3, 0:3] + g @ self.gen.coupling.damping_matrix, g, e[..., 3:6, 3:6] @ m_inv
 
 
 def propagate(gen: AugmentedGenerator, t: float | np.ndarray):
     """Propagators (K(t), G(t), Gdot(t)) at a time t >= 0, each (3, 3), or
-    at every time of a 1-D array t, each stacked as (n, 3, 3)."""
-    if (np.asarray(t) < 0).any():
-        raise ValueError("t must be >= 0")
-    return _extract(gen, checked_expm(gen, t))
+    at every time of a 1-D array t, each stacked as (n, 3, 3): reads of one
+    table on [0, max t]."""
+    return ExpTable(gen, float(np.max(t, initial=0.0))).propagators(t)
 
 
 def _det(a: np.ndarray) -> np.ndarray:

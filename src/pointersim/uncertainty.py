@@ -18,7 +18,7 @@ import numpy as np
 from .kernels import BathKernel
 from .model import GaussianMoments, MeasurementConfig
 from .noise import PropagatorTable, lambda_covariance, lambda_rule, xi_matrix
-from .propagator import build_generator, checked_inverse, propagate, response_matrices
+from .propagator import build_generator, checked_inverse, response_matrices
 
 __all__ = [
     "UncertaintyPoint",
@@ -115,9 +115,7 @@ class CurveEvaluator:
         self.cfg = cfg
         self.moments = moments
         self.gen = build_generator(cfg, mode)
-        self.table = (
-            PropagatorTable(self.gen, t_max) if cfg.eta > 0 else None
-        )
+        self.table = PropagatorTable(self.gen, t_max)
         self.kernel = BathKernel.from_config(cfg)
 
     def with_inv_beta(self, inv_beta: float) -> "CurveEvaluator":
@@ -131,8 +129,7 @@ class CurveEvaluator:
         """Beta-free part of a curve at every time: A^-1 from the one
         checked inverse, det A, and sigma_k^2 = v_k cov_J v_k^T with rows
         v_k of A^-1 B."""
-        k, g, _ = propagate(self.gen, times)
-        a, b, det_a = response_matrices(k, g)
+        a, b, det_a = response_matrices(*self.table.propagators(times)[:2])
         a_inv = checked_inverse(a)
         v = a_inv @ b  # (n, 2, 4)
         # same bits as v_k @ cov_J @ v_k; einsum or a sum reduction round differently
@@ -167,9 +164,7 @@ class CurveEvaluator:
         dynamics = self._dynamics(times)
         lam = None
         if self.cfg.eta > 0:
-            lam = np.array(
-                [lambda_covariance(self.table, self.kernel, t) for t in times.tolist()]
-            )
+            lam = np.array([lambda_covariance(self.table, self.kernel, t) for t in times.tolist()])
         return self._assemble(times, dynamics, lam)
 
     def point(self, t: float) -> UncertaintyPoint:
@@ -185,9 +180,6 @@ class CurveEvaluator:
             rule = lambda_rule(self.table, t)
             lam = np.array([rule.covariance(kernel) for kernel in kernels])
         return list(self._assemble(times, self._dynamics(times[:1]), lam))
-
-    def u_sq(self, t: float) -> float:
-        return self.point(t).u_sq
 
 
 def uncertainty_curve(

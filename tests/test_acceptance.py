@@ -62,7 +62,7 @@ def test_criterion_1_closed_limit_exactness():
             abs(det_a - 4 * t**2),
         )
         if t > 0:
-            worst_u = min(worst_u, ev.u_sq(float(t)))
+            worst_u = min(worst_u, ev.point(float(t)).u_sq)
     elapsed = time.perf_counter() - start
     assert worst_prop < 1e-10
     assert worst_u >= 1.0 - 1e-8

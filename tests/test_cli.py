@@ -300,6 +300,16 @@ def test_huge_finite_value_exits_with_a_message(tmp_path, capsys, command, overr
     assert "Traceback" not in captured.err
 
 
+def test_closed_curve_past_the_float_range_is_numerical_error(tmp_path, capsys):
+    """The closed measurement has no node limit, so a time grid up to 1e300
+    reaches the table read, whose finite check refuses the overflowed cubic."""
+    cfg = _write_config(tmp_path, eta=0.0, time_grid={"stop": 1e300})
+    assert main(["uncertainty", "--config", cfg]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: matrix exponential not finite")
+
+
 @pytest.mark.parametrize("command", ["uncertainty", "optimize"])
 def test_overflow_message_comes_first(tmp_path, command):
     """numpy's overflow warnings do not precede the mapped message."""

@@ -21,7 +21,7 @@ from pointersim.noise import (
     lambda_rule,
     xi_matrix,
 )
-from pointersim.propagator import build_generator, checked_inverse, propagate
+from pointersim.propagator import build_generator, checked_inverse
 
 
 def _pointer_block(table, tau):
@@ -33,14 +33,20 @@ def _pointer_block(table, tau):
 
 def _table_block(table):
     """G pointer block P e^{Fs} N of the table as a function of the times s,
-    shaped (..., 2, 2): the table's forward Taylor step from the node below,
-    with N folded into its coefficients (a quarter of the work of
-    ``pointer_exp(s) @ N``)."""
-    coeffs = table._c_exp @ table.gen.noise_map[:, 1:3]
+    shaped (..., 2, 2): the table's forward Taylor series from the node
+    below, with N folded into its coefficients (a quarter of the work of
+    ``pointer_exp(s) @ N``) and summed by one matrix product for all times."""
+    terms = len(table._c_exp)
+    coeffs = (table._c_exp @ table.gen.noise_map[:, 1:3]).reshape(terms, -1)
 
     def block(s):
         j, d = table._split(s)
-        return (table._p_exp[j] @ table._taylor(coeffs, d, 0)).reshape(np.shape(s) + (2, 2))
+        powers = np.empty((terms, d.size))  # d^k
+        powers[0] = 1.0
+        for k in range(1, terms):
+            np.multiply(powers[k - 1], d, out=powers[k])
+        step = (powers.T @ coeffs).reshape(d.size, -1, 2)
+        return (table._exp[j, 1:3] @ step).reshape(np.shape(s) + (2, 2))
 
     return block
 
@@ -101,11 +107,12 @@ def _spread_lambda(table, kernel, t):
 
 class _SplineTable:
     """The former table: a cubic spline of G's pointer block through
-    ``points_per_time`` propagations per unit time."""
+    ``points_per_time`` matrix exponentials per unit time."""
 
     def __init__(self, gen, t_max, points_per_time=512):
         times = np.linspace(0.0, t_max, max(16, int(np.ceil(t_max * points_per_time))) + 1)
-        block = [propagate(gen, float(t))[1][1:3, 1:3] for t in times]
+        m_inv = gen.coupling.mass_inverse
+        block = [(expm(gen.generator * t)[0:3, 3:6] @ m_inv)[1:3, 1:3] for t in times]
         self._spline = CubicSpline(times, block, axis=0)
         self.gen = gen
 
@@ -129,7 +136,7 @@ def bath_kernel(open_config):
 @pytest.mark.parametrize("omega_c", [10.0, 20.0, 40.0, 200.0])
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
 def test_pointer_block_matches_propagate(mode, omega_c):
-    """The table's G equals a direct propagation, on and between nodes."""
+    """The table's G equals G from a direct ``expm``, on and between nodes."""
     gen = build_generator(MeasurementConfig(omega_c=omega_c), mode)
     table = PropagatorTable(gen, 3.0)
     rng = np.random.default_rng(3)
@@ -137,8 +144,9 @@ def test_pointer_block_matches_propagate(mode, omega_c):
         [[0.0, 0.3 * table.step, table.step, 3.0], rng.uniform(0.0, 3.0, 20)]
     )
     blocks = _pointer_block(table, taus)
+    m_inv = gen.coupling.mass_inverse
     for tau, block in zip(taus, blocks):
-        ref = propagate(gen, float(tau))[1][1:3, 1:3]
+        ref = (expm(gen.generator * tau)[0:3, 3:6] @ m_inv)[1:3, 1:3]
         np.testing.assert_allclose(block, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 

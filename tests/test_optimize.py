@@ -9,6 +9,7 @@ from pointersim.optimize import (
     MIN_REL_TOL,
     find_optimal_time,
     golden_section,
+    point_u_sq,
     thermal_sweep,
 )
 from pointersim.uncertainty import CurveEvaluator, UncertaintyCurve, UncertaintyPoint
@@ -80,7 +81,7 @@ def test_non_finite_landscape_raises(bad):
 
 def test_closed_measurement_optimum(closed_config, default_moments):
     ev = CurveEvaluator(closed_config, default_moments, 3.0)
-    opt = find_optimal_time(ev.u_sq)
+    opt = find_optimal_time(ev.point, key=point_u_sq)
     assert opt.t_opt == pytest.approx(1.0191126276900606, rel=1e-4)
     assert opt.u_sq_min == pytest.approx(1.2701141295859066, rel=1e-6)
     assert opt.u_sq_min >= 1.0
@@ -102,16 +103,16 @@ def test_optimal_time_shrinks_with_temperature(open_config, default_moments):
     base = CurveEvaluator(open_config, default_moments, 3.0)
     cold = base.with_inv_beta(1.0)
     hot = base.with_inv_beta(2.0)
-    t_cold = find_optimal_time(cold.u_sq).t_opt
-    t_hot = find_optimal_time(hot.u_sq).t_opt
+    t_cold = find_optimal_time(cold.point, key=point_u_sq).t_opt
+    t_hot = find_optimal_time(hot.point, key=point_u_sq).t_opt
     assert t_hot < t_cold
 
 
 def test_refinement_consistency(closed_config, default_moments):
     """Halving the coarse spacing moves t_opt by a refinement-scale amount."""
     ev = CurveEvaluator(closed_config, default_moments, 3.0)
-    t60 = find_optimal_time(ev.u_sq, coarse_points=60).t_opt
-    t120 = find_optimal_time(ev.u_sq, coarse_points=120).t_opt
+    t60 = find_optimal_time(ev.point, coarse_points=60, key=point_u_sq).t_opt
+    t120 = find_optimal_time(ev.point, coarse_points=120, key=point_u_sq).t_opt
     assert abs(t120 - t60) < 10 * 1e-5 * max(t60, 1.0)
 
 
@@ -125,7 +126,7 @@ def test_sweep_rejects_bad_grid(open_config, default_moments):
 def test_single_point_sweep_matches_direct(open_config, default_moments):
     result = thermal_sweep(open_config, default_moments, [1.0])
     ev = CurveEvaluator(open_config, default_moments, 3.0).with_inv_beta(1.0)
-    direct = find_optimal_time(ev.u_sq)
+    direct = find_optimal_time(ev.point, key=point_u_sq)
     assert result.t_opt[0] == pytest.approx(direct.t_opt, rel=1e-10)
     assert result.u_sq_min[0] == pytest.approx(direct.u_sq_min, rel=1e-10)
     assert result.flags == ()
@@ -148,7 +149,7 @@ def _per_beta_optima(cfg, moments, inv_betas, t_interval, coarse_points):
     for ib in inv_betas:
         try:
             opt = find_optimal_time(
-                base.with_inv_beta(ib).u_sq, t_interval, coarse_points
+                base.with_inv_beta(ib).point, t_interval, coarse_points, key=point_u_sq
             )
         except BoundaryMinimum:
             rows.append((np.nan, np.nan, ()))

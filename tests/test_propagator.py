@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointersim.errors import SingularInference
+from pointersim.errors import ExpNonConvergence, SingularInference
 from pointersim.model import MeasurementConfig
 from pointersim.oracle import closed_form_eta0
 from pointersim.propagator import (
+    ExpTable,
     build_generator,
     checked_inverse,
     propagate,
@@ -161,7 +162,8 @@ def test_response_matrix_entries(closed_config):
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
 @pytest.mark.parametrize("eta", [0.0, 0.25], ids=["closed", "open"])
 def test_propagate_on_a_grid_equals_per_time_calls(mode, eta):
-    """One stacked expm gives the same bits as one expm per time."""
+    """A table read of many times gives the same bits as a read of each
+    time alone, from a table on [0, t] of its own."""
     gen = build_generator(MeasurementConfig(eta=eta), mode)
     times = np.linspace(0.0, 3.0, 41)
     stacked = propagate(gen, times)
@@ -170,6 +172,51 @@ def test_propagate_on_a_grid_equals_per_time_calls(mode, eta):
     for got, want in zip(stacked, zip(*single)):
         assert got.shape == (41, 3, 3)
         np.testing.assert_array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+@pytest.mark.parametrize("eta", [0.0, 0.25], ids=["closed", "open"])
+def test_table_matches_expm(mode, eta):
+    """The table's e^{Ft} agrees with SciPy's expm to 1e-12 of the largest
+    entry, on and between the grid nodes of t <= 3."""
+    from scipy.linalg import expm
+
+    gen = build_generator(MeasurementConfig(eta=eta), mode)
+    table = ExpTable(gen, 3.0)
+    times = np.concatenate([np.arange(4) * table.step, np.linspace(0.0, 3.0, 37)[1:]])
+    for t, e in zip(times, table.exp(times)):
+        ref = expm(gen.generator * t)
+        np.testing.assert_allclose(e, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        MeasurementConfig(eta=0.0),
+        MeasurementConfig(kappa1=1.3, kappa2=0.7, mass_ratio=2.0, eta=0.0),
+    ],
+    ids=["default", "generic"],
+)
+def test_closed_table_is_one_node_at_any_range(cfg):
+    """The closed generator is nilpotent (its F^4 is zero or rounding noise),
+    so its table is one node with no node limit, G is its cubic at any t,
+    and a time whose cubic overflows is a numerical error."""
+    table = ExpTable(build_generator(cfg), 1e300)
+    assert len(table._c_exp) == 4 and len(table._exp) == 1
+    g, gc = table.propagators(1e5)[1], closed_form_eta0(cfg, 1e5)[1]
+    np.testing.assert_allclose(g, gc, rtol=1e-12, atol=1e-12 * np.abs(gc).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ExpNonConvergence, match="not finite at t = 1e"):
+            table.exp(np.array([1.0, 1e300]))
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_open_table_keeps_its_series_when_high_powers_are_tiny(mode):
+    """At eta = 1e-4 and omega_c = 1e-3, F^12 or F^13 of the open generator
+    falls below 1e-14 of |F|^k, yet F is not nilpotent; only a power up to
+    the dimension ends the series, so the table keeps every term and its grid."""
+    table = ExpTable(build_generator(MeasurementConfig(eta=1e-4, omega_c=1e-3), mode), 3.0)
+    assert len(table._c_exp) == 14 and len(table._exp) > 1
 
 
 def test_response_matrices_on_a_grid(open_config):
