@@ -1,70 +1,58 @@
 """Accumulated-noise covariance and the inference-transformed matrix Xi^2.
 
-The pointer components of the accumulated noise are
-Lambda_a(t) = int_0^t sum_k G_ak(t-s) xi_k(s) ds with k running over the
-two bath-coupled pointer rows, so the symmetrized covariance is the double
-convolution of the pointer block of G with the noise autocorrelation nu.
+The bath drives the augmented state through the pointer columns N of the
+noise map, so its noise part is x(t) = int_0^t e^{F(t-s)} N xi(s) ds, with
+xi the two pointer forces of autocorrelation nu.  Its covariance C(t)
+obeys
 
-The double integral is reduced to one dimension along the difference
-coordinate u = s1 - s2, where the logarithmic singularity of nu lives:
+    dC/dt = F C + C F^T + N D^T + D N^T,   D(t) = int_0^t e^{Fr} N nu(r) dr,
 
-    <Lambda Lambda^T>_ab = int_0^t du nu(u) * (H(u) + H(u)^T)_ab,
-    H(u) = int_0^{t-u} G_p(r) G_p(r+u)^T dr,
+and Lambda(t) = P C(t) P^T, with P the pointer-position rows.  Over a
+panel [a, b] of width h this is
 
-with G_p the 2x2 pointer block of G.  The outer integral uses
-Gauss-Legendre panels, graded geometrically toward u = 0.
+    C(b) = e^{Fh} C(a) e^{F^T h}
+           + int_a^b e^{F(b-s)} (N D(s)^T + D(s) N^T) e^{F^T(b-s)} ds,
 
-The inner integral needs no quadrature.  With F the augmented generator,
-P the pointer-position rows and N the pointer columns of the noise map,
-G_p(r) = P e^{Fr} N, so H(u) = P W(t-u) e^{F^T u} P^T with the
-controllability Gramian W(s) = int_0^s e^{Fr} N N^T e^{F^T r} dr (Van Loan,
-IEEE TAC 23:395, 1978).  :class:`PropagatorTable` is the exponential table
-of :mod:`~pointersim.propagator`, whose grid s_j = j h and Taylor step it
-shares; it adds P W(s_j) on the same grid and steps it forward from the
-node below, by d in [0, h):
+and :func:`_forward` steps C and D across panels of n Gauss-Legendre nodes:
+D at the nodes of a panel from D(a) and the spectral integration matrix
+S_ij = int_0^{x_i} l_j(x) dx of the Lagrange basis l_j on the nodes
+(Greengard, SIAM J. Numer. Anal. 28:1071, 1991), then the panel integral
+by the Gauss-Legendre rule.  All e^{Fs}, e^{F(b-s)} and e^{Fh} of a pass
+are one read of the exponential table of :mod:`~pointersim.propagator`.
 
-    P W(s_j + d) = P W(s_j) + P e^{F s_j} T_W(d) e^{F^T s_j},
-    T_W(d) = sum_k L_k d^(k+1) / (k+1)!,
+Swapping the two integrals gives the lag form
+Lambda(t) = int_0^t du nu(u) P (W(t-u) e^{F^T u} + e^{Fu} W(t-u)) P^T, with
+the Gramian W(s) = int_0^s e^{Fr} N N^T e^{F^T r} dr (Van Loan, IEEE TAC
+23:395, 1978).  On the same panels the two rules sample nu at the same
+nodes with the same weights: sum_i w_i S_ij p(x_i) = w_j int_{x_j}^1 p for
+every polynomial p of degree < n, so they differ only in how they
+integrate the smooth factor of nu, which both resolve to rounding.
 
-with L_0 = N N^T and L_k = F L_{k-1} + L_{k-1} F^T.
-
-The outer panels of Lambda(t) are 16 graded panels on [0, u0], with
-u0 = min(0.05, t/2), then regular panels of width 0.1 whose edges sit at
-u0 + k*0.1, and a last, partial panel that ends at t.  From t = 0.1 on,
-u0 = 0.05 for every t, so every panel but the last is a panel of one outer
-mesh on [0, t_max] that :class:`PropagatorTable` builds with its nodes,
-weights and P e^{Fu}.  The first time a bath kernel meets the mesh, nu is
-tabulated on the whole mesh up to t_max and kept per kernel; Lambda(t) for
-t >= 0.1 then evaluates nu afresh only on the 10 nodes of its last panel.
-Below t = 0.1 the graded panels scale with t, and every node is fresh.
-
-Only nu depends on the bath temperature, and Lambda is linear in nu.  So
-:func:`lambda_rule` builds, once per time point and for all panels in one
-vectorised pass, the outer nodes, their weights and sym(u) = H(u) + H(u)^T;
-:meth:`LambdaRule.covariance` then contracts that rule with the nu of each
-bath kernel.
+The panels of Lambda(t) are 16 graded panels on [0, u0], with
+u0 = min(0.05, t/2), toward the logarithmic singularity of nu at 0, then
+regular panels of width 0.1 whose edges sit at u0 + k*0.1, and a last,
+partial panel that ends at t.  From t = 0.1 on, u0 = 0.05 for every t, so
+every panel but the last is a panel of one outer mesh on [0, t_max].  The
+first time a bath kernel meets the mesh, one pass gives C and D at every
+mesh edge, and :class:`PropagatorTable` keeps them per kernel; Lambda(t)
+for t >= 0.1 is then one partial panel from the mesh edge below t, with
+nu afresh on its 10 nodes.  Below t = 0.1 the graded panels scale with t,
+and each time is a pass of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, NegativeEigenvalue
 from .kernels import BathKernel, noise_autocorrelation
-from .propagator import _TAYLOR_TERMS, AugmentedGenerator, ExpTable, _taylor
+from .propagator import AugmentedGenerator, ExpTable
 
-__all__ = [
-    "PropagatorTable",
-    "LambdaRule",
-    "lambda_rule",
-    "lambda_covariance",
-    "xi_matrix",
-]
+__all__ = ["PropagatorTable", "lambda_covariance", "lambda_covariances", "xi_matrix"]
 
-#: outer u-panels: Gauss-Legendre nodes per panel, regular width, and
+#: outer panels: Gauss-Legendre nodes per panel, regular width, and
 #: where, how fast and in how many panels they grade toward the
 #: logarithmic singularity of nu at u = 0
 _PANEL_NODES = 10
@@ -72,66 +60,45 @@ _PANEL_WIDTH = 0.1
 _GRADED_START = 0.05
 _GRADED_RATIO = 0.18
 _GRADED_PANELS = 16
-#: most values of nu the outer-mesh cache of a table may hold over all its
-#: bath kernels, about 100*t_max + 160 per kernel; the default sweep holds 4,500
+#: most floats the mesh cache of a table may hold over all its bath
+#: kernels, dim^2 + 2*dim = 80 per mesh edge and kernel, about 10*t_max + 18
+#: edges; the default sweep holds 37,600
 _MAX_MESH_NU = 10_000_000
+#: most kernels in one pass over the mesh; its work arrays are ~10x the cache
+_MESH_BATCH = 10
 
 
 class PropagatorTable(ExpTable):
-    """The exponential table with the exact pointer rows of the Gramian W(s)
-    on [0, t_max], and the outer mesh of Lambda.
-
-    W(s) off the grid is a forward Taylor step from the node below, so it
-    is a sum of positive semidefinite terms.
-    """
+    """The exponential table with the outer mesh of Lambda and, per bath
+    kernel, the noise covariance C and the integral D at its edges."""
 
     def __init__(self, gen: AugmentedGenerator, t_max: float):
         super().__init__(gen, t_max)
-        f, noise = gen.generator, gen.noise_map[:, 1:3]  # F, N
-        c_gram = [noise @ noise.T]  # L_k / (k+1)!
-        for k in range(1, _TAYLOR_TERMS):
-            c_gram.append((f @ c_gram[-1] + c_gram[-1] @ f.T) / (k + 1))
-        self._c_gram = np.array(c_gram)
-        self._exp_t = np.ascontiguousarray(self._exp.transpose(0, 2, 1))  # e^{F^T s_j}
-        w_step = _taylor(self._c_gram, np.array([self.step]), 1)[0]
-        gain = self._exp[:-1, 1:3] @ w_step @ self._exp_t[:-1]
-        self._p_gram = np.zeros((len(self._exp), 2, f.shape[0]))  # P W(s_j)
-        np.cumsum(gain, axis=0, out=self._p_gram[1:])
+        # the edges of every panel of Lambda(t_max) but the last; the closed
+        # measurement (eta = 0) has no noise, and no mesh
+        self.mesh = _u_panels(t_max, _GRADED_PANELS)[:-1] if gen.cfg.eta > 0 else np.zeros(0)
+        self._cache: dict[BathKernel, tuple[np.ndarray, np.ndarray]] = {}
 
-        # the outer mesh: every panel of Lambda(t_max) but the last; the
-        # closed measurement (eta = 0) has no noise, and no mesh
-        self.mesh_nodes, self.mesh_weights = _panel_nodes(
-            _u_panels(t_max if gen.cfg.eta > 0 else 0.0, _GRADED_PANELS)[:-1], _PANEL_NODES
-        )
-        self.mesh_exp = self.pointer_exp(self.mesh_nodes)  # P e^{Fu}
-        self._mesh_nu: dict[BathKernel, np.ndarray] = {}
-
-    def check_mesh_nu(self, kernels: int) -> None:
-        """ConfigError when nu of ``kernels`` bath kernels on the outer mesh
-        would hold more than _MAX_MESH_NU values."""
-        size = kernels * self.mesh_nodes.size
+    def check_mesh_cache(self, kernels: int) -> None:
+        """ConfigError when C and D of ``kernels`` bath kernels on the mesh
+        edges would hold more than _MAX_MESH_NU floats."""
+        dim = self.gen.generator.shape[0]
+        size = kernels * self.mesh.size * (dim * dim + 2 * dim)
         if size > _MAX_MESH_NU:
             raise ConfigError(
-                f"nu of {kernels} thermal energies on the {self.mesh_nodes.size}-node mesh of "
-                f"[0, {self.t_max:g}] needs {size:.3g} values, more than {_MAX_MESH_NU}; "
-                "lower sweep.count or t_max"
+                f"the noise covariance of {kernels} thermal energies on the {self.mesh.size} "
+                f"mesh edges of [0, {self.t_max:g}] needs {size:.3g} floats, more than "
+                f"{_MAX_MESH_NU}; lower sweep.count or t_max"
             )
 
-    def mesh_nu(self, kernel: BathKernel) -> np.ndarray:
-        """nu of ``kernel`` on every mesh node, tabulated on first use."""
-        nu = self._mesh_nu.get(kernel)
-        if nu is None:
-            nu = self._mesh_nu[kernel] = noise_autocorrelation(self.mesh_nodes, kernel)
-        return nu
-
-    def pointer_exp(self, s) -> np.ndarray:
-        """P e^{Fs} at the times s, as (n, 2, dim)."""
-        return self.exp(np.ravel(s), slice(1, 3))
-
-    def pointer_gramian(self, s) -> np.ndarray:
-        """P W(s) at the times s, as (n, 2, dim)."""
-        j, d = self._split(s)
-        return self._p_gram[j] + self._exp[j, 1:3] @ _taylor(self._c_gram, d, 1) @ self._exp_t[j]
+    def mesh_state(self, kernels, edge: int) -> tuple[np.ndarray, np.ndarray]:
+        """C and D of every kernel at mesh edge ``edge``, stacked over the
+        kernels; passes over the whole mesh for the kernels met first."""
+        new = [k for k in kernels if k not in self._cache]
+        for first in range(0, len(new), _MESH_BATCH):
+            batch = new[first : first + _MESH_BATCH]
+            self._cache.update(zip(batch, zip(*_forward(self, batch, self.mesh, _PANEL_NODES))))
+        return tuple(np.array([self._cache[k][i][edge] for k in kernels]) for i in (0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +109,21 @@ def _gl_nodes(n: int):
     return x, w
 
 
+@lru_cache(maxsize=None)
+def _integration_matrix(n: int) -> np.ndarray:
+    """S_ij = int_0^{x_i} l_j(x) dx for the Lagrange basis l_j on the n
+    Gauss-Legendre nodes x_i of [0, 1]: S f(x) holds the integrals of f
+    from 0 to every node, exact for polynomials of degree < n."""
+    leg, y = np.polynomial.legendre, 2.0 * _gl_nodes(n)[0] - 1.0
+    # Legendre integrals from -1 to each node, over the Legendre values there
+    ints, vals = leg.legval(y, leg.legint(np.eye(n), lbnd=-1.0)).T, leg.legvander(y, n - 1)
+    s = 0.5 * ints @ np.linalg.inv(vals)
+    s.flags.writeable = False
+    return s
+
+
 def _u_panels(t: float, graded_panels: int) -> np.ndarray:
-    """Panel edges of the outer u-integral on (0, t], ascending from 0:
+    """Panel edges of Lambda(t) on [0, t], ascending from 0:
     ``graded_panels`` graded panels below u0 = min(_GRADED_START, t/2),
     regular edges at u0 + k*_PANEL_WIDTH below t, and t."""
     u0 = min(_GRADED_START, 0.5 * t)
@@ -154,90 +134,78 @@ def _u_panels(t: float, graded_panels: int) -> np.ndarray:
     return np.concatenate(([0.0], graded[::-1], regular[regular < t], [t]))
 
 
-def _panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of an n-point Gauss-Legendre rule on each non-empty
-    panel between consecutive edges."""
-    xg, wg = _gl_nodes(n)
-    lo, width = edges[:-1], np.diff(edges)
-    keep = width > 0.0
-    lo, width = lo[keep], width[keep]
-    return (lo[:, None] + width[:, None] * xg).ravel(), (width[:, None] * wg).ravel()
+def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int, c=0.0, d=0.0):
+    """C (dim x dim) and D (dim x 2) of every bath kernel at every edge, as
+    (kernels, edges, dim, dim) and (kernels, edges, dim, 2), from c and d at
+    edges[0], with one n-node panel between consecutive edges.
 
-
-@dataclass(frozen=True)
-class LambdaRule:
-    """Beta-free quadrature rule for Lambda at one time point.
-
-    Lambda(t) = sum_i weights[i] * nu(nodes[i]) * sym[i], so one rule
-    serves every bath temperature.
+    Every step on a kernel's arrays is elementwise or a matmul stacked over
+    the kernels, so a kernel gets the same bits alone as in a batch.
     """
+    x, w = _gl_nodes(n)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    s = lo + width * x  # (panels, n)
+    panels, nodes, k = len(s), s.size, len(kernels)
+    noise = table.gen.noise_map[:, 1:3]
+    dim = noise.shape[0]
+    e = table.exp(np.concatenate((s.ravel(), (edges[1:, None] - s).ravel(), width.ravel())))
+    e_bs, e_h = e[nodes : 2 * nodes], e[2 * nodes :]
+    # e^{Fs} N and e^{F(b-s)} N at the nodes, flattened, in one matrix product
+    e_sn, e_bsn = (e[: 2 * nodes].reshape(-1, dim) @ noise).reshape(2, panels, n, 2 * dim)
 
-    nodes: np.ndarray  # (n,) outer u-nodes on (0, t)
-    weights: np.ndarray  # (n,) outer quadrature weights
-    sym: np.ndarray  # (n, 2, 2) H(u) + H(u)^T at the nodes
-    table: PropagatorTable
-    #: how many leading nodes are the leading nodes of the table's outer mesh
-    n_mesh: int
+    # e^{Fr} N nu(r) at the nodes, and D at the edges and nodes
+    nu = np.array([noise_autocorrelation(s.ravel(), kernel) for kernel in kernels])
+    g = nu.reshape(k, panels, n, 1) * e_sn
+    start = np.broadcast_to(d, (k, dim, 2)).reshape(k, 1, 2 * dim)
+    d_edges = np.concatenate((start, width * (w @ g)), axis=1).cumsum(axis=1)
+    d_nodes = d_edges[:, :-1, None] + width[:, :, None] * (_integration_matrix(n) @ g)
 
-    def covariance(self, kernel: BathKernel) -> np.ndarray:
-        """Contract the rule with nu of ``kernel``; PSD-checked 2x2 result.
+    # the panel integrals sum_i w_i h e^{F(b-s_i)} N D(s_i)^T e^{F^T(b-s_i)}, symmetrized
+    left = ((width * w)[..., None] * e_bsn).reshape(panels, n, dim, 2).transpose(0, 2, 1, 3)
+    right = (e_bs @ d_nodes.reshape(k, nodes, dim, 2)).reshape(k, panels, n, dim, 2)
+    q = left.reshape(panels, dim, 2 * n) @ right.swapaxes(-1, -2).reshape(k, panels, 2 * n, dim)
+    q += q.transpose(0, 1, 3, 2)
 
-        Raises
-        ------
-        NegativeEigenvalue
-            If the result has an eigenvalue below -1e-10 * trace, which
-            signals a quadrature failure rather than physics.
-        """
-        nu_vals = noise_autocorrelation(self.nodes[self.n_mesh:], kernel)
-        if self.n_mesh:
-            nu_vals = np.concatenate((self.table.mesh_nu(kernel)[: self.n_mesh], nu_vals))
-        cov = np.tensordot(self.weights * nu_vals, self.sym, axes=1)
-        cov = 0.5 * (cov + cov.T)
-        trace = np.trace(cov)
-        min_eig = float(np.linalg.eigvalsh(cov)[0])
-        if min_eig < -1e-10 * max(trace, 1e-300):
-            raise NegativeEigenvalue(
-                f"noise covariance eigenvalue {min_eig:.3g} below PSD tolerance "
-                f"(trace {trace:.3g})"
-            )
-        return cov
+    c_edges = [np.broadcast_to(c, (k, dim, dim))]
+    for e_i, q_i in zip(e_h, q.swapaxes(0, 1)):
+        c_edges.append(e_i @ c_edges[-1] @ e_i.T + q_i)
+    return np.stack(c_edges, axis=1), d_edges.reshape(k, panels + 1, dim, 2)
 
 
-def lambda_rule(table: PropagatorTable, t: float, doubled: bool = False) -> LambdaRule:
-    """Outer nodes, weights and sym(u) of Lambda(t), all panels in one pass.
-
-    For 2*_GRADED_START <= t <= t_max every panel but the last is a panel
-    of the table's outer mesh.  ``doubled`` gives twice the nodes per panel
-    and four more graded panels, the reference resolution of the
-    convergence checks, all off the mesh.
-    """
+def lambda_covariances(table: PropagatorTable, kernels, t: float) -> np.ndarray:
+    """Symmetrized 2x2 covariance of the accumulated pointer noise at t for
+    every bath kernel, stacked (kernels, 2, 2); one pass over the panels of t
+    shared by all kernels.  NegativeEigenvalue if a covariance has an
+    eigenvalue below -1e-10 * trace, a quadrature failure, not physics."""
     if t > table.t_max * (1.0 + 1e-12):
         raise ValueError(f"t = {t} exceeds the tabulated range {table.t_max}")
-
-    edges = _u_panels(t, _GRADED_PANELS + 4 if doubled else _GRADED_PANELS)
+    edges = _u_panels(t, _GRADED_PANELS)
+    c = d = 0.0
     # a t past t_max, within the rounding allowed above, may end beyond the mesh
-    on_mesh = not doubled and 2.0 * _GRADED_START <= t <= table.t_max
-    mesh_panels = edges.size - 2 if on_mesh else 0
-    u, wu = _panel_nodes(edges[mesh_panels:], 2 * _PANEL_NODES if doubled else _PANEL_NODES)
-    p_exp = table.pointer_exp(u)  # P e^{Fu}
-    n_mesh = mesh_panels * _PANEL_NODES
-    if n_mesh:
-        u = np.concatenate((table.mesh_nodes[:n_mesh], u))
-        wu = np.concatenate((table.mesh_weights[:n_mesh], wu))
-        p_exp = np.concatenate((table.mesh_exp[:n_mesh], p_exp))
-    # H(u) = P W(t-u) (P e^{Fu})^T
-    h = table.pointer_gramian(t - u) @ p_exp.transpose(0, 2, 1)
-    return LambdaRule(
-        nodes=u, weights=wu, sym=h + h.transpose(0, 2, 1), table=table, n_mesh=n_mesh
-    )
+    if 2.0 * _GRADED_START <= t <= table.t_max:
+        c, d = table.mesh_state(kernels, edges.size - 2)
+        edges = edges[-2:]
+    else:
+        edges = np.unique(edges)  # a tiny t may round graded edges together
+    lam = _forward(table, kernels, edges, _PANEL_NODES, c, d)[0][:, -1, 1:3, 1:3]
+    cov = 0.5 * (lam + lam.transpose(0, 2, 1))
+    trace = np.trace(cov, axis1=1, axis2=2)
+    min_eig = np.linalg.eigvalsh(cov)[:, 0]
+    bad = np.flatnonzero(min_eig < -1e-10 * np.maximum(trace, 1e-300))
+    if bad.size:
+        raise NegativeEigenvalue(
+            f"noise covariance eigenvalue {min_eig[bad[0]]:.3g} below PSD tolerance "
+            f"(trace {trace[bad[0]]:.3g})"
+        )
+    return cov
 
 
 def lambda_covariance(table: PropagatorTable, kernel: BathKernel, t: float) -> np.ndarray:
     """Symmetrized 2x2 covariance of the accumulated pointer noise at t,
-    PSD-checked by :meth:`LambdaRule.covariance`."""
-    if kernel.eta == 0.0 or t == 0.0:
+    PSD-checked by :func:`lambda_covariances`."""
+    if kernel.eta == 0.0:
         return np.zeros((2, 2))
-    return lambda_rule(table, t).covariance(kernel)
+    return lambda_covariances(table, [kernel], t)[0]
 
 
 def xi_matrix(a_inv: np.ndarray, lambda_cov: np.ndarray) -> np.ndarray:

@@ -160,22 +160,22 @@ def thermal_sweep(
 ) -> SweepResult:
     """Optimal measurement time and minimal uncertainty per thermal energy.
 
-    The dynamics do not depend on the thermal energy, and Lambda is linear
-    in nu.  So the coarse scan is one pass over the coarse grid for all
-    energies at once: at each grid time one propagation and one beta-free
-    Lambda rule, contracted with the nu of every energy.  Each energy then
+    The dynamics do not depend on the thermal energy, only the noise does.
+    So the coarse scan is one pass over the coarse grid for all energies at
+    once: at each grid time one propagation and one pass of Lambda that
+    shares its table reads across every energy.  Each energy then
     only runs the golden-section refinement of :func:`find_optimal_time`
     on its row of the coarse values; a row with a value that is not
     finite raises NumericalError, and every NumericalError of a search
-    names its energy.  ConfigError when
-    nu on the outer mesh of every energy would be too many values (see
-    :meth:`PropagatorTable.check_mesh_nu`).
+    names its energy.  ConfigError when the noise covariance on the outer
+    mesh of every energy would be too many floats (see
+    :meth:`PropagatorTable.check_mesh_cache`).
     """
     inv_betas = np.asarray(inv_betas, dtype=float)
     if np.any(inv_betas <= 0) or np.any(np.diff(inv_betas) < 0):
         raise ValueError("inv_beta values must be positive and ascending")
     base = CurveEvaluator(cfg, moments, t_interval[1], mode)
-    base.table.check_mesh_nu(inv_betas.size)
+    base.table.check_mesh_cache(inv_betas.size)
     evaluators = [base.with_inv_beta(float(ib)) for ib in inv_betas]
     kernels = [ev.kernel for ev in evaluators]
     grid = _coarse_grid(t_interval, coarse_points)

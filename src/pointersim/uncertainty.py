@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import BathKernel
 from .model import GaussianMoments, MeasurementConfig
-from .noise import PropagatorTable, lambda_covariance, lambda_rule, xi_matrix
+from .noise import PropagatorTable, lambda_covariance, lambda_covariances, xi_matrix
 from .propagator import build_generator, checked_inverse, response_matrices
 
 __all__ = [
@@ -172,13 +172,10 @@ class CurveEvaluator:
 
     def points(self, t: float, kernels) -> list[UncertaintyPoint]:
         """One point per bath kernel at t, sharing the dynamics and the
-        Lambda rule; each equals ``point(t)`` of an evaluator with that
-        kernel."""
+        table reads of Lambda; each equals ``point(t)`` of an evaluator with
+        that kernel."""
         times = np.full(len(kernels), float(t))
-        lam = None
-        if self.cfg.eta > 0:
-            rule = lambda_rule(self.table, t)
-            lam = np.array([rule.covariance(kernel) for kernel in kernels])
+        lam = lambda_covariances(self.table, kernels, float(t)) if self.cfg.eta > 0 else None
         return list(self._assemble(times, self._dynamics(times[:1]), lam))
 
 

@@ -22,7 +22,14 @@ from pointersim.kernels import (
     nu_quadrature,
 )
 from pointersim.model import MeasurementConfig, gaussian_state_moments
-from pointersim.noise import PropagatorTable, lambda_covariance, lambda_rule
+from pointersim.noise import (
+    _GRADED_PANELS,
+    _PANEL_NODES,
+    PropagatorTable,
+    _forward,
+    _u_panels,
+    lambda_covariance,
+)
 from pointersim.optimize import find_optimal_time, thermal_sweep
 from pointersim.propagator import build_generator, propagate, response_matrices
 from pointersim.uncertainty import CurveEvaluator, uncertainty_curve
@@ -208,6 +215,14 @@ def test_criterion_6_kernel_correctness():
     )
 
 
+def _doubled_lambda(table, kernel, t):
+    """Lambda(t) from one forward pass with twice the nodes per panel and
+    four more graded panels, all off the mesh."""
+    edges = _u_panels(t, _GRADED_PANELS + 4)
+    cov = _forward(table, [kernel], edges, 2 * _PANEL_NODES)[0][0, -1, 1:3, 1:3]
+    return 0.5 * (cov + cov.T)
+
+
 def test_criterion_7_numerical_hygiene(tmp_path):
     cfg = MeasurementConfig()
     gen = build_generator(cfg)
@@ -219,7 +234,7 @@ def test_criterion_7_numerical_hygiene(tmp_path):
         cov = lambda_covariance(table, kern, float(t))
         trace = np.trace(cov)
         worst_eig = max(worst_eig, -np.linalg.eigvalsh(cov)[0] / trace)
-        fine = lambda_rule(table, float(t), doubled=True).covariance(kern)
+        fine = _doubled_lambda(table, kern, float(t))
         worst_doubling = max(
             worst_doubling, np.abs(fine - cov).max() / np.abs(cov).max()
         )

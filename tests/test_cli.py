@@ -327,7 +327,7 @@ def test_overflow_message_comes_first(tmp_path, command):
 def test_mesh_nu_cache_bound_is_config_error(tmp_path, capsys, monkeypatch):
     import pointersim.noise
 
-    monkeypatch.setattr(pointersim.noise, "_MAX_MESH_NU", 1000)
+    monkeypatch.setattr(pointersim.noise, "_MAX_MESH_NU", 8000)
     assert main(["sweep", "--out", str(tmp_path / "out.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "sweep.count" in err and "t_max" in err

@@ -5,7 +5,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 import pointersim.noise
-from pointersim.errors import ConfigError, SingularInference
+from pointersim.cli import EXIT_NUMERICAL, main
+from pointersim.errors import ConfigError, NegativeEigenvalue, SingularInference
 from pointersim.kernels import BathKernel, noise_autocorrelation
 from pointersim.model import MeasurementConfig
 from pointersim.noise import (
@@ -15,10 +16,11 @@ from pointersim.noise import (
     _PANEL_NODES,
     _PANEL_WIDTH,
     PropagatorTable,
+    _forward,
     _gl_nodes,
+    _integration_matrix,
     _u_panels,
     lambda_covariance,
-    lambda_rule,
     xi_matrix,
 )
 from pointersim.propagator import build_generator, checked_inverse
@@ -27,7 +29,7 @@ from pointersim.propagator import build_generator, checked_inverse
 def _pointer_block(table, tau):
     """G pointer block P e^{F tau} N of the table, shaped (..., 2, 2)."""
     tau = np.asarray(tau, dtype=float)
-    block = table.pointer_exp(tau) @ table.gen.noise_map[:, 1:3]
+    block = table.exp(tau, slice(1, 3)) @ table.gen.noise_map[:, 1:3]
     return block.reshape(tau.shape + (2, 2))
 
 
@@ -35,7 +37,7 @@ def _table_block(table):
     """G pointer block P e^{Fs} N of the table as a function of the times s,
     shaped (..., 2, 2): the table's forward Taylor series from the node
     below, with N folded into its coefficients (a quarter of the work of
-    ``pointer_exp(s) @ N``) and summed by one matrix product for all times."""
+    ``exp(s, slice(1, 3)) @ N``) and summed by one matrix product for all times."""
     terms = len(table._c_exp)
     coeffs = (table._c_exp @ table.gen.noise_map[:, 1:3]).reshape(terms, -1)
 
@@ -52,10 +54,11 @@ def _table_block(table):
 
 
 def _panel_loop_lambda(block, kernel, t, doubled=False, inner_nodes=48):
-    """Reference Lambda(t) on the panels of :func:`lambda_rule`, with G given
-    by ``block``: nu and G on all panels of t at once, and the inner integral
-    H(u) by an ``inner_nodes``-point Gauss-Legendre rule; ``doubled`` as in
-    :func:`lambda_rule`."""
+    """Reference Lambda(t) in the lag form on the panels of :func:`_u_panels`,
+    with G given by ``block``: nu and G on all panels of t at once, and the
+    inner integral H(u) = int_0^{t-u} G(r) G(r+u)^T dr by an
+    ``inner_nodes``-point Gauss-Legendre rule; ``doubled`` as in
+    :func:`_doubled_lambda`."""
     xg, wg = _gl_nodes(2 * _PANEL_NODES if doubled else _PANEL_NODES)
     xr, wr = _gl_nodes(inner_nodes)
     edges = _u_panels(t, _GRADED_PANELS + 4 if doubled else _GRADED_PANELS)
@@ -73,6 +76,18 @@ def _panel_loop_lambda(block, kernel, t, doubled=False, inner_nodes=48):
     )
     cov = np.einsum("u,u,uab->ab", wu, noise_autocorrelation(u, kernel), h + h.transpose(0, 2, 1))
     return 0.5 * (cov + cov.T)
+
+
+def _pass_lambda(table, kernel, edges, n):
+    """Lambda at the last edge of one fresh forward pass over ``edges``."""
+    cov = _forward(table, [kernel], edges, n)[0][0, -1, 1:3, 1:3]
+    return 0.5 * (cov + cov.T)
+
+
+def _doubled_lambda(table, kernel, t):
+    """The convergence reference: Lambda(t) with twice the nodes per panel
+    and four more graded panels, all off the mesh."""
+    return _pass_lambda(table, kernel, _u_panels(t, _GRADED_PANELS + 4), 2 * _PANEL_NODES)
 
 
 def _spread_u_panels(t, graded_panels):
@@ -95,14 +110,7 @@ def _spread_u_panels(t, graded_panels):
 def _spread_lambda(table, kernel, t):
     """Lambda(t) on the former layout :func:`_spread_u_panels`, with nu
     evaluated afresh on every node."""
-    xg, wg = _gl_nodes(_PANEL_NODES)
-    edges = _spread_u_panels(t, _GRADED_PANELS)
-    lo, width = edges[:-1], np.diff(edges)
-    u = (lo[:, None] + width[:, None] * xg).ravel()
-    wu = (width[:, None] * wg).ravel()
-    h = table.pointer_gramian(t - u) @ table.pointer_exp(u).transpose(0, 2, 1)
-    cov = np.tensordot(wu * noise_autocorrelation(u, kernel), h + h.transpose(0, 2, 1), axes=1)
-    return 0.5 * (cov + cov.T)
+    return _pass_lambda(table, kernel, _spread_u_panels(t, _GRADED_PANELS), _PANEL_NODES)
 
 
 class _SplineTable:
@@ -150,38 +158,30 @@ def test_pointer_block_matches_propagate(mode, omega_c):
         np.testing.assert_allclose(block, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-def _gramian_rows_by_quadrature(gen, s):
-    """P W(s) = int_0^s P e^{Fr} N N^T e^{F^T r} dr by composite
-    Gauss-Legendre quadrature (24 panels of 20 nodes) with a matrix
-    exponential at every node."""
-    x, w = _gl_nodes(20)
-    edges = np.linspace(0.0, s, 25)
-    n_mat = gen.noise_map[:, 1:3]
-    out = np.zeros((2, gen.generator.shape[0]))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        for xi, wi in zip(x, w):
-            e = expm(gen.generator * (lo + (hi - lo) * xi))
-            out += (hi - lo) * wi * e[1:3] @ n_mat @ n_mat.T @ e.T
-    return out
-
-
-@pytest.mark.parametrize("mode", ["renormalized", "raw"])
-def test_pointer_gramian_matches_quadrature(open_config, mode):
-    gen = build_generator(open_config, mode)
-    table = PropagatorTable(gen, 3.0)
-    times = np.array([0.4 * table.step, 0.37, 1.0, 3.0])
-    rows = table.pointer_gramian(times)
-    for s, row in zip(times, rows):
-        ref = _gramian_rows_by_quadrature(gen, float(s))
-        np.testing.assert_allclose(row, ref, rtol=1e-11, atol=1e-11 * np.abs(ref).max())
-
-
 def test_table_rejects_times_outside_its_range(table):
     for bad in (-1e-3, 2.6):
         with pytest.raises(ValueError):
-            table.pointer_exp(bad)
-        with pytest.raises(ValueError):
-            table.pointer_gramian(bad)
+            table.exp(bad, slice(1, 3))
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_integration_matrix_is_exact_on_polynomials(n):
+    """S integrates every polynomial of degree < n exactly from 0 to each
+    node."""
+    x = _gl_nodes(n)[0]
+    s = _integration_matrix(n)
+    for degree in range(n):
+        np.testing.assert_allclose(
+            s @ x**degree, x ** (degree + 1) / (degree + 1), rtol=0.0, atol=1e-14
+        )
+
+
+def test_forward_gives_a_kernel_the_same_bits_alone_as_in_a_batch(table):
+    kernels = [BathKernel(eta=0.25, omega_c=20.0, inv_beta=ib) for ib in (0.5, 1.0, 4.0)]
+    batch = _forward(table, kernels, table.mesh, _PANEL_NODES)
+    for i, kernel in enumerate(kernels):
+        for together, alone in zip(batch, _forward(table, [kernel], table.mesh, _PANEL_NODES)):
+            np.testing.assert_array_equal(together[i], alone[0])
 
 
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
@@ -228,7 +228,7 @@ def test_lambda_doubling_stability(table, bath_kernel):
     """Doubling the quadrature resolution barely moves the result."""
     for t in (0.3, 1.0, 2.0):
         base = lambda_covariance(table, bath_kernel, t)
-        fine = lambda_rule(table, t, doubled=True).covariance(bath_kernel)
+        fine = _doubled_lambda(table, bath_kernel, t)
         rel = np.abs(fine - base).max() / np.abs(base).max()
         assert rel < 1e-4
 
@@ -236,13 +236,17 @@ def test_lambda_doubling_stability(table, bath_kernel):
 @pytest.mark.parametrize("doubled", [False, True], ids=["default", "doubled"])
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
 def test_lambda_matches_panel_loop(open_config, bath_kernel, time_grid_200, mode, doubled):
-    """The vectorised rule reproduces the panel loop on the 200-point grid."""
+    """The forward pass reproduces the lag-form panel loop on the 200-point
+    grid."""
     gen = build_generator(open_config, mode)
     table = PropagatorTable(gen, 3.0)
     block = _table_block(table)
     for t in time_grid_200:
         ref = _panel_loop_lambda(block, bath_kernel, float(t), doubled, 96 if doubled else 48)
-        new = lambda_rule(table, float(t), doubled).covariance(bath_kernel)
+        if doubled:
+            new = _doubled_lambda(table, bath_kernel, float(t))
+        else:
+            new = lambda_covariance(table, bath_kernel, float(t))
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
@@ -277,15 +281,11 @@ def test_u_panels_align_on_the_mesh(table):
 
 
 def test_mesh_nu_is_a_fresh_evaluation(table, bath_kernel):
-    """The cached nu equals a fresh evaluation on the mesh nodes bit for bit,
-    and the rule takes its leading nodes from the mesh."""
-    lambda_covariance(table, bath_kernel, 1.7)
-    np.testing.assert_array_equal(
-        table.mesh_nu(bath_kernel), noise_autocorrelation(table.mesh_nodes, bath_kernel)
-    )
-    rule = lambda_rule(table, 1.7)
-    assert rule.n_mesh == rule.nodes.size - _PANEL_NODES
-    np.testing.assert_array_equal(rule.nodes[: rule.n_mesh], table.mesh_nodes[: rule.n_mesh])
+    """Lambda from the cached mesh edge equals one fresh pass over all panels
+    of t; nu of a whole-mesh batch may differ from it in the last bits."""
+    cached = lambda_covariance(table, bath_kernel, 1.7)
+    fresh = _pass_lambda(table, bath_kernel, _u_panels(1.7, _GRADED_PANELS), _PANEL_NODES)
+    assert np.abs(cached - fresh).max() <= 1e-14 * np.abs(fresh).max()
 
 
 def _count_nu_points(monkeypatch):
@@ -305,7 +305,7 @@ def test_lambda_on_the_mesh_evaluates_one_panel_of_nu(monkeypatch, open_config, 
     table = PropagatorTable(build_generator(open_config, "renormalized"), 2.5)
     points = _count_nu_points(monkeypatch)
     lambda_covariance(table, bath_kernel, 1.3)
-    assert points[0] == table.mesh_nodes.size + _PANEL_NODES
+    assert points[0] == (table.mesh.size - 1) * _PANEL_NODES + _PANEL_NODES
     for t in (0.1, 0.64, 2.5):
         points[0] = 0
         lambda_covariance(table, bath_kernel, t)
@@ -323,21 +323,30 @@ def test_default_sweep_evaluates_a_quarter_of_the_nu_points(monkeypatch, tmp_pat
 
 
 def test_mesh_nu_cache_is_bounded(monkeypatch, table):
-    table.check_mesh_nu(1000)
-    monkeypatch.setattr(pointersim.noise, "_MAX_MESH_NU", 10 * table.mesh_nodes.size)
-    table.check_mesh_nu(10)
+    table.check_mesh_cache(1000)
+    edge_floats = table.gen.generator.shape[0] ** 2 + 2 * table.gen.generator.shape[0]
+    monkeypatch.setattr(pointersim.noise, "_MAX_MESH_NU", 10 * table.mesh.size * edge_floats)
+    table.check_mesh_cache(10)
     with pytest.raises(ConfigError, match="sweep.count or t_max"):
-        table.check_mesh_nu(11)
+        table.check_mesh_cache(11)
 
 
-def test_lambda_rule_is_beta_free(table):
-    """One rule contracted with several kernels equals Lambda per kernel."""
-    rule = lambda_rule(table, 1.3)
-    for inv_beta in (0.5, 1.0, 4.0):
-        kernel = BathKernel(eta=0.25, omega_c=20.0, inv_beta=inv_beta)
-        np.testing.assert_array_equal(
-            rule.covariance(kernel), lambda_covariance(table, kernel, 1.3)
-        )
+def test_psd_guard_refuses_a_negative_covariance(monkeypatch, tmp_path, capsys, open_config):
+    """A noise autocorrelation of the wrong sign gives a negative definite
+    Lambda, which the PSD guard refuses: NegativeEigenvalue, and exit 3 from
+    the CLI."""
+    nu = pointersim.noise.noise_autocorrelation
+    monkeypatch.setattr(
+        pointersim.noise, "noise_autocorrelation", lambda t, kernel: -nu(t, kernel)
+    )
+    table = PropagatorTable(build_generator(open_config), 2.5)  # its mesh cache is spoilt
+    kernel = BathKernel(eta=0.25, omega_c=20.0, inv_beta=2.0)
+    for t in (0.05, 1.3):
+        with pytest.raises(NegativeEigenvalue):
+            lambda_covariance(table, kernel, t)
+    assert main(["uncertainty", "--out", str(tmp_path / "out.csv")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical error: noise covariance eigenvalue ")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_lambda_grows_with_temperature(open_config, table):
