@@ -165,21 +165,22 @@ def _quantum_moments(eta: float, omega_c: float, beta: float) -> tuple[float, fl
     R = int t^5/(y^4 (t^2+y^2)) against the same weight.
 
     Raises NumericalError when a moment is not finite: below y ~ 1e-77,
-    1/y^4 overflows or y^4 underflows to zero.
+    1/y^4 overflows or y^4 underflows to zero.  Large y is the cold limit.
     """
     pref = eta * omega_c**2 / math.pi
     y = beta * omega_c / (2.0 * math.pi)
+    y2 = y * y  # products, not powers: a float power overflows with an exception
     try:
         if y <= _DIGAMMA_MAX_Y:
             from scipy.special import digamma
 
-            s = math.log(y) - 0.5 / y - float(digamma(y)) - 1.0 / (12.0 * y**2)
-            r = s + 1.0 / (120.0 * y**4)
+            s = math.log(y) - 0.5 / y - float(digamma(y)) - 1.0 / (12.0 * y2)
+            r = s + 1.0 / (120.0 * y2 * y2)
         else:
             t2, wt3 = _bose_rule()
-            h = wt3 / (t2 + y**2)
-            s, r = -float(h.sum()) / y**2, float(h @ t2) / y**4
-        i0 = s + 1.0 / (12.0 * y**2)
+            h = wt3 / (t2 + y2)
+            s, r = -float(h.sum()) / y2, float(h @ t2) / y2 / y2
+        i0 = s + 1.0 / (12.0 * y2)
         moments = pref * i0, -pref * omega_c**2 * s, pref * omega_c**4 * r
     except ZeroDivisionError:
         moments = (math.nan,)

@@ -79,22 +79,20 @@ class PropagatorTable(ExpTable):
         self.mesh = _u_panels(t_max, _GRADED_PANELS)[:-1] if gen.cfg.eta > 0 else np.zeros(0)
         self._cache: dict[BathKernel, tuple[np.ndarray, np.ndarray]] = {}
 
-    def check_mesh_cache(self, kernels: int) -> None:
-        """ConfigError when C and D of ``kernels`` bath kernels on the mesh
-        edges would hold more than _MAX_MESH_NU floats."""
-        dim = self.gen.generator.shape[0]
-        size = kernels * self.mesh.size * (dim * dim + 2 * dim)
-        if size > _MAX_MESH_NU:
-            raise ConfigError(
-                f"the noise covariance of {kernels} thermal energies on the {self.mesh.size} "
-                f"mesh edges of [0, {self.t_max:g}] needs {size:.3g} floats, more than "
-                f"{_MAX_MESH_NU}; lower sweep.count or t_max"
-            )
-
     def mesh_state(self, kernels, edge: int) -> tuple[np.ndarray, np.ndarray]:
         """C and D of every kernel at mesh edge ``edge``, stacked over the
-        kernels; passes over the whole mesh for the kernels met first."""
-        new = [k for k in kernels if k not in self._cache]
+        kernels; passes over the whole mesh for the kernels met first.
+        ConfigError, before any pass, when the cache would then hold more
+        than _MAX_MESH_NU floats."""
+        new = [k for k in dict.fromkeys(kernels) if k not in self._cache]
+        held, dim = len(self._cache) + len(new), self.gen.generator.shape[0]
+        size = held * self.mesh.size * (dim * dim + 2 * dim)
+        if size > _MAX_MESH_NU:
+            raise ConfigError(
+                f"the noise covariance of {held} thermal energies on the {self.mesh.size} mesh "
+                f"edges of [0, {self.t_max:g}] needs {size:.3g} floats, more than {_MAX_MESH_NU}; "
+                "lower sweep.count or t_max"
+            )
         for first in range(0, len(new), _MESH_BATCH):
             batch = new[first : first + _MESH_BATCH]
             self._cache.update(zip(batch, zip(*_forward(self, batch, self.mesh, _PANEL_NODES))))

@@ -167,15 +167,14 @@ def thermal_sweep(
     only runs the golden-section refinement of :func:`find_optimal_time`
     on its row of the coarse values; a row with a value that is not
     finite raises NumericalError, and every NumericalError of a search
-    names its energy.  ConfigError when the noise covariance on the outer
-    mesh of every energy would be too many floats (see
-    :meth:`PropagatorTable.check_mesh_cache`).
+    names its energy.  ConfigError from the coarse scan when the noise
+    covariance on the outer mesh of every energy would be too many floats
+    (see :meth:`PropagatorTable.mesh_state`).
     """
     inv_betas = np.asarray(inv_betas, dtype=float)
     if np.any(inv_betas <= 0) or np.any(np.diff(inv_betas) < 0):
         raise ValueError("inv_beta values must be positive and ascending")
     base = CurveEvaluator(cfg, moments, t_interval[1], mode)
-    base.table.check_mesh_cache(inv_betas.size)
     evaluators = [base.with_inv_beta(float(ib)) for ib in inv_betas]
     kernels = [ev.kernel for ev in evaluators]
     grid = _coarse_grid(t_interval, coarse_points)

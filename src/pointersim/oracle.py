@@ -37,7 +37,6 @@ __all__ = [
     "closed_form_eta0",
     "build_full_generator",
     "initial_covariance",
-    "symplectic_form",
     "discrete_pointer_covariance",
     "continuum_pointer_covariance",
     "GATES",
@@ -201,7 +200,7 @@ def build_full_generator(cfg: MeasurementConfig, bath: DiscreteBath) -> np.ndarr
 
     State ordering: (X_S, X_1, X_2, q_(bath 1), q_(bath 2),
     P_S, P_1, P_2, k_(bath 1), k_(bath 2)); F = J_c H with the canonical
-    antisymmetric form J_c and the symmetric Hamiltonian matrix H.
+    form J_c = [[0, I], [-I, 0]] and the symmetric Hamiltonian matrix H.
     """
     n = bath.frequencies.size
     d = 3 + 2 * n  # positions
@@ -220,16 +219,9 @@ def build_full_generator(cfg: MeasurementConfig, bath: DiscreteBath) -> np.ndarr
         h[idx + d, idx + d] = 1.0
         h[idx, ptr] = bath.couplings
         h[ptr, idx] = bath.couplings
-    jc = symplectic_form(d)
-    return jc @ h
-
-
-def symplectic_form(d: int) -> np.ndarray:
-    """Canonical antisymmetric form for (positions, momenta) ordering."""
-    j = np.zeros((2 * d, 2 * d))
-    j[:d, d:] = np.eye(d)
-    j[d:, :d] = -np.eye(d)
-    return j
+    f = np.roll(h, d, axis=0)  # the row blocks of J_c H: H[d:], then -H[:d]
+    f[d:] *= -1.0
+    return f
 
 
 def thermal_mode_variances(bath: DiscreteBath, inv_beta: float):

@@ -49,9 +49,8 @@ _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 #: Taylor terms of a step; with h * rho(F) <= 1/2 the first omitted term
 #: is below (1/2)^14 / 14! < 1e-15 of the step's scale
 _TAYLOR_TERMS = 14
-#: a power F^k at most this fraction of |F|^k, entry by entry, is rounding
-#: noise: the error bound of its product chain, k*dim*2^-53, is below it for k <= dim <= 8
-_ROUNDING = 1e-14
+#: Taylor terms of the closed generator: its dynamics are cubic in t, F^4 = 0
+_CLOSED_TERMS = 4
 #: most grid nodes a table may hold, as many as a time grid may have points;
 #: the default config, at omega_c*t_max = 60, needs 120
 _MAX_NODES = 100_000
@@ -82,8 +81,8 @@ def _second_order_blocks(cfg: MeasurementConfig, coup: CouplingMatrices):
 def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> AugmentedGenerator:
     """Assemble the augmented generator for the requested dynamics mode.
 
-    For eta = 0 no memory variables are needed and the generator reduces
-    to the closed (nilpotent) position/velocity dynamics.
+    For eta = 0, and only then, no memory variables are needed: the generator
+    is the 6-dimensional closed (nilpotent) position/velocity dynamics.
     """
     if mode not in ("renormalized", "raw"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -112,14 +111,14 @@ def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> Augme
     return AugmentedGenerator(generator=gen, noise_map=noise, coupling=coup, cfg=cfg)
 
 
-def _taylor(coeffs: np.ndarray, d: np.ndarray, shift: int = 0) -> np.ndarray:
-    """sum_k coeffs[k] d^(k+shift) for every step d, stacked along axis 0; one
-    small matmul per step, so a step has the same bits alone as in a batch."""
-    powers = np.empty((len(coeffs) + shift, d.size))
+def _taylor(coeffs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] d^k for every step d, stacked along axis 0; one small
+    matmul per step, so a step has the same bits alone as in a batch."""
+    powers = np.empty((len(coeffs), d.size))
     powers[0] = 1.0
     for k in range(1, len(powers)):
         np.multiply(powers[k - 1], d, out=powers[k])
-    terms = np.ascontiguousarray(powers[shift:].T)[:, None, :] @ coeffs.reshape(len(coeffs), -1)
+    terms = np.ascontiguousarray(powers.T)[:, None, :] @ coeffs.reshape(len(coeffs), -1)
     return terms.reshape((d.size,) + coeffs.shape[1:])
 
 
@@ -128,24 +127,22 @@ class ExpTable:
 
     The grid step is h = 1/(2 rho(F)), at most 1/32, with rho the spectral
     radius of the generator; rho only sets the scale.  Off the grid every
-    value is a forward Taylor step from the node below.  The series ends
-    before the first power of F that vanishes to rounding; a nilpotent F
-    then needs the node s = 0 alone, with no limit on t_max.
+    value is a forward Taylor step of 14 terms from the node below.  The
+    closed (6-dimensional) generator has F^4 = 0: its series is the cubic,
+    exact at any step, and its table the node s = 0 alone, at any t_max.
     """
 
     def __init__(self, gen: AugmentedGenerator, t_max: float):
         f, dim = gen.generator, gen.generator.shape[0]
         self.gen, self.t_max = gen, t_max
-        c_exp, scale = [np.eye(dim)], np.eye(dim)  # F^k / k! and |F|^k / k!
-        for k in range(1, _TAYLOR_TERMS):
-            term, scale = c_exp[-1] @ f / k, scale @ np.abs(f) / k
-            if k <= dim and (np.abs(term) <= _ROUNDING * scale).all():
-                break  # F^k = 0: the series is the exponential at any step
-            c_exp.append(term)
+        closed = dim == 6  # no memory variables: eta = 0
+        c_exp = [np.eye(dim)]  # F^k / k!
+        for k in range(1, _CLOSED_TERMS if closed else _TAYLOR_TERMS):
+            c_exp.append(c_exp[-1] @ f / k)
         self._c_exp = np.array(c_exp)
         rho = float(np.abs(np.linalg.eigvals(f)).max())
         self.step = 1.0 / max(2.0 * rho, 32.0)
-        if len(c_exp) < _TAYLOR_TERMS:
+        if closed:
             n, self._last = 0, np.inf
         elif t_max / self.step <= _MAX_NODES:
             n = self._last = max(1, int(np.ceil(t_max / self.step)))

@@ -324,6 +324,20 @@ def test_overflow_message_comes_first(tmp_path, command):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["uncertainty", "optimize"])
+def test_cold_bath_gives_the_zero_temperature_limit(tmp_path, command):
+    """A bath so cold that (beta*omega_c)^4 overflows a float gives the rows
+    of the zero-temperature limit, those of inv_beta = 1e-60, not a traceback."""
+    rows = {}
+    for inv_beta in (1e-60, 1e-100, 1e-300):
+        cfg, out = _write_config(tmp_path, inv_beta=inv_beta), tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        data = _rows(out)[1]
+        # all but the first column of optimize, which echoes inv_beta
+        rows[inv_beta] = data if command == "uncertainty" else [r.split(",", 1)[1] for r in data]
+    assert rows[1e-100] == rows[1e-60] and rows[1e-300] == rows[1e-60]
+
+
 def test_mesh_nu_cache_bound_is_config_error(tmp_path, capsys, monkeypatch):
     import pointersim.noise
 

@@ -24,6 +24,7 @@ from pointersim.noise import (
     xi_matrix,
 )
 from pointersim.propagator import build_generator, checked_inverse
+from pointersim.uncertainty import CurveEvaluator
 
 
 def _pointer_block(table, tau):
@@ -322,13 +323,34 @@ def test_default_sweep_evaluates_a_quarter_of_the_nu_points(monkeypatch, tmp_pat
     assert points[0] <= 197_200 // 4
 
 
-def test_mesh_nu_cache_is_bounded(monkeypatch, table):
-    table.check_mesh_cache(1000)
+def _eleven_kernels(cfg):
+    return [BathKernel(cfg.eta, cfg.omega_c, 0.5 + 0.25 * i) for i in range(11)]
+
+
+def _bound_to_ten_kernels(monkeypatch, table):
     edge_floats = table.gen.generator.shape[0] ** 2 + 2 * table.gen.generator.shape[0]
     monkeypatch.setattr(pointersim.noise, "_MAX_MESH_NU", 10 * table.mesh.size * edge_floats)
-    table.check_mesh_cache(10)
+
+
+def test_mesh_nu_cache_is_bounded(monkeypatch, open_config):
+    """The table refuses a kernel that would take its mesh cache past the
+    bound, before any pass over the mesh."""
+    table = PropagatorTable(build_generator(open_config, "renormalized"), 2.5)
+    assert 1000 * table.mesh.size * 80 <= pointersim.noise._MAX_MESH_NU
+    _bound_to_ten_kernels(monkeypatch, table)
+    kernels = _eleven_kernels(open_config)
+    table.mesh_state(kernels[:10], 3)
     with pytest.raises(ConfigError, match="sweep.count or t_max"):
-        table.check_mesh_cache(11)
+        table.mesh_state(kernels, 3)
+    assert len(table._cache) == 10
+
+
+def test_mesh_nu_cache_bound_holds_for_library_callers(monkeypatch, open_config, default_moments):
+    ev = CurveEvaluator(open_config, default_moments, 2.5)
+    _bound_to_ten_kernels(monkeypatch, ev.table)
+    with pytest.raises(ConfigError, match="sweep.count or t_max"):
+        ev.points(1.0, _eleven_kernels(open_config))
+    assert not ev.table._cache
 
 
 def test_psd_guard_refuses_a_negative_covariance(monkeypatch, tmp_path, capsys, open_config):

@@ -76,7 +76,8 @@ def test_symplectic_form_preserved(open_config):
     w = (np.arange(5) + 0.5) * 2.0
     bath = oracle.DiscreteBath(5, 10.0, w, 0.1 * np.sqrt(w))
     f = oracle.build_full_generator(open_config, bath)
-    j = oracle.symplectic_form(3 + 2 * 5)
+    d = 3 + 2 * 5
+    j = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
     for t in (0.3, 1.0):
         s = expm(f * t)
         assert np.abs(s.T @ j @ s - j).max() < 1e-9

@@ -213,8 +213,8 @@ def test_closed_table_is_one_node_at_any_range(cfg):
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
 def test_open_table_keeps_its_series_when_high_powers_are_tiny(mode):
     """At eta = 1e-4 and omega_c = 1e-3, F^12 or F^13 of the open generator
-    falls below 1e-14 of |F|^k, yet F is not nilpotent; only a power up to
-    the dimension ends the series, so the table keeps every term and its grid."""
+    falls below 1e-14 of |F|^k, yet F is not nilpotent; an open generator
+    always keeps all 14 terms of its series, and its grid."""
     table = ExpTable(build_generator(MeasurementConfig(eta=1e-4, omega_c=1e-3), mode), 3.0)
     assert len(table._c_exp) == 14 and len(table._exp) > 1
 
