@@ -24,7 +24,7 @@ from . import __version__
 from .errors import ConfigError, NumericalError, PointerSimError
 from .model import GaussianMoments, MeasurementConfig, gaussian_state_moments, validate_config
 from .optimize import MIN_REL_TOL, thermal_sweep
-from .uncertainty import UncertaintyPoint, uncertainty_curve
+from .uncertainty import CurveEvaluator, UncertaintyPoint
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -242,7 +242,7 @@ def _check_bound(t, u_sq, bound, inv_beta=None) -> None:
 
 def cmd_uncertainty(run: Inputs, mode: str) -> list[str]:
     """CSV lines of the uncertainty curve on the configured time grid."""
-    curve = uncertainty_curve(run.cfg, run.moments, run.times, mode)
+    curve = CurveEvaluator(run.cfg, run.moments, float(run.times[-1]), mode).curve(run.times)
     _check_bound(*(curve.column(c) for c in ("t", "u_sq", "bound")))
     columns = [f.name for f in fields(UncertaintyPoint)]
     rows = np.column_stack([curve.column(c) for c in columns]).tolist()

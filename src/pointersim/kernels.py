@@ -95,14 +95,14 @@ class BathKernel:
 
 def spectral_density_scalar(omega, kernel: BathKernel):
     """Common diagonal entry of I(omega) for the coupled pointer rows."""
-    omega = np.asarray(omega, dtype=float)
-    return (2.0 * kernel.eta / np.pi) * omega / (omega**2 / kernel.omega_c**2 + 1.0)
+    wc = kernel.omega_c
+    return (2.0 * kernel.eta / np.pi) * omega / (omega * omega / (wc * wc) + 1.0)
 
 
 def dissipation_kernel_scalar(t, kernel: BathKernel):
     """mu(t) = eta*omega_c^2*exp(-omega_c*t) for t >= 0."""
-    t = np.asarray(t, dtype=float)
-    return kernel.eta * kernel.omega_c**2 * np.exp(-kernel.omega_c * t)
+    wc = kernel.omega_c
+    return kernel.eta * (wc * wc) * np.exp(-wc * t)
 
 
 def _exp_scaled_ei(x: np.ndarray, sign: float) -> np.ndarray:
@@ -167,9 +167,10 @@ def _quantum_moments(eta: float, omega_c: float, beta: float) -> tuple[float, fl
     Raises NumericalError when a moment is not finite: below y ~ 1e-77,
     1/y^4 overflows or y^4 underflows to zero.  Large y is the cold limit.
     """
-    pref = eta * omega_c**2 / math.pi
+    wc2 = omega_c * omega_c  # products, not powers: a float power overflows with an exception
+    pref = eta * wc2 / math.pi
     y = beta * omega_c / (2.0 * math.pi)
-    y2 = y * y  # products, not powers: a float power overflows with an exception
+    y2 = y * y
     try:
         if y <= _DIGAMMA_MAX_Y:
             from scipy.special import digamma
@@ -181,7 +182,7 @@ def _quantum_moments(eta: float, omega_c: float, beta: float) -> tuple[float, fl
             h = wt3 / (t2 + y2)
             s, r = -float(h.sum()) / y2, float(h @ t2) / y2 / y2
         i0 = s + 1.0 / (12.0 * y2)
-        moments = pref * i0, -pref * omega_c**2 * s, pref * omega_c**4 * r
+        moments = pref * i0, -pref * wc2 * s, pref * wc2 * wc2 * r
     except ZeroDivisionError:
         moments = (math.nan,)
     if not all(map(math.isfinite, moments)):
@@ -204,9 +205,9 @@ def _nu_series(tau: np.ndarray, kernel: BathKernel) -> np.ndarray:
     delta = 2.0 * np.pi / beta
     n_terms = int(np.ceil(46.0 / (delta * float(np.min(tau))))) + 1
     nu_n = delta * np.arange(1, n_terms + 1)
-    terms = nu_n[:, None] * np.exp(-np.outer(nu_n, tau)) / (nu_n**2 - wc**2)[:, None]
-    series = (2.0 * eta * wc**2 / beta) * terms.sum(axis=0)
-    drude = 0.5 * eta * wc**2 / np.tan(0.5 * beta * wc) * np.exp(-wc * tau)
+    terms = nu_n[:, None] * np.exp(-np.outer(nu_n, tau)) / (nu_n**2 - wc * wc)[:, None]
+    series = (2.0 * eta * (wc * wc) / beta) * terms.sum(axis=0)
+    drude = 0.5 * eta * (wc * wc) / np.tan(0.5 * beta * wc) * np.exp(-wc * tau)
     return drude + series
 
 
@@ -219,7 +220,7 @@ def _nu_smalltime(tau: np.ndarray, kernel: BathKernel) -> np.ndarray:
     """
     eta, wc = kernel.eta, kernel.omega_c
     b0, b2, b4 = _quantum_moments(eta, wc, kernel.beta)
-    classical = (eta * wc**2 / np.pi) * _cosine_lorentz_integral(tau, wc)
+    classical = (eta * (wc * wc) / np.pi) * _cosine_lorentz_integral(tau, wc)
     return classical + b0 - 0.5 * b2 * tau**2 + b4 * tau**4 / 24.0
 
 
@@ -241,7 +242,7 @@ def nu_quadrature(t, kernel: BathKernel):
     def f(w):
         if w == 0.0:
             return 2.0 * eta / (np.pi * beta)
-        return (eta * wc**2 / np.pi) * w / np.tanh(0.5 * beta * w) / (w**2 + wc**2)
+        return (eta * (wc * wc) / np.pi) * w / np.tanh(0.5 * beta * w) / (w * w + wc * wc)
 
     out = np.array([_oscillatory_quad(f, "cos", x, eta * wc * kernel.inv_beta) for x in tau])
     return float(out[0]) if np.isscalar(t) else out
@@ -286,7 +287,5 @@ def dissipation_from_spectral_density(t: float, kernel: BathKernel) -> float:
     if kernel.eta == 0.0:
         return 0.0
 
-    def f(w):
-        return float(spectral_density_scalar(w, kernel))
-
-    return _oscillatory_quad(f, "sin", t, kernel.eta * kernel.omega_c**2)
+    scale = kernel.eta * kernel.omega_c * kernel.omega_c
+    return _oscillatory_quad(lambda w: spectral_density_scalar(w, kernel), "sin", t, scale)

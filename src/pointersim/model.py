@@ -87,7 +87,7 @@ def validate_config(cfg: MeasurementConfig) -> MeasurementConfig:
     ):
         if not np.isfinite(value):
             raise ConfigError(f"config key '{key}' is out of range: {name} overflows")
-    if cfg.kappa2**2 == cfg.mass_ratio:
+    if cfg.kappa2 * cfg.kappa2 == cfg.mass_ratio:
         raise SingularLagrangian(
             f"kappa2**2 == mass_ratio ({cfg.mass_ratio}): singular Lagrangian"
         )
@@ -116,7 +116,7 @@ def build_coupling_matrices(cfg: MeasurementConfig) -> CouplingMatrices:
     and second pointer, D carries the single velocity coupling kappa1.
     """
     m0 = cfg.mass_ratio
-    a = m0 / (cfg.kappa2**2 - m0)
+    a = m0 / (cfg.kappa2 * cfg.kappa2 - m0)
     mass = np.array(
         [
             [-a, 0.0, a * cfg.kappa2],
@@ -153,10 +153,10 @@ class GaussianMoments:
 def _check_pair(var_x: float, var_p: float, corr: float, label: str) -> None:
     if var_x <= 0 or var_p <= 0:
         raise NonPositive(f"{label}: variances must be > 0")
-    if var_x * var_p < 0.25 + corr**2 - 1e-12:
+    floor = 0.25 + corr * corr
+    if var_x * var_p < floor - 1e-12:
         raise UncertaintyViolation(
-            f"{label}: DX^2*DP^2 = {var_x * var_p:.6g} < 1/4 + c^2 "
-            f"= {0.25 + corr**2:.6g}"
+            f"{label}: DX^2*DP^2 = {var_x * var_p:.6g} < 1/4 + c^2 = {floor:.6g}"
         )
 
 

@@ -37,7 +37,9 @@ first time a bath kernel meets the mesh, one pass gives C and D at every
 mesh edge, and :class:`PropagatorTable` keeps them per kernel; Lambda(t)
 for t >= 0.1 is then one partial panel from the mesh edge below t, with
 nu afresh on its 10 nodes.  Below t = 0.1 the graded panels scale with t,
-and each time is a pass of its own.
+and each time is a pass of its own.  The bath kernels of one
+:func:`lambda_covariance` share every table read of t.  The closed
+measurement (eta = 0) has no noise: its table has no mesh, and Lambda = 0.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import ConfigError, NegativeEigenvalue
 from .kernels import BathKernel, noise_autocorrelation
 from .propagator import AugmentedGenerator, ExpTable
 
-__all__ = ["PropagatorTable", "lambda_covariance", "lambda_covariances", "xi_matrix"]
+__all__ = ["PropagatorTable", "lambda_covariance", "xi_matrix"]
 
 #: outer panels: Gauss-Legendre nodes per panel, regular width, and
 #: where, how fast and in how many panels they grade toward the
@@ -170,21 +172,23 @@ def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int, c=0.0, d=0.0):
     return np.stack(c_edges, axis=1), d_edges.reshape(k, panels + 1, dim, 2)
 
 
-def lambda_covariances(table: PropagatorTable, kernels, t: float) -> np.ndarray:
+def lambda_covariance(table: PropagatorTable, kernels, t: float) -> np.ndarray:
     """Symmetrized 2x2 covariance of the accumulated pointer noise at t for
     every bath kernel, stacked (kernels, 2, 2); one pass over the panels of t
-    shared by all kernels.  NegativeEigenvalue if a covariance has an
-    eigenvalue below -1e-10 * trace, a quadrature failure, not physics."""
-    if t > table.t_max * (1.0 + 1e-12):
+    shared by all kernels, and zeros from a table without a mesh (eta = 0).
+    NegativeEigenvalue if a covariance has an eigenvalue below -1e-10 * trace,
+    a quadrature failure, not physics."""
+    if t > table.t_max:
         raise ValueError(f"t = {t} exceeds the tabulated range {table.t_max}")
-    edges = _u_panels(t, _GRADED_PANELS)
-    c = d = 0.0
-    # a t past t_max, within the rounding allowed above, may end beyond the mesh
-    if 2.0 * _GRADED_START <= t <= table.t_max:
-        c, d = table.mesh_state(kernels, edges.size - 2)
-        edges = edges[-2:]
-    else:
-        edges = np.unique(edges)  # a tiny t may round graded edges together
+    if not table.mesh.size:
+        return np.zeros((len(kernels), 2, 2))
+    if t >= 2.0 * _GRADED_START:  # one partial panel from the mesh edge below t
+        edge = int(np.searchsorted(table.mesh, t)) - 1
+        c, d = table.mesh_state(kernels, edge)
+        edges = np.array([table.mesh[edge], t])
+    else:  # a tiny t may round graded edges together
+        c = d = 0.0
+        edges = np.unique(_u_panels(t, _GRADED_PANELS))
     lam = _forward(table, kernels, edges, _PANEL_NODES, c, d)[0][:, -1, 1:3, 1:3]
     cov = 0.5 * (lam + lam.transpose(0, 2, 1))
     trace = np.trace(cov, axis1=1, axis2=2)
@@ -196,14 +200,6 @@ def lambda_covariances(table: PropagatorTable, kernels, t: float) -> np.ndarray:
             f"(trace {trace[bad[0]]:.3g})"
         )
     return cov
-
-
-def lambda_covariance(table: PropagatorTable, kernel: BathKernel, t: float) -> np.ndarray:
-    """Symmetrized 2x2 covariance of the accumulated pointer noise at t,
-    PSD-checked by :func:`lambda_covariances`."""
-    if kernel.eta == 0.0:
-        return np.zeros((2, 2))
-    return lambda_covariances(table, [kernel], t)[0]
 
 
 def xi_matrix(a_inv: np.ndarray, lambda_cov: np.ndarray) -> np.ndarray:

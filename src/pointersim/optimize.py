@@ -162,14 +162,15 @@ def thermal_sweep(
 
     The dynamics do not depend on the thermal energy, only the noise does.
     So the coarse scan is one pass over the coarse grid for all energies at
-    once: at each grid time one propagation and one pass of Lambda that
-    shares its table reads across every energy.  Each energy then
-    only runs the golden-section refinement of :func:`find_optimal_time`
-    on its row of the coarse values; a row with a value that is not
-    finite raises NumericalError, and every NumericalError of a search
-    names its energy.  ConfigError from the coarse scan when the noise
-    covariance on the outer mesh of every energy would be too many floats
-    (see :meth:`PropagatorTable.mesh_state`).
+    once: at each grid time one propagation and one ``lambda_covariance``
+    over the bath kernels of all energies, which share its table reads.
+    Each energy then only runs the golden-section refinement of
+    :func:`find_optimal_time` on ``point`` of its own evaluator and its row
+    of the coarse values; a row with a value that is not finite raises
+    NumericalError, and every NumericalError of a search names its energy.
+    ConfigError from the coarse scan when the noise covariance on the outer
+    mesh of every energy would be too many floats (see
+    :meth:`PropagatorTable.mesh_state`).
     """
     inv_betas = np.asarray(inv_betas, dtype=float)
     if np.any(inv_betas <= 0) or np.any(np.diff(inv_betas) < 0):

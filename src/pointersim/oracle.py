@@ -28,7 +28,7 @@ from .kernels import (
 from .model import GaussianMoments, MeasurementConfig, gaussian_state_moments
 from .noise import PropagatorTable, lambda_covariance
 from .propagator import build_generator, propagate
-from .uncertainty import uncertainty_curve
+from .uncertainty import CurveEvaluator
 
 __all__ = [
     "DiscreteBath",
@@ -300,8 +300,9 @@ def continuum_pointer_covariance(
     k, g, _ = table.propagators(times)
     k_t, g_t = k.transpose(0, 2, 1), g.transpose(0, 2, 1)
     full = k @ cov_x @ k_t + g @ cov_p @ g_t + k @ cov_xp @ g_t + g @ cov_xp.T @ k_t
-    kernel = BathKernel.from_config(cfg)
-    return full[:, 1:3, 1:3] + np.array([lambda_covariance(table, kernel, t) for t in times])
+    kernels = [BathKernel.from_config(cfg)]
+    lam = np.concatenate([lambda_covariance(table, kernels, t) for t in times])
+    return full[:, 1:3, 1:3] + lam
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +356,11 @@ def _dissipation_transform_error() -> float:
 
 def _inequality_chain_margin() -> float:
     """Largest violation of u_sq >= bound >= 1 on two default curves."""
-    moments = gaussian_state_moments()
+    ev = CurveEvaluator(MeasurementConfig(), gaussian_state_moments(), 3.0)
     times = np.linspace(0.05, 3.0, 40)
     worst = -np.inf
     for inv_beta in (1.0, 2.0):
-        for p in uncertainty_curve(MeasurementConfig(inv_beta=inv_beta), moments, times):
+        for p in ev.with_inv_beta(inv_beta).curve(times):
             worst = max(worst, p.bound - p.u_sq, 1.0 - p.bound)
     return float(worst)
 

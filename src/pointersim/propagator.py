@@ -71,7 +71,7 @@ def _second_order_blocks(cfg: MeasurementConfig, coup: CouplingMatrices):
     m_inv = coup.mass_inverse
     d = coup.damping_matrix
     pos = np.zeros((3, 3))
-    pos[0, 0] = cfg.kappa1**2 / cfg.mass_ratio
+    pos[0, 0] = cfg.kappa1 * cfg.kappa1 / cfg.mass_ratio
     blocks = m_inv, m_inv @ pos, m_inv @ (d - d.T)
     if not all(np.isfinite(b).all() for b in blocks):
         raise SingularMass("M^-1 times the couplings is not finite: singular M or huge kappa1")
@@ -103,7 +103,7 @@ def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> Augme
         else:
             # raw position convolution adds to the force
             gen[3:6, 6:8] = m_inv @ _S_SEL
-            gen[6:8, 0:3] = eta * wc**2 * _S_SEL.T
+            gen[6:8, 0:3] = eta * wc * wc * _S_SEL.T  # the product validate_config checks
         gen[6:8, 6:8] = -wc * np.eye(2)
 
     noise = np.zeros((n, 3))

@@ -17,16 +17,10 @@ import numpy as np
 
 from .kernels import BathKernel
 from .model import GaussianMoments, MeasurementConfig
-from .noise import PropagatorTable, lambda_covariance, lambda_covariances, xi_matrix
+from .noise import PropagatorTable, lambda_covariance, xi_matrix
 from .propagator import build_generator, checked_inverse, response_matrices
 
-__all__ = [
-    "UncertaintyPoint",
-    "UncertaintyCurve",
-    "lower_bound",
-    "CurveEvaluator",
-    "uncertainty_curve",
-]
+__all__ = ["UncertaintyPoint", "UncertaintyCurve", "lower_bound", "CurveEvaluator"]
 
 
 def lower_bound(
@@ -164,7 +158,8 @@ class CurveEvaluator:
         dynamics = self._dynamics(times)
         lam = None
         if self.cfg.eta > 0:
-            lam = np.array([lambda_covariance(self.table, self.kernel, t) for t in times.tolist()])
+            bath = [self.kernel]
+            lam = np.concatenate([lambda_covariance(self.table, bath, t) for t in times.tolist()])
         return self._assemble(times, dynamics, lam)
 
     def point(self, t: float) -> UncertaintyPoint:
@@ -175,16 +170,6 @@ class CurveEvaluator:
         table reads of Lambda; each equals ``point(t)`` of an evaluator with
         that kernel."""
         times = np.full(len(kernels), float(t))
-        lam = lambda_covariances(self.table, kernels, float(t)) if self.cfg.eta > 0 else None
+        lam = lambda_covariance(self.table, kernels, float(t)) if self.cfg.eta > 0 else None
         return list(self._assemble(times, self._dynamics(times[:1]), lam))
 
-
-def uncertainty_curve(
-    cfg: MeasurementConfig,
-    moments: GaussianMoments,
-    times: np.ndarray,
-    mode: str = "renormalized",
-) -> UncertaintyCurve:
-    """Evaluate the full uncertainty curve on a time grid."""
-    times = np.asarray(times, dtype=float)
-    return CurveEvaluator(cfg, moments, float(times.max()), mode).curve(times)

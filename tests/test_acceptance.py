@@ -32,7 +32,7 @@ from pointersim.noise import (
 )
 from pointersim.optimize import find_optimal_time, thermal_sweep
 from pointersim.propagator import build_generator, propagate, response_matrices
-from pointersim.uncertainty import CurveEvaluator, uncertainty_curve
+from pointersim.uncertainty import CurveEvaluator
 
 
 MOMENTS = gaussian_state_moments()
@@ -46,7 +46,7 @@ def reference_curves():
     curves = {}
     for inv_beta in (1.0, 2.0):
         cfg = MeasurementConfig(inv_beta=inv_beta)
-        curves[inv_beta] = uncertainty_curve(cfg, MOMENTS, times)
+        curves[inv_beta] = CurveEvaluator(cfg, MOMENTS, 3.0).curve(times)
     return times, curves
 
 
@@ -116,7 +116,7 @@ def test_criterion_3_figure_shape(reference_curves):
     t_opt1, t_opt2 = times[min1[0]], times[min2[0]]
     assert t_opt2 < t_opt1
 
-    closed = uncertainty_curve(MeasurementConfig(eta=0.0), MOMENTS, times[1:])
+    closed = CurveEvaluator(MeasurementConfig(eta=0.0), MOMENTS, 3.0).curve(times[1:])
     u_closed_min = closed.column("u_sq").min()
     assert u1.min() > u_closed_min
 
@@ -231,7 +231,7 @@ def test_criterion_7_numerical_hygiene(tmp_path):
     worst_eig = 0.0
     worst_doubling = 0.0
     for t in np.linspace(0.1, 3.0, 15):
-        cov = lambda_covariance(table, kern, float(t))
+        cov = lambda_covariance(table, [kern], float(t))[0]
         trace = np.trace(cov)
         worst_eig = max(worst_eig, -np.linalg.eigvalsh(cov)[0] / trace)
         fine = _doubled_lambda(table, kern, float(t))

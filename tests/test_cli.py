@@ -300,6 +300,25 @@ def test_huge_finite_value_exits_with_a_message(tmp_path, capsys, command, overr
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["uncertainty", "optimize", "sweep"])
+def test_raw_generator_of_a_huge_cutoff_is_config_error(tmp_path, capsys, command):
+    """eta*omega_c^2 = 1e100 is finite, omega_c^2 is not: the raw generator
+    forms the product that validate_config checks, and the table's node
+    bound refuses it."""
+    cfg = _write_config(tmp_path, eta=1e-300, omega_c=1e200)
+    assert main([command, "--config", cfg, "--mode", "raw"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the propagator table") and "Traceback" not in err
+
+
+def test_huge_pointer_correlation_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, state={"pointer_correlations": [1e200, 0.0]})
+    assert main(["uncertainty", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: pointer 1: ") and "= inf" in err
+    assert "Traceback" not in err
+
+
 def test_closed_curve_past_the_float_range_is_numerical_error(tmp_path, capsys):
     """The closed measurement has no node limit, so a time grid up to 1e300
     reaches the table read, whose finite check refuses the overflowed cubic."""

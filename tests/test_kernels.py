@@ -109,6 +109,13 @@ def test_nu_eta_zero():
     assert noise_autocorrelation(0.5, kern) == 0.0
 
 
+def test_nu_of_a_huge_cutoff_raises_no_overflow():
+    """omega_c^4 = 1e320 is past the float range; the moments of nu form it
+    as products, which stay finite on this weak bath."""
+    value = noise_autocorrelation(0.01, BathKernel(eta=1e-200, omega_c=1e80, inv_beta=1.0))
+    assert np.isfinite(value) and value == pytest.approx(1.047e-200, rel=1e-3)
+
+
 def test_nu_classical_limit():
     """nu -> eta*omega_c*inv_beta*exp(-omega_c*t) for beta*omega_c -> 0."""
     for inv_beta in (1e4, 2e4):  # beta*omega_c = 2e-3, 1e-3

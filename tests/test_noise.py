@@ -194,19 +194,30 @@ def test_lambda_matches_spline_table(open_config, bath_kernel, time_grid_200, mo
     spline = _SplineTable(gen, 3.0)
     for t in time_grid_200:
         ref = _panel_loop_lambda(spline.pointer_block, bath_kernel, float(t))
-        new = lambda_covariance(table, bath_kernel, float(t))
+        new = lambda_covariance(table, [bath_kernel], float(t))[0]
         assert np.abs(new - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
 def test_lambda_zero_cases(table, bath_kernel):
-    assert np.all(lambda_covariance(table, bath_kernel, 0.0) == 0.0)
+    assert np.all(lambda_covariance(table, [bath_kernel], 0.0)[0] == 0.0)
     quiet = BathKernel(eta=0.0, omega_c=20.0, inv_beta=1.0)
-    assert np.all(lambda_covariance(table, quiet, 1.0) == 0.0)
+    assert np.all(lambda_covariance(table, [quiet], 1.0)[0] == 0.0)
+
+
+def test_lambda_of_a_table_without_a_mesh_is_zero(closed_config):
+    """The closed measurement (eta = 0) has no noise: its table has no mesh,
+    and every kernel of a stack gets Lambda = 0, on and off the mesh range."""
+    table = PropagatorTable(build_generator(closed_config), 2.5)
+    assert table.mesh.size == 0
+    kernels = [BathKernel(0.0, 20.0, 1.0), BathKernel(0.0, 20.0, 2.0)]
+    for t in (0.05, 1.0, 2.5):
+        lam = lambda_covariance(table, kernels, t)
+        assert lam.shape == (2, 2, 2) and not lam.any()
 
 
 def test_lambda_beyond_table_rejected(table, bath_kernel):
     with pytest.raises(ValueError):
-        lambda_covariance(table, bath_kernel, 3.0)
+        lambda_covariance(table, [bath_kernel], 3.0)
 
 
 def test_lambda_frozen_value(table, bath_kernel):
@@ -214,13 +225,13 @@ def test_lambda_frozen_value(table, bath_kernel):
         [[0.77385829, 0.20191891], [0.20191891, 0.96109225]]
     )
     np.testing.assert_allclose(
-        lambda_covariance(table, bath_kernel, 1.0), ref, rtol=1e-6
+        lambda_covariance(table, [bath_kernel], 1.0)[0], ref, rtol=1e-6
     )
 
 
 def test_lambda_symmetric_and_psd(table, bath_kernel):
     for t in (0.1, 0.5, 1.0, 2.0):
-        cov = lambda_covariance(table, bath_kernel, t)
+        cov = lambda_covariance(table, [bath_kernel], t)[0]
         np.testing.assert_allclose(cov, cov.T, atol=1e-14)
         assert np.linalg.eigvalsh(cov)[0] >= -1e-10 * np.trace(cov)
 
@@ -228,7 +239,7 @@ def test_lambda_symmetric_and_psd(table, bath_kernel):
 def test_lambda_doubling_stability(table, bath_kernel):
     """Doubling the quadrature resolution barely moves the result."""
     for t in (0.3, 1.0, 2.0):
-        base = lambda_covariance(table, bath_kernel, t)
+        base = lambda_covariance(table, [bath_kernel], t)[0]
         fine = _doubled_lambda(table, bath_kernel, t)
         rel = np.abs(fine - base).max() / np.abs(base).max()
         assert rel < 1e-4
@@ -247,7 +258,7 @@ def test_lambda_matches_panel_loop(open_config, bath_kernel, time_grid_200, mode
         if doubled:
             new = _doubled_lambda(table, bath_kernel, float(t))
         else:
-            new = lambda_covariance(table, bath_kernel, float(t))
+            new = lambda_covariance(table, [bath_kernel], float(t))[0]
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
@@ -261,7 +272,7 @@ def test_lambda_matches_spread_layout(time_grid_200, mode, omega_c, inv_beta):
     kernel = BathKernel(eta=cfg.eta, omega_c=omega_c, inv_beta=inv_beta)
     for t in time_grid_200:
         ref = _spread_lambda(table, kernel, float(t))
-        new = lambda_covariance(table, kernel, float(t))
+        new = lambda_covariance(table, [kernel], float(t))[0]
         assert np.abs(new - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -284,7 +295,7 @@ def test_u_panels_align_on_the_mesh(table):
 def test_mesh_nu_is_a_fresh_evaluation(table, bath_kernel):
     """Lambda from the cached mesh edge equals one fresh pass over all panels
     of t; nu of a whole-mesh batch may differ from it in the last bits."""
-    cached = lambda_covariance(table, bath_kernel, 1.7)
+    cached = lambda_covariance(table, [bath_kernel], 1.7)[0]
     fresh = _pass_lambda(table, bath_kernel, _u_panels(1.7, _GRADED_PANELS), _PANEL_NODES)
     assert np.abs(cached - fresh).max() <= 1e-14 * np.abs(fresh).max()
 
@@ -305,11 +316,11 @@ def _count_nu_points(monkeypatch):
 def test_lambda_on_the_mesh_evaluates_one_panel_of_nu(monkeypatch, open_config, bath_kernel):
     table = PropagatorTable(build_generator(open_config, "renormalized"), 2.5)
     points = _count_nu_points(monkeypatch)
-    lambda_covariance(table, bath_kernel, 1.3)
+    lambda_covariance(table, [bath_kernel], 1.3)
     assert points[0] == (table.mesh.size - 1) * _PANEL_NODES + _PANEL_NODES
     for t in (0.1, 0.64, 2.5):
         points[0] = 0
-        lambda_covariance(table, bath_kernel, t)
+        lambda_covariance(table, [bath_kernel], t)
         assert points[0] == _PANEL_NODES
 
 
@@ -365,7 +376,7 @@ def test_psd_guard_refuses_a_negative_covariance(monkeypatch, tmp_path, capsys, 
     kernel = BathKernel(eta=0.25, omega_c=20.0, inv_beta=2.0)
     for t in (0.05, 1.3):
         with pytest.raises(NegativeEigenvalue):
-            lambda_covariance(table, kernel, t)
+            lambda_covariance(table, [kernel], t)
     assert main(["uncertainty", "--out", str(tmp_path / "out.csv")]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical error: noise covariance eigenvalue ")
     assert not (tmp_path / "out.csv").exists()
@@ -374,8 +385,8 @@ def test_psd_guard_refuses_a_negative_covariance(monkeypatch, tmp_path, capsys, 
 def test_lambda_grows_with_temperature(open_config, table):
     hot = BathKernel(eta=0.25, omega_c=20.0, inv_beta=3.0)
     cold = BathKernel(eta=0.25, omega_c=20.0, inv_beta=0.5)
-    c_hot = lambda_covariance(table, hot, 1.0)
-    c_cold = lambda_covariance(table, cold, 1.0)
+    c_hot = lambda_covariance(table, [hot], 1.0)[0]
+    c_cold = lambda_covariance(table, [cold], 1.0)[0]
     assert np.trace(c_hot) > np.trace(c_cold)
 
 

@@ -7,7 +7,7 @@ from pointersim.kernels import BathKernel
 from pointersim.model import MeasurementConfig, gaussian_state_moments
 from pointersim.noise import PropagatorTable, lambda_covariance, xi_matrix
 from pointersim.propagator import build_generator, checked_inverse, response_matrices
-from pointersim.uncertainty import CurveEvaluator, lower_bound, uncertainty_curve
+from pointersim.uncertainty import CurveEvaluator, lower_bound
 
 
 def inferred_variances(moments, sigma1_sq, sigma2_sq, xi1_sq, xi2_sq):
@@ -67,7 +67,7 @@ def _per_point_curve(cfg, moments, times, mode):
         s1, s2 = float(v[0] @ cov_j @ v[0]), float(v[1] @ cov_j @ v[1])
         xi1 = xi2 = 0.0
         if cfg.eta > 0:
-            xi = xi_matrix(a_inv, lambda_covariance(table, kernel, t))
+            xi = xi_matrix(a_inv, lambda_covariance(table, [kernel], t)[0])
             xi1, xi2 = float(xi[0, 0]), float(xi[1, 1])
         var_x, var_p = inferred_variances(moments, s1, s2, xi1, xi2)
         bound = lower_bound(moments, s1, s2, xi1, xi2)
@@ -145,7 +145,7 @@ def test_closed_curve_is_exact_at_long_times(default_moments, mode, couplings, r
     kappa1, kappa2, mass_ratio = couplings
     cfg = MeasurementConfig(kappa1=kappa1, kappa2=kappa2, mass_ratio=mass_ratio, eta=0.0)
     times = np.array([100.0, 400.0, 700.0, 1000.0])
-    curve = uncertainty_curve(cfg, default_moments, times, mode)
+    curve = CurveEvaluator(cfg, default_moments, 1000.0, mode).curve(times)
     for i, t in enumerate(times.tolist()):
         a, b, det_a = response_matrices(*closed_form_eta0(cfg, t)[:2])
         s1, s2 = pointer_contributions(a, b, default_moments.cov_j)
@@ -215,10 +215,8 @@ def test_curve_columns_and_parallel_determinism(
     open_config, default_moments
 ):
     times = np.linspace(0.1, 1.5, 8)
-    serial = uncertainty_curve(open_config, default_moments, times)
-    parallel = uncertainty_curve(
-        open_config, default_moments, times
-    )
+    serial = CurveEvaluator(open_config, default_moments, 1.5).curve(times)
+    parallel = CurveEvaluator(open_config, default_moments, 1.5).curve(times)
     assert len(serial) == 8
     for name in ("t", "u_sq", "bound", "xi1_sq"):
         np.testing.assert_array_equal(
@@ -271,7 +269,7 @@ def test_curve_equals_per_point_evaluation(default_moments, mode, eta):
     """The array path changes no bit of any column."""
     cfg = MeasurementConfig(eta=eta)
     times = np.linspace(0.05, 3.0, 25)
-    curve = uncertainty_curve(cfg, default_moments, times, mode)
+    curve = CurveEvaluator(cfg, default_moments, 3.0, mode).curve(times)
     reference = _per_point_curve(cfg, default_moments, times, mode)
     assert len(curve) == times.size
     for name, column in reference.items():
