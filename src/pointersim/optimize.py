@@ -161,9 +161,9 @@ def thermal_sweep(
     """Optimal measurement time and minimal uncertainty per thermal energy.
 
     The dynamics do not depend on the thermal energy, only the noise does.
-    So the coarse scan is one pass over the coarse grid for all energies at
-    once: at each grid time one propagation and one ``lambda_covariance``
-    over the bath kernels of all energies, which share its table reads.
+    So the coarse scan is one ``points`` call for all energies at once: one
+    propagation of the coarse grid and one ``lambda_covariance`` over its
+    times and the bath kernels of all energies.
     Each energy then only runs the golden-section refinement of
     :func:`find_optimal_time` on ``point`` of its own evaluator and its row
     of the coarse values; a row with a value that is not finite raises
@@ -179,9 +179,7 @@ def thermal_sweep(
     evaluators = [base.with_inv_beta(float(ib)) for ib in inv_betas]
     kernels = [ev.kernel for ev in evaluators]
     grid = _coarse_grid(t_interval, coarse_points)
-    coarse = np.array(
-        [[p.u_sq for p in base.points(float(t), kernels)] for t in grid]
-    ).T  # (n_beta, coarse_points)
+    coarse = np.array([c.column("u_sq") for c in base.points(grid, kernels)])
 
     t_opt, u_min, bound = np.full((3, inv_betas.size), np.nan)
     flags = []

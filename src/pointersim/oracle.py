@@ -300,9 +300,7 @@ def continuum_pointer_covariance(
     k, g, _ = table.propagators(times)
     k_t, g_t = k.transpose(0, 2, 1), g.transpose(0, 2, 1)
     full = k @ cov_x @ k_t + g @ cov_p @ g_t + k @ cov_xp @ g_t + g @ cov_xp.T @ k_t
-    kernels = [BathKernel.from_config(cfg)]
-    lam = np.concatenate([lambda_covariance(table, kernels, t) for t in times])
-    return full[:, 1:3, 1:3] + lam
+    return full[:, 1:3, 1:3] + lambda_covariance(table, [BathKernel.from_config(cfg)], times)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,8 @@ class CurveEvaluator:
         return a_inv, det_a, sigma[..., 0], sigma[..., 1]
 
     def _assemble(self, times, dynamics, lam) -> UncertaintyCurve:
-        """Curve from its beta-free part and the stacked Lambda (None when
-        eta = 0); a Lambda stack over kernels broadcasts against one time."""
+        """Curve from its beta-free part and the Lambda of every time (None
+        when eta = 0)."""
         a_inv, det_a, s1, s2 = dynamics
         xi = np.zeros((2, 2)) if lam is None else xi_matrix(a_inv, lam)
         xi1, xi2 = xi[..., 0, 0], xi[..., 1, 1]
@@ -153,7 +153,8 @@ class CurveEvaluator:
 
     def curve(self, times) -> UncertaintyCurve:
         """Every figure of merit on a 1-D time grid: the dynamics of all
-        times in one pass, then one Lambda per time when eta > 0."""
+        times in one pass, then one Lambda call per time when eta > 0
+        (``bench/test_bench.py`` counts one traced call per curve time)."""
         times = np.asarray(times, dtype=float)
         dynamics = self._dynamics(times)
         lam = None
@@ -165,11 +166,14 @@ class CurveEvaluator:
     def point(self, t: float) -> UncertaintyPoint:
         return self.curve([t])[0]
 
-    def points(self, t: float, kernels) -> list[UncertaintyPoint]:
-        """One point per bath kernel at t, sharing the dynamics and the
-        table reads of Lambda; each equals ``point(t)`` of an evaluator with
-        that kernel."""
-        times = np.full(len(kernels), float(t))
-        lam = lambda_covariance(self.table, kernels, float(t)) if self.cfg.eta > 0 else None
-        return list(self._assemble(times, self._dynamics(times[:1]), lam))
-
+    def points(self, times, kernels) -> list[UncertaintyCurve]:
+        """One curve per bath kernel on a 1-D time grid: the dynamics of all
+        times in one pass and, when eta > 0, one Lambda call over every time
+        and kernel.  Each equals ``curve(times)`` of an evaluator with that
+        kernel."""
+        times = np.asarray(times, dtype=float)
+        lam = [None] * len(kernels)
+        if self.cfg.eta > 0:
+            lam = lambda_covariance(self.table, kernels, times)
+        dynamics = self._dynamics(times)
+        return [self._assemble(times, dynamics, lam_k) for lam_k in lam]

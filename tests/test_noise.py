@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import pointersim.noise
 from pointersim.cli import EXIT_NUMERICAL, main
-from pointersim.errors import ConfigError, NegativeEigenvalue, SingularInference
+from pointersim.errors import ConfigError, EvaluationAtZero, NegativeEigenvalue, SingularInference
 from pointersim.kernels import BathKernel, noise_autocorrelation
 from pointersim.model import MeasurementConfig
 from pointersim.noise import (
@@ -220,6 +220,15 @@ def test_lambda_beyond_table_rejected(table, bath_kernel):
         lambda_covariance(table, [bath_kernel], 3.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1e-3, -np.inf, np.inf])
+def test_lambda_rejects_a_time_that_is_negative_or_not_finite(table, bath_kernel, bad):
+    """One ValueError that names the first such time, from a scalar and from
+    an array."""
+    for t in (bad, np.array([0.5, bad, -2.0])):
+        with pytest.raises(ValueError, match=f"^t = {bad} is not a finite time >= 0$"):
+            lambda_covariance(table, [bath_kernel], t)
+
+
 def test_lambda_frozen_value(table, bath_kernel):
     ref = np.array(
         [[0.77385829, 0.20191891], [0.20191891, 0.96109225]]
@@ -274,6 +283,75 @@ def test_lambda_matches_spread_layout(time_grid_200, mode, omega_c, inv_beta):
         ref = _spread_lambda(table, kernel, float(t))
         new = lambda_covariance(table, [kernel], float(t))[0]
         assert np.abs(new - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def _edge_case_times(mesh, t_max):
+    """Times below and above 0.1 and both float neighbours of 0.1, every
+    mesh edge and its float neighbours (but those of 0, where nu diverges),
+    t_max, and regular grids that fill several passes."""
+    edges = mesh[1:]
+    return np.concatenate((
+        [0.0, np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0), t_max],
+        mesh, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        np.geomspace(1e-3, 0.099, 13), np.linspace(0.1, t_max, 200),
+    ))
+
+
+@pytest.mark.parametrize("pass_nodes", [None, 200], ids=["cap", "small-cap"])
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_lambda_of_a_time_array_equals_the_per_time_calls(monkeypatch, open_config, mode,
+                                                          pass_nodes):
+    """The stacked passes give every time and kernel the bits of its own
+    call, across pass boundaries; a small cap also splits the kernels."""
+    if pass_nodes is not None:
+        monkeypatch.setattr(pointersim.noise, "_PASS_NODES", pass_nodes)
+    kernels = [BathKernel(eta=0.25, omega_c=20.0, inv_beta=ib) for ib in (0.5, 1.0, 4.0)]
+    table = PropagatorTable(build_generator(open_config, mode), 2.5)
+    times = _edge_case_times(table.mesh, table.t_max)
+    cap = pointersim.noise._PASS_NODES
+    on_mesh = times >= 2.0 * _GRADED_START
+    assert on_mesh.sum() * len(kernels) * _PANEL_NODES > cap
+    assert (~on_mesh).sum() * len(kernels) * (2 + _GRADED_PANELS) * _PANEL_NODES > cap
+    stacked = lambda_covariance(table, kernels, times)
+    assert stacked.shape == (len(kernels), times.size, 2, 2)
+    fresh = PropagatorTable(build_generator(open_config, mode), 2.5)
+    per_time = np.stack([lambda_covariance(fresh, kernels, t) for t in times.tolist()], axis=1)
+    np.testing.assert_array_equal(stacked, per_time)
+
+
+def test_lambda_of_a_tiny_time_with_merged_edges_raises_as_alone(table, bath_kernel):
+    """Where the graded edges of a tiny t round together, a node rounds to 0
+    and nu diverges there: the array form raises as the scalar one does."""
+    tiny = 1e-315
+    assert np.unique(_u_panels(tiny, _GRADED_PANELS)).size < _GRADED_PANELS + 3
+    for t in (tiny, np.array([0.05, tiny, 1.0])):
+        with pytest.raises(EvaluationAtZero):
+            lambda_covariance(table, [bath_kernel], t)
+
+
+def test_no_stacked_pass_takes_more_nodes_than_the_cap(monkeypatch, open_config):
+    """Every pass, the mesh pass of ten kernels included, asks nu for at
+    most _PASS_NODES kernel-nodes, and together they ask for every node."""
+    passes = []
+    forward, nu = pointersim.noise._forward, pointersim.noise.noise_autocorrelation
+
+    def counted_forward(*args, **kwargs):
+        passes.append(0)
+        return forward(*args, **kwargs)
+
+    def counted_nu(t, kernel):
+        passes[-1] += np.size(t)
+        return nu(t, kernel)
+
+    monkeypatch.setattr(pointersim.noise, "_forward", counted_forward)
+    monkeypatch.setattr(pointersim.noise, "noise_autocorrelation", counted_nu)
+    table = PropagatorTable(build_generator(open_config), 3.0)
+    kernels = [BathKernel(0.25, 20.0, 0.5 + 0.25 * i) for i in range(10)]
+    times = np.geomspace(0.02, 3.0, 60)
+    lambda_covariance(table, kernels, times)
+    panels = [1 if t >= 2.0 * _GRADED_START else _GRADED_PANELS + 2 for t in times]
+    assert max(passes) <= pointersim.noise._PASS_NODES and len(passes) > 3
+    assert sum(passes) == len(kernels) * _PANEL_NODES * (table.mesh.size - 1 + sum(panels))
 
 
 def test_u_panels_align_on_the_mesh(table):

@@ -243,10 +243,12 @@ def test_with_inv_beta_updates_config(evaluator):
 
 
 def test_points_match_point_per_kernel(evaluator):
-    """The shared-dynamics batch equals one point() per evaluator."""
+    """The batch over times and kernels equals one point() per evaluator and
+    time, on both sides of t = 0.1."""
     evaluators = [evaluator.with_inv_beta(ib) for ib in (0.5, 1.0, 3.0)]
-    batch = evaluator.points(0.8, [ev.kernel for ev in evaluators])
-    assert batch == [ev.point(0.8) for ev in evaluators]
+    times = [0.05, 0.8, 2.4]
+    batch = evaluator.points(times, [ev.kernel for ev in evaluators])
+    assert [list(curve) for curve in batch] == [[ev.point(t) for t in times] for ev in evaluators]
 
 
 def test_det_a_rtol_rejects_in_both_guards(closed_config, default_moments, monkeypatch):
