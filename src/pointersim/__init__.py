@@ -7,7 +7,6 @@ from .model import (
     MeasurementConfig,
     build_coupling_matrices,
     gaussian_state_moments,
-    validate_config,
 )
 
 __version__ = "0.1.0"
@@ -15,7 +14,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MeasurementConfig",
     "GaussianMoments",
-    "validate_config",
     "build_coupling_matrices",
     "gaussian_state_moments",
     "__version__",

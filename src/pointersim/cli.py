@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalError, PointerSimError
-from .model import GaussianMoments, MeasurementConfig, gaussian_state_moments, validate_config
+from .model import GaussianMoments, MeasurementConfig, gaussian_state_moments
 from .optimize import MIN_REL_TOL, thermal_sweep
 from .uncertainty import CurveEvaluator, UncertaintyPoint
 
@@ -167,7 +167,6 @@ def read_config(raw: dict) -> Inputs:
         val.setdefault(section, {})[key] = None if absent else reader(value, path, bounds)
 
     cfg = MeasurementConfig(**val[""])
-    validate_config(cfg)
     moments = gaussian_state_moments(**{k: v for k, v in val["state"].items() if v is not None})
 
     grid = val["time_grid"]

@@ -1,4 +1,5 @@
-"""Exception hierarchy for the pointer-measurement simulator."""
+"""Exception hierarchy for the pointer-measurement simulator: one class per
+way a run can end."""
 
 
 class PointerSimError(Exception):
@@ -6,59 +7,11 @@ class PointerSimError(Exception):
 
 
 class ConfigError(PointerSimError):
-    """Invalid model configuration."""
-
-
-class SingularLagrangian(ConfigError):
-    """kappa2**2 == mass ratio: the Lagrangian of the model is singular."""
-
-
-class NonPositive(ConfigError):
-    """A parameter that must be strictly positive is not."""
-
-
-class NegativeViscosity(ConfigError):
-    """Bath viscosity eta must be non-negative."""
-
-
-class UncertaintyViolation(ConfigError):
-    """Requested Gaussian moments violate the Heisenberg relation."""
+    """Invalid model configuration or initial state (CLI exit 2)."""
 
 
 class NumericalError(PointerSimError):
-    """A numerical routine failed its accuracy contract."""
-
-
-class EvaluationAtZero(NumericalError):
-    """Noise autocorrelation requested at t = 0 (logarithmic divergence)."""
-
-
-class QuadratureNonConvergence(NumericalError):
-    """An adaptive quadrature failed to reach the requested tolerance."""
-
-
-class SeriesResonance(NumericalError):
-    """Cutoff frequency coincides with a Matsubara frequency."""
-
-
-class SingularMass(NumericalError):
-    """Effective mass matrix singular, or the couplings overflow its products."""
-
-
-class ExpNonConvergence(NumericalError):
-    """Matrix exponential produced non-finite or inconsistent output."""
-
-
-class SingularInference(NumericalError):
-    """det A(t) too small: system observables cannot be inferred."""
-
-
-class NegativeEigenvalue(NumericalError):
-    """Noise covariance has an eigenvalue below the PSD tolerance."""
-
-
-class InsufficientModes(NumericalError):
-    """Discrete bath does not reproduce the continuum dissipation kernel."""
+    """A numerical routine failed its accuracy contract (CLI exit 3)."""
 
 
 class BoundaryMinimum(PointerSimError):

@@ -17,12 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    EvaluationAtZero,
-    NumericalError,
-    QuadratureNonConvergence,
-    SeriesResonance,
-)
+from .errors import NumericalError
 
 __all__ = [
     "BathKernel",
@@ -41,7 +36,7 @@ _QAWF_TOLERANCES = ((1e-14, 1e-13), (1e-12, 1e-10), (1e-10, 1.49e-8))
 
 def _oscillatory_quad(f, weight: str, wvar: float, scale: float) -> float:
     """Semi-infinite cos/sin transform, cross-validated across settings;
-    QuadratureNonConvergence when its error estimate exceeds 1e-6 of
+    NumericalError when its error estimate exceeds 1e-6 of
     max(|value|, scale)."""
     from scipy import integrate  # only the oracle paths integrate; keep it off startup
 
@@ -62,7 +57,7 @@ def _oscillatory_quad(f, weight: str, wvar: float, scale: float) -> float:
                 best = (keep[0], err)
     val, err = best
     if err > 1e-6 * max(abs(val), scale):
-        raise QuadratureNonConvergence(
+        raise NumericalError(
             f"{weight} transform at {wvar} has error estimate {err:.3g}, too large"
         )
     return val
@@ -225,10 +220,10 @@ def _nu_smalltime(tau: np.ndarray, kernel: BathKernel) -> np.ndarray:
 
 
 def _abs_times(t) -> np.ndarray:
-    """|t| as a 1-D array; EvaluationAtZero where t = 0."""
+    """|t| as a 1-D array; NumericalError where t = 0."""
     tau = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
     if np.any(tau == 0.0):
-        raise EvaluationAtZero("nu(t) diverges logarithmically at t = 0")
+        raise NumericalError("nu(t) diverges logarithmically at t = 0")
     return tau
 
 
@@ -257,7 +252,7 @@ def noise_autocorrelation(t, kernel: BathKernel):
     |t| > 0.
 
     Below |t| = _SWITCH*beta the small-time form is used; above it the
-    Matsubara series, which raises :class:`SeriesResonance` when
+    Matsubara series, which raises :class:`NumericalError` when
     beta*omega_c/(2*pi) lies within ``_RESONANCE_TOL`` of an integer
     n >= 1, where omega_c meets the n-th Matsubara frequency.  The
     small-time form has no pole.
@@ -273,7 +268,7 @@ def noise_autocorrelation(t, kernel: BathKernel):
     if np.any(~small):
         z = kernel.beta * kernel.omega_c / (2.0 * np.pi)
         if abs(z - max(round(z), 1)) < _RESONANCE_TOL:
-            raise SeriesResonance(
+            raise NumericalError(
                 f"beta*omega_c/(2*pi) = {z:.12g} is within {_RESONANCE_TOL:g} of an "
                 "integer, where omega_c meets a Matsubara frequency; move omega_c "
                 "or inv_beta so that it lies off the integer"

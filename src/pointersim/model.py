@@ -6,24 +6,18 @@ spreading time scale T and length scale lambda = sqrt(T*hbar/M_S).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    NegativeViscosity,
-    NonPositive,
-    SingularLagrangian,
-    UncertaintyViolation,
-)
+from .errors import ConfigError
 
 __all__ = [
     "MeasurementConfig",
     "CouplingMatrices",
     "GaussianMoments",
-    "validate_config",
     "build_coupling_matrices",
     "gaussian_state_moments",
 ]
@@ -47,6 +41,12 @@ class MeasurementConfig:
         Algebraic cutoff frequency of the Ohmic bath spectral density.
     inv_beta:
         Rescaled thermal energy of the bath.
+
+    Construction, and so every ``dataclasses.replace``, checks the model's
+    invariants and raises ConfigError naming the field: every field is
+    finite, mass_ratio, omega_c and inv_beta are > 0, eta >= 0, the
+    coupling products that enter the generator are finite, and
+    kappa2**2 != mass_ratio (a nonsingular Lagrangian).
     """
 
     kappa1: float = 2.0
@@ -56,42 +56,29 @@ class MeasurementConfig:
     omega_c: float = 20.0
     inv_beta: float = 1.0
 
-
-def validate_config(cfg: MeasurementConfig) -> MeasurementConfig:
-    """Check the model invariants and return ``cfg`` unchanged.
-
-    Raises
-    ------
-    SingularLagrangian
-        If kappa2**2 equals the mass ratio (no nonsingular Lagrangian).
-    NonPositive
-        If the mass ratio, cutoff frequency, or thermal energy is <= 0.
-    NegativeViscosity
-        If eta < 0.
-    ConfigError
-        If a product of couplings that enters the generator overflows.
-    """
-    if cfg.mass_ratio <= 0:
-        raise NonPositive(f"mass_ratio must be > 0, got {cfg.mass_ratio}")
-    if cfg.omega_c <= 0:
-        raise NonPositive(f"omega_c must be > 0, got {cfg.omega_c}")
-    if cfg.inv_beta <= 0:
-        raise NonPositive(f"inv_beta must be > 0, got {cfg.inv_beta}")
-    if cfg.eta < 0:
-        raise NegativeViscosity(f"eta must be >= 0, got {cfg.eta}")
-    # products, not powers: a float power overflows with an exception, not inf
-    for key, name, value in (
-        ("kappa1", "kappa1**2/mass_ratio", cfg.kappa1 * cfg.kappa1 / cfg.mass_ratio),
-        ("kappa2", "kappa2**2/mass_ratio", cfg.kappa2 * cfg.kappa2 / cfg.mass_ratio),
-        ("omega_c", "eta*omega_c**2", cfg.eta * cfg.omega_c * cfg.omega_c),
-    ):
-        if not np.isfinite(value):
-            raise ConfigError(f"config key '{key}' is out of range: {name} overflows")
-    if cfg.kappa2 * cfg.kappa2 == cfg.mass_ratio:
-        raise SingularLagrangian(
-            f"kappa2**2 == mass_ratio ({cfg.mass_ratio}): singular Lagrangian"
-        )
-    return cfg
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("mass_ratio", "omega_c", "inv_beta"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        if not self.eta >= 0:
+            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        # products, not powers: a float power overflows with an exception, not inf
+        for key, name, value in (
+            ("kappa1", "kappa1**2/mass_ratio", self.kappa1 * self.kappa1 / self.mass_ratio),
+            ("kappa2", "kappa2**2/mass_ratio", self.kappa2 * self.kappa2 / self.mass_ratio),
+            ("omega_c", "eta*omega_c**2", self.eta * self.omega_c * self.omega_c),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"config key '{key}' is out of range: {name} overflows")
+        if self.kappa2 * self.kappa2 == self.mass_ratio:
+            raise ConfigError(
+                f"kappa2**2 == mass_ratio ({self.mass_ratio}): singular Lagrangian"
+            )
 
 
 @dataclass(frozen=True)
@@ -151,11 +138,12 @@ class GaussianMoments:
 
 
 def _check_pair(var_x: float, var_p: float, corr: float, label: str) -> None:
-    if var_x <= 0 or var_p <= 0:
-        raise NonPositive(f"{label}: variances must be > 0")
+    # written so that NaN fails each check
+    if not (var_x > 0 and var_p > 0):
+        raise ConfigError(f"{label}: variances must be > 0")
     floor = 0.25 + corr * corr
-    if var_x * var_p < floor - 1e-12:
-        raise UncertaintyViolation(
+    if not var_x * var_p >= floor - 1e-12:
+        raise ConfigError(
             f"{label}: DX^2*DP^2 = {var_x * var_p:.6g} < 1/4 + c^2 = {floor:.6g}"
         )
 
@@ -177,8 +165,8 @@ def gaussian_state_moments(
     """
     vxs = float(system_position_variance)
     vx1, vx2 = (float(v) for v in pointer_position_variances)
-    if min(vxs, vx1, vx2) <= 0:
-        raise NonPositive("position variances must be > 0")
+    if not all(v > 0 for v in (vxs, vx1, vx2)):
+        raise ConfigError("position variances must be > 0")
     vps = 0.25 / vxs if system_momentum_variance is None else float(system_momentum_variance)
     _check_pair(vxs, vps, 0.0, "system")
 

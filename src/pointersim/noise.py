@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, NegativeEigenvalue
+from .errors import ConfigError, NumericalError
 from .kernels import BathKernel, noise_autocorrelation
 from .propagator import AugmentedGenerator, ExpTable
 
@@ -199,7 +199,7 @@ def lambda_covariance(table: PropagatorTable, kernels, t) -> np.ndarray:
     bath kernel at a time t, stacked (kernels, 2, 2), or at every time of an
     array t, stacked (kernels, *t.shape, 2, 2); zeros from a table without a
     mesh (eta = 0).  ValueError at the first time that is negative or not
-    finite, else at the first past the table; NegativeEigenvalue if a
+    finite, else at the first past the table; NumericalError if a
     covariance has an eigenvalue below -1e-10 * trace, a quadrature failure,
     not physics."""
     times = np.asarray(t, dtype=float)
@@ -228,7 +228,7 @@ def lambda_covariance(table: PropagatorTable, kernels, t) -> np.ndarray:
     min_eig = np.linalg.eigvalsh(cov)[..., 0]
     bad = np.flatnonzero(min_eig < -1e-10 * np.maximum(trace, 1e-300))
     if bad.size:
-        raise NegativeEigenvalue(
+        raise NumericalError(
             f"noise covariance eigenvalue {min_eig.flat[bad[0]]:.3g} below PSD tolerance "
             f"(trace {trace.flat[bad[0]]:.3g}) at t = {flat[bad[0] % flat.size]:.6g}"
         )

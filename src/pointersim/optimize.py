@@ -81,10 +81,13 @@ def golden_section(f, a: float, b: float, rel_tol: float = 1e-5, key=float):
 
 
 def _coarse_grid(t_interval: tuple[float, float], coarse_points: int) -> np.ndarray:
-    """Geometric coarse-scan grid on the interval, dense near t -> 0."""
+    """Geometric coarse-scan grid on the interval, dense near t -> 0; a
+    minimum needs a point on each side, so at least 3 points."""
     lo, hi = t_interval
     if not 0.0 < lo < hi:
         raise ValueError("interval must satisfy 0 < lo < hi")
+    if not coarse_points >= 3:
+        raise ValueError(f"need coarse_points >= 3, got {coarse_points!r}")
     return np.geomspace(lo, hi, coarse_points)
 
 
@@ -193,7 +196,7 @@ def thermal_sweep(
             flags.append((float(ib), f"boundary_minimum: {exc}"))
             continue
         except NumericalError as exc:
-            raise type(exc)(f"{exc}, inv_beta = {ib:.12g}") from exc
+            raise NumericalError(f"{exc}, inv_beta = {ib:.12g}") from exc
         t_opt[i], u_min[i], bound[i] = opt.t_opt, opt.u_sq_min, opt.at_opt.bound
         if opt.multiple_minima:
             flags.append((float(ib), f"multiple_minima: {opt.candidates}"))

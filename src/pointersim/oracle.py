@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ExpNonConvergence, InsufficientModes
+from .errors import NumericalError
 from .kernels import (
     BathKernel,
     dissipation_from_spectral_density,
@@ -149,7 +149,7 @@ def discretize_bath(
     exactly eta * omega_c; its dynamical effect on the slow modes is of
     order (omega / omega_tail)^2.  The kernel reconstruction is verified
     to ``_CHECK_TOL`` on ``_CHECK_WINDOW`` (which must end before the
-    recurrence time); failure raises :class:`InsufficientModes`.
+    recurrence time); failure raises :class:`NumericalError`.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -164,7 +164,7 @@ def discretize_bath(
         w_tail = _TAIL_FACTOR * omega_max
         g2_tail = w_tail**2 * (cfg.eta * cfg.omega_c - np.sum(g2 / w**2))
         if g2_tail < 0:
-            raise InsufficientModes("discrete shift exceeds the continuum value")
+            raise NumericalError("discrete shift exceeds the continuum value")
         w = np.append(w, w_tail)
         g2 = np.append(g2, g2_tail)
     bath = DiscreteBath(
@@ -177,7 +177,7 @@ def discretize_bath(
 
     if cfg.eta > 0:
         if bath.recurrence_time < 2.0 * _CHECK_WINDOW[1]:
-            raise InsufficientModes(
+            raise NumericalError(
                 f"recurrence time {bath.recurrence_time:.3g} shorter than "
                 f"2x the validation window end {_CHECK_WINDOW[1]}"
             )
@@ -188,7 +188,7 @@ def discretize_bath(
             dissipation_kernel_scalar(0.0, kernel)
         )
         if err > _CHECK_TOL:
-            raise InsufficientModes(
+            raise NumericalError(
                 f"discrete dissipation kernel off by {err:.3g} (> {_CHECK_TOL}) "
                 f"on t in {list(_CHECK_WINDOW)}"
             )
@@ -273,7 +273,7 @@ def discrete_pointer_covariance(
     f = build_full_generator(cfg, bath)
     step = expm(f * dt)
     if not np.all(np.isfinite(step)):
-        raise ExpNonConvergence("flow step matrix not finite")
+        raise NumericalError("flow step matrix not finite")
     sig = initial_covariance(cfg, moments, bath)
     rows = np.eye(f.shape[0])[1:3]  # the pointer positions
     out = np.empty((times.size, 2, 2))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigError, ExpNonConvergence, SingularInference, SingularMass
+from .errors import ConfigError, NumericalError
 from .model import CouplingMatrices, MeasurementConfig, build_coupling_matrices
 
 __all__ = [
@@ -74,7 +74,7 @@ def _second_order_blocks(cfg: MeasurementConfig, coup: CouplingMatrices):
     pos[0, 0] = cfg.kappa1 * cfg.kappa1 / cfg.mass_ratio
     blocks = m_inv, m_inv @ pos, m_inv @ (d - d.T)
     if not all(np.isfinite(b).all() for b in blocks):
-        raise SingularMass("M^-1 times the couplings is not finite: singular M or huge kappa1")
+        raise NumericalError("M^-1 times the couplings is not finite: singular M or huge kappa1")
     return blocks
 
 
@@ -103,7 +103,7 @@ def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> Augme
         else:
             # raw position convolution adds to the force
             gen[3:6, 6:8] = m_inv @ _S_SEL
-            gen[6:8, 0:3] = eta * wc * wc * _S_SEL.T  # the product validate_config checks
+            gen[6:8, 0:3] = eta * wc * wc * _S_SEL.T  # the product MeasurementConfig checks
         gen[6:8, 6:8] = -wc * np.eye(2)
 
     noise = np.zeros((n, 3))
@@ -165,7 +165,7 @@ class ExpTable:
 
     def exp(self, s, rows=slice(None)) -> np.ndarray:
         """The rows ``rows`` of e^{Fs} at the times s, shaped s.shape + (rows,
-        dim); ExpNonConvergence at the first time where one is not finite."""
+        dim); NumericalError at the first time where one is not finite."""
         s = np.asarray(s, dtype=float)
         j, d = self._split(s)
         e = _taylor(self._c_exp, d)
@@ -173,7 +173,7 @@ class ExpTable:
         e = e[:, rows] if len(self._exp) == 1 else self._exp[j, rows] @ e
         bad = ~np.isfinite(e).all(axis=(-2, -1))
         if bad.any():
-            raise ExpNonConvergence(f"matrix exponential not finite at t = {s.ravel()[bad][0]}")
+            raise NumericalError(f"matrix exponential not finite at t = {s.ravel()[bad][0]}")
         return e.reshape(s.shape + e.shape[1:])
 
     def propagators(self, t):
@@ -216,14 +216,14 @@ def checked_inverse(a: np.ndarray) -> np.ndarray:
     """A^-1 of 2x2 response matrices (..., 2, 2), the adjugate over det A.
 
     The one inversion of the inference: both the pointer term A^-1 B and
-    the bath term A^-1 Lambda A^-T use it.  Raises SingularInference at the
+    the bath term A^-1 Lambda A^-T use it.  Raises NumericalError at the
     first A with |det A| <= _DET_A_RTOL * ||A||^2.
     """
     det_a = _det(a)
     scale = np.maximum((a * a).sum(axis=(-2, -1)), 1e-300)
     singular = np.abs(det_a) <= _DET_A_RTOL * scale
     if singular.any():
-        raise SingularInference(
+        raise NumericalError(
             f"det A = {np.extract(singular, det_a)[0]:.3g} too small for inference"
         )
     adjugate = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS

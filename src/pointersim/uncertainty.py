@@ -160,7 +160,9 @@ class CurveEvaluator:
         lam = None
         if self.cfg.eta > 0:
             bath = [self.kernel]
-            lam = np.concatenate([lambda_covariance(self.table, bath, t) for t in times.tolist()])
+            # a reshape, not a concatenate: an empty grid gives an empty curve
+            lam = [lambda_covariance(self.table, bath, t) for t in times.tolist()]
+            lam = np.reshape(lam, (-1, 2, 2))
         return self._assemble(times, dynamics, lam)
 
     def point(self, t: float) -> UncertaintyPoint:

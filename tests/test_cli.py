@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,13 @@ def test_readme_config_block_is_the_default(tmp_path):
     assert load_config(str(path)) == _DEFAULT_CONFIG
 
 
+def test_readme_library_example_runs():
+    """The README's library example runs as written against the public API."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -291,9 +299,12 @@ def test_bad_mode_rejected(argv):
 def test_huge_finite_value_exits_with_a_message(tmp_path, capsys, command, overrides):
     """Couplings that overflow, noise tables too large to allocate, figures
     of merit that overflow and cutoffs too small for the small-time moments
-    of nu end in a mapped exit code, not in a traceback, and write nothing."""
+    of nu end in a mapped exit code, not in a traceback, and write nothing.
+    A cutoff that small also warns once per end of the time range."""
     cfg = _write_config(tmp_path, **overrides)
-    assert main([command, "--config", cfg]) in (EXIT_CONFIG, EXIT_NUMERICAL)
+    tiny_cutoff = overrides.get("omega_c", 1.0) < 1.0
+    with pytest.warns(UserWarning, match=r"omega_c \* t_max") if tiny_cutoff else nullcontext():
+        assert main([command, "--config", cfg]) in (EXIT_CONFIG, EXIT_NUMERICAL)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(("config error: ", "numerical error: "))
@@ -303,7 +314,7 @@ def test_huge_finite_value_exits_with_a_message(tmp_path, capsys, command, overr
 @pytest.mark.parametrize("command", ["uncertainty", "optimize", "sweep"])
 def test_raw_generator_of_a_huge_cutoff_is_config_error(tmp_path, capsys, command):
     """eta*omega_c^2 = 1e100 is finite, omega_c^2 is not: the raw generator
-    forms the product that validate_config checks, and the table's node
+    forms the product that MeasurementConfig checks, and the table's node
     bound refuses it."""
     cfg = _write_config(tmp_path, eta=1e-300, omega_c=1e200)
     assert main([command, "--config", cfg, "--mode", "raw"]) == EXIT_CONFIG

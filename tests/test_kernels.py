@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pointersim.errors import EvaluationAtZero, SeriesResonance
+from pointersim.errors import NumericalError
 from pointersim.kernels import (
     BathKernel,
     _quantum_moments,
@@ -98,9 +98,9 @@ def test_nu_continuous_at_small_time_switch():
 
 
 def test_nu_rejects_t_zero():
-    with pytest.raises(EvaluationAtZero):
+    with pytest.raises(NumericalError, match="diverges logarithmically at t = 0"):
         noise_autocorrelation(0.0, KERNEL)
-    with pytest.raises(EvaluationAtZero):
+    with pytest.raises(NumericalError, match="diverges logarithmically at t = 0"):
         nu_quadrature(np.array([0.5, 0.0]), KERNEL)
 
 
@@ -140,7 +140,7 @@ def test_nu_series_resonance_detection():
     # omega_c sitting exactly on the third Matsubara frequency
     inv_beta = 20.0 / (3 * 2.0 * np.pi)
     kern = BathKernel(eta=0.25, omega_c=20.0, inv_beta=inv_beta)
-    with pytest.raises(SeriesResonance, match=r"beta\*omega_c/\(2\*pi\) = 3\b"):
+    with pytest.raises(NumericalError, match=r"beta\*omega_c/\(2\*pi\) = 3 is within .* of an integer"):
         noise_autocorrelation(0.5, kern)
     # the quadrature oracle has no resonance and agrees with a nearby
     # non-resonant series evaluation
@@ -162,7 +162,7 @@ def test_nu_small_time_has_no_resonance():
     small = noise_autocorrelation(taus, kern)
     quad = nu_quadrature(taus, kern)
     np.testing.assert_allclose(small, quad, rtol=1e-6)
-    with pytest.raises(SeriesResonance):
+    with pytest.raises(NumericalError, match="where omega_c meets a Matsubara frequency"):
         noise_autocorrelation(np.append(taus, cut), kern)
 
 

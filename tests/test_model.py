@@ -6,16 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pointersim
-from pointersim.errors import (
-    NonPositive,
-    SingularLagrangian,
-    UncertaintyViolation,
-)
+from pointersim.errors import ConfigError
 from pointersim.model import (
     MeasurementConfig,
     build_coupling_matrices,
     gaussian_state_moments,
-    validate_config,
 )
 
 
@@ -35,24 +30,32 @@ def test_config_is_frozen():
 
 
 def test_validate_rejects_singular_lagrangian():
-    with pytest.raises(SingularLagrangian):
-        validate_config(MeasurementConfig(kappa2=1.0, mass_ratio=1.0))
+    with pytest.raises(ConfigError, match=r"kappa2\*\*2 == mass_ratio \(1.0\): singular"):
+        MeasurementConfig(kappa2=1.0, mass_ratio=1.0)
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"mass_ratio": 0.0}, {"omega_c": -1.0}, {"inv_beta": 0.0}],
+    [{"mass_ratio": 0.0}, {"omega_c": -1.0}, {"inv_beta": 0.0}, {"mass_ratio": -1.0},
+     {"omega_c": -5.0}],
 )
 def test_validate_rejects_nonpositive(kwargs):
-    with pytest.raises(NonPositive):
-        validate_config(MeasurementConfig(**kwargs))
+    [(name, value)] = kwargs.items()
+    with pytest.raises(ConfigError, match=f"^{name} must be > 0, got {value}$"):
+        MeasurementConfig(**kwargs)
 
 
 def test_validate_rejects_negative_viscosity():
-    from pointersim.errors import NegativeViscosity
+    with pytest.raises(ConfigError, match=r"^eta must be >= 0, got -0.1$"):
+        MeasurementConfig(eta=-0.1)
 
-    with pytest.raises(NegativeViscosity):
-        validate_config(MeasurementConfig(eta=-0.1))
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_validate_rejects_non_finite(value):
+    """Every construction checks the model's invariants; each check is
+    written so that NaN fails it."""
+    with pytest.raises(ConfigError, match=f"^inv_beta must be finite, got {value}$"):
+        MeasurementConfig(inv_beta=value)
 
 
 def test_coupling_matrices_structure(open_config):
@@ -81,12 +84,12 @@ def test_default_moments_minimum_uncertainty(default_moments):
 
 
 def test_moments_reject_uncertainty_violation():
-    with pytest.raises(UncertaintyViolation):
+    with pytest.raises(ConfigError, match=r"^pointer 1: DX\^2\*DP\^2 = 0.1 < 1/4"):
         gaussian_state_moments(
             pointer_position_variances=(1.0, 1.0),
             pointer_momentum_variances=(0.1, 0.25),
         )
-    with pytest.raises(UncertaintyViolation):
+    with pytest.raises(ConfigError, match=r"^pointer 1: DX\^2\*DP\^2 = 0.25 < 1/4 \+ c\^2 = 0.29"):
         gaussian_state_moments(
             pointer_momentum_variances=(0.25, 0.25),
             pointer_correlations=(0.2, 0.0),
@@ -94,7 +97,7 @@ def test_moments_reject_uncertainty_violation():
 
 
 def test_moments_reject_nonpositive_variance():
-    with pytest.raises(NonPositive):
+    with pytest.raises(ConfigError, match="^position variances must be > 0$"):
         gaussian_state_moments(system_position_variance=-1.0)
 
 
@@ -104,7 +107,28 @@ def test_moments_reject_nonpositive_variance():
 )
 def test_moments_reject_zero_position_variance(kwargs):
     """A zero position variance is refused before 1/(4*DX^2) is formed."""
-    with pytest.raises(NonPositive):
+    with pytest.raises(ConfigError, match="^position variances must be > 0$"):
+        gaussian_state_moments(**kwargs)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"system_position_variance": NAN}, "^position variances must be > 0$"),
+        ({"pointer_position_variances": (1.0, NAN)}, "^position variances must be > 0$"),
+        ({"system_momentum_variance": NAN}, "^system: variances must be > 0$"),
+        ({"pointer_momentum_variances": (NAN, 0.25)}, "^pointer 1: variances must be > 0$"),
+        ({"pointer_correlations": (0.0, NAN)}, r"^pointer 2: DX\^2\*DP\^2 = .* = nan$"),
+    ],
+    ids=["system-position", "pointer-position", "system-momentum", "pointer-momentum",
+         "pointer-correlation"],
+)
+def test_moments_reject_nan(kwargs, message):
+    """Every moment check is written so that NaN fails it."""
+    with pytest.raises(ConfigError, match=message):
         gaussian_state_moments(**kwargs)
 
 

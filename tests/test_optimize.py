@@ -59,6 +59,14 @@ def test_invalid_interval_rejected():
         find_optimal_time(lambda t: t, (2.0, 1.0))
 
 
+@pytest.mark.parametrize("coarse_points", [0, 1, 2])
+def test_coarse_grid_needs_three_points(coarse_points):
+    """A minimum needs a grid point on each side: fewer than 3 points is a
+    bad argument, not an empty argmin or a minimum on an edge."""
+    with pytest.raises(ValueError, match="coarse_points >= 3"):
+        find_optimal_time(lambda t: (t - 1.0) ** 2, (0.1, 2.0), coarse_points=coarse_points)
+
+
 def test_boundary_minimum_raised():
     # monotone decreasing landscape has its minimum at the upper edge
     with pytest.raises(BoundaryMinimum):

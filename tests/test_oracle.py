@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointersim.errors import InsufficientModes
+from pointersim.errors import NumericalError
 from pointersim.kernels import BathKernel, dissipation_kernel_scalar
 from pointersim.model import MeasurementConfig
 from pointersim import oracle
@@ -32,13 +32,13 @@ def test_discretize_eta_zero_couplings():
 
 
 def test_discretize_under_resolved_rejected(open_config):
-    with pytest.raises(InsufficientModes):
+    with pytest.raises(NumericalError, match="discrete dissipation kernel off by"):
         oracle.discretize_bath(open_config, n_modes=50)
 
 
 def test_discretize_recurrence_window(open_config):
     # a coarse grid recurs before twice the validation window
-    with pytest.raises(InsufficientModes, match="recurrence"):
+    with pytest.raises(NumericalError, match="recurrence time .* shorter than"):
         oracle.discretize_bath(open_config, n_modes=100, omega_max=400.0)
 
 

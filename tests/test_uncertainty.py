@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointersim.errors import SingularInference
+from pointersim.errors import ConfigError, NumericalError
 from pointersim.kernels import BathKernel
 from pointersim.model import MeasurementConfig, gaussian_state_moments
 from pointersim.noise import PropagatorTable, lambda_covariance, xi_matrix
@@ -258,10 +258,10 @@ def test_det_a_rtol_rejects_in_both_guards(closed_config, default_moments, monke
 
     # |det A| / ||A||^2 = 2^-43 / 4, below the fixed 1e-12
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-43]])
-    with pytest.raises(SingularInference):
+    with pytest.raises(NumericalError, match="too small for inference"):
         checked_inverse(a)
     monkeypatch.setattr(pointersim.propagator, "_DET_A_RTOL", 1.0)
-    with pytest.raises(SingularInference):
+    with pytest.raises(NumericalError, match="too small for inference"):
         CurveEvaluator(closed_config, default_moments, 3.0).point(1.0)
 
 
@@ -278,6 +278,19 @@ def test_curve_equals_per_point_evaluation(default_moments, mode, eta):
         np.testing.assert_array_equal(curve.column(name), column, err_msg=name)
 
 
+@pytest.mark.parametrize("inv_beta", [0.0, -1.0])
+def test_with_inv_beta_refuses_a_nonpositive_energy(evaluator, inv_beta):
+    with pytest.raises(ConfigError, match=f"^inv_beta must be > 0, got {inv_beta}$"):
+        evaluator.with_inv_beta(inv_beta)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.25], ids=["closed", "open"])
+def test_empty_grid_gives_an_empty_curve(default_moments, eta):
+    ev = CurveEvaluator(MeasurementConfig(eta=eta), default_moments, 3.0)
+    assert len(ev.curve([])) == 0
+    assert [len(c) for c in ev.points([], [ev.kernel])] == [0]
+
+
 def test_point_is_a_one_time_curve(evaluator):
     times = np.array([0.3, 0.9, 2.4])
     curve = evaluator.curve(times)
@@ -289,5 +302,5 @@ def test_point_is_a_one_time_curve(evaluator):
 def test_singular_row_inside_a_grid_raises(closed_config, default_moments):
     """A = 0 at t = 0, so a grid that holds t = 0 cannot be inferred."""
     ev = CurveEvaluator(closed_config, default_moments, 3.0)
-    with pytest.raises(SingularInference):
+    with pytest.raises(NumericalError, match="too small for inference"):
         ev.curve(np.array([0.5, 0.0, 1.0]))
