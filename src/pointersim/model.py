@@ -137,6 +137,15 @@ class GaussianMoments:
         return float(np.sqrt(self.var_ps0))
 
 
+def _finite(name: str, value):
+    """``value``, a number or a pair of them, as floats; ConfigError naming
+    the argument if one is not finite."""
+    floats = np.asarray(value, dtype=float).tolist()
+    if not np.isfinite(floats).all():
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return floats
+
+
 def _check_pair(var_x: float, var_p: float, corr: float, label: str) -> None:
     # written so that NaN fails each check
     if not (var_x > 0 and var_p > 0):
@@ -161,20 +170,23 @@ def gaussian_state_moments(
     function, so the momentum variance is the minimum-uncertainty value
     1/(4*DX^2) and the symmetrized position-momentum correlation vanishes.
     Explicit momentum variances or correlations may be supplied as long as
-    DX^2*DP^2 >= 1/4 + c^2 holds per state.
+    DX^2*DP^2 >= 1/4 + c^2 holds per state.  Every argument must be finite;
+    ConfigError names the first that is not.
     """
-    vxs = float(system_position_variance)
-    vx1, vx2 = (float(v) for v in pointer_position_variances)
+    vxs = _finite("system_position_variance", system_position_variance)
+    vx1, vx2 = _finite("pointer_position_variances", pointer_position_variances)
     if not all(v > 0 for v in (vxs, vx1, vx2)):
         raise ConfigError("position variances must be > 0")
-    vps = 0.25 / vxs if system_momentum_variance is None else float(system_momentum_variance)
+    vps = 0.25 / vxs
+    if system_momentum_variance is not None:
+        vps = _finite("system_momentum_variance", system_momentum_variance)
     _check_pair(vxs, vps, 0.0, "system")
 
     if pointer_momentum_variances is None:
         vp1, vp2 = 0.25 / vx1, 0.25 / vx2
     else:
-        vp1, vp2 = (float(v) for v in pointer_momentum_variances)
-    c1, c2 = (float(c) for c in pointer_correlations)
+        vp1, vp2 = _finite("pointer_momentum_variances", pointer_momentum_variances)
+    c1, c2 = _finite("pointer_correlations", pointer_correlations)
     _check_pair(vx1, vp1, c1, "pointer 1")
     _check_pair(vx2, vp2, c2, "pointer 2")
 

@@ -39,8 +39,10 @@ t >= 0.1 is then one partial panel from the mesh edge below it, with nu
 afresh on its 10 nodes, and each smaller t the 18 graded panels scaled to
 it.  These chains of panels are independent: :func:`lambda_covariance`
 stacks those of all its times and bath kernels into passes of at most
-_PASS_NODES kernel-nodes, with the bits of one call per time.  The closed
-measurement (eta = 0) has no noise: its table has no mesh, and Lambda = 0.
+_PASS_NODES kernel-nodes, with the bits of one call per time: every kernel
+at every time or, paired, kernel i at time i, with nu per chain on its own
+nodes.  The closed measurement (eta = 0) has no noise: its table has no
+mesh, and Lambda = 0.
 """
 
 from __future__ import annotations
@@ -84,11 +86,12 @@ class PropagatorTable(ExpTable):
         self._cache: dict[BathKernel, tuple[np.ndarray, np.ndarray]] = {}
 
     def mesh_state(self, kernels, edges) -> tuple[np.ndarray, np.ndarray]:
-        """C and D of every kernel at the mesh edges of index ``edges``,
-        stacked over the kernels; passes over the whole mesh for the kernels
-        met first.  ConfigError, before any pass, when the cache would then
-        hold more than _MAX_MESH_NU floats."""
-        new = [k for k in dict.fromkeys(kernels) if k not in self._cache]
+        """C and D at the mesh edges of index ``edges`` per row of the kernel
+        grid (:func:`_kernel_grid`), its kernel j at edge j; passes over the
+        whole mesh for the kernels met first.  ConfigError, before any pass,
+        when the cache would then hold more than _MAX_MESH_NU floats."""
+        grid = _kernel_grid(kernels)
+        new = [k for k in dict.fromkeys(grid.ravel()) if k not in self._cache]
         held, dim = len(self._cache) + len(new), self.gen.generator.shape[0]
         size = held * self.mesh.size * (dim * dim + 2 * dim)
         if size > _MAX_MESH_NU:
@@ -101,7 +104,10 @@ class PropagatorTable(ExpTable):
         for first in range(0, len(new), step):
             batch = new[first : first + step]
             self._cache.update(zip(batch, zip(*_forward(self, batch, self.mesh, _PANEL_NODES))))
-        return tuple(np.array([self._cache[k][i][edges] for k in kernels]) for i in (0, 1))
+        return tuple(np.array([  # a row of one kernel reads every edge
+            self._cache[row[0]][i][edges] if row.size == 1
+            else [self._cache[k][i][e] for k, e in zip(row, edges)] for row in grid
+        ]) for i in (0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -137,13 +143,26 @@ def _u_panels(t: float, graded_panels: int) -> np.ndarray:
     return np.concatenate(([0.0], graded[::-1], regular[regular < t], [t]))
 
 
+def _kernel_grid(kernels) -> np.ndarray:
+    """Bath kernels against chains: a list, each kernel over every chain, as
+    a column (kernels, 1); a row [[k_0, ..., k_m]] pairs kernel j with chain j."""
+    grid = np.asarray(kernels, dtype=object)
+    return grid[:, None] if grid.ndim == 1 else grid
+
+
+def _columns(grid: np.ndarray, index) -> np.ndarray:
+    """The kernels of the chains ``index`` of a kernel grid."""
+    return grid if grid.shape[1] == 1 else grid[:, index]
+
+
 def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int, c=None, d=None):
-    """C (dim x dim) and D (dim x 2) of every bath kernel at every edge of
-    every chain (a row of ``edges``, or a 1-D ``edges`` alone), stacked as
-    (kernels, *chains, edges, dim, dim) and (..., dim, 2), from c and d at
-    the first edges (zero if None), with one n-node panel between edges.
-    Every step is elementwise or a matmul stacked over the kernels and
-    chains, so each gets the same bits alone as in a stack."""
+    """C (dim x dim) and D (dim x 2) of every row of the kernel grid at
+    every edge of every chain (a row of ``edges``, or a 1-D ``edges`` alone),
+    stacked as (rows, *chains, edges, dim, dim) and (..., dim, 2), from c and
+    d at the first edges (zero if None), with one n-node panel between edges.
+    Every step is elementwise or a matmul stacked over the rows and chains,
+    so each gets the same bits alone as in a stack."""
+    kernels = _kernel_grid(kernels)
     x, w = _gl_nodes(n)
     shape = edges.shape[:-1]
     edges = edges.reshape(-1, edges.shape[-1])
@@ -157,8 +176,10 @@ def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int, c=None, d=None
     # e^{Fs} N and e^{F(b-s)} N at the nodes, flattened, in one matrix product
     e_sn, e_bsn = (e[: 2 * nodes].reshape(-1, dim) @ noise).reshape(2, chains, panels, n, 2 * dim)
 
-    # e^{Fr} N nu(r) at the nodes, and D at the edges and nodes
-    nu = np.array([noise_autocorrelation(s.ravel(), kernel) for kernel in kernels])
+    # e^{Fr} N nu(r) at the nodes, nu one call per kernel, on the nodes of its
+    # chains; and D at the edges and nodes
+    nu = np.array([[noise_autocorrelation(x, kernel) for x, kernel in
+                    zip(s.reshape(row.size, -1), row)] for row in kernels])
     g = nu.reshape(k, chains, panels, n, 1) * e_sn
     start = (np.zeros((k, chains, dim, 2)) if d is None else d).reshape(k, chains, 1, 2 * dim)
     d_edges = np.concatenate((start, width * (w @ g)), axis=2).cumsum(axis=2)
@@ -180,8 +201,8 @@ def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int, c=None, d=None
 
 
 def _end_lambda(lam, where, table: ExpTable, kernels, chains: np.ndarray, c=None, d=None):
-    """Into ``lam[:, where]``: P C P^T of every kernel at the end of every
-    chain (chains, edges) of :func:`_forward`, in passes of at most
+    """Into ``lam[:, where]``: P C P^T of every kernel row at the end of
+    every chain (chains, edges) of :func:`_forward`, in passes of at most
     _PASS_NODES kernel-nodes (or one chain of one kernel, if that is more)."""
     unit = (chains.shape[1] - 1) * _PANEL_NODES
     k_step = max(1, min(len(kernels), _PASS_NODES // unit))
@@ -190,20 +211,24 @@ def _end_lambda(lam, where, table: ExpTable, kernels, chains: np.ndarray, c=None
         for j in range(0, len(chains), step):
             at = slice(i, i + k_step), slice(j, j + step)
             start = [x if x is None else x[at] for x in (c, d)]
-            c_end = _forward(table, kernels[at[0]], chains[at[1]], _PANEL_NODES, *start)[0]
+            bath = _columns(kernels[at[0]], at[1])
+            c_end = _forward(table, bath, chains[at[1]], _PANEL_NODES, *start)[0]
             lam[at[0], where[at[1]]] = c_end[:, :, -1, 1:3, 1:3]
 
 
 def lambda_covariance(table: PropagatorTable, kernels, t) -> np.ndarray:
     """Symmetrized 2x2 covariance of the accumulated pointer noise for every
-    bath kernel at a time t, stacked (kernels, 2, 2), or at every time of an
-    array t, stacked (kernels, *t.shape, 2, 2); zeros from a table without a
-    mesh (eta = 0).  ValueError at the first time that is negative or not
-    finite, else at the first past the table; NumericalError if a
-    covariance has an eigenvalue below -1e-10 * trace, a quadrature failure,
-    not physics."""
+    bath kernel of a list at a time t, stacked (kernels, 2, 2), or at every
+    time of an array t, stacked (kernels, *t.shape, 2, 2); for a row
+    [[k_0, ..., k_n]] of one kernel per time, of the pairs alone, (1, *t.shape,
+    2, 2).  Zeros from a table without a mesh (eta = 0).  ValueError for a
+    row of the wrong length, at the first time that is negative or not
+    finite, else at the first past the table; NumericalError if a covariance
+    has an eigenvalue below -1e-10 * trace, a quadrature failure, not physics."""
     times = np.asarray(t, dtype=float)
-    flat = times.ravel()
+    flat, kernels = times.ravel(), _kernel_grid(kernels)
+    if kernels.shape[1] not in (1, flat.size):
+        raise ValueError(f"{kernels.shape[1]} paired kernels for {flat.size} times")
     if flat.size and not (flat.min() >= 0.0 and flat.max() <= table.t_max):
         bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
         if bad.size:
@@ -219,10 +244,11 @@ def lambda_covariance(table: PropagatorTable, kernels, t) -> np.ndarray:
         ends = flat[on]
         edge = np.searchsorted(table.mesh, ends) - 1
         chains = np.stack((table.mesh[edge], ends), axis=1)
-        _end_lambda(lam, on, table, kernels, chains, *table.mesh_state(kernels, edge))
+        bath = _columns(kernels, on)
+        _end_lambda(lam, on, table, bath, chains, *table.mesh_state(bath, edge))
     if below:  # 18 scaled panels; where a tiny t merges them, a node is 0
         chains = np.array([_u_panels(noisy[i], _GRADED_PANELS) for i in below])
-        _end_lambda(lam, below, table, kernels, chains)
+        _end_lambda(lam, below, table, _columns(kernels, below), chains)
     cov = 0.5 * (lam + lam.swapaxes(-1, -2))
     trace = np.trace(cov, axis1=-2, axis2=-1)
     min_eig = np.linalg.eigvalsh(cov)[..., 0]

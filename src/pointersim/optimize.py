@@ -56,28 +56,46 @@ class SweepResult:
     flags: tuple = ()
 
 
-def golden_section(f, a: float, b: float, rel_tol: float = 1e-5, key=float):
+def golden_section(f, a, b, rel_tol: float = 1e-5, key=float):
     """Golden-section search for the minimum of a unimodal key(f) on [a, b],
     returning the best t and f's value there; ValueError for a rel_tol
-    below MIN_REL_TOL."""
+    below MIN_REL_TOL.
+
+    With 1-D arrays a and b it searches the brackets [a_i, b_i] in lockstep
+    and returns the array of best times and the list of f's values there.
+    Each step then makes one call f(t, which) on the new times t of the
+    brackets ``which`` still open, and f returns one value per time.  The
+    float64 arithmetic gives a bracket the same steps as a search of its own.
+    """
     if not rel_tol >= MIN_REL_TOL:
         raise ValueError(f"rel_tol must be >= {MIN_REL_TOL:g}, got {rel_tol!r}")
+    if np.ndim(a) == 0:  # one bracket: f of one time
+        t, at = golden_section(lambda t, _: [f(x) for x in t], [a], [b], rel_tol, key)
+        return t[0], at[0]
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    while h > rel_tol * max(abs(a), abs(b)):
-        if key(fc) < key(fd):
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = f(d)
-    return (c, fc) if key(fc) < key(fd) else (d, fd)
+    c, d = b - _INV_PHI * h, a + _INV_PHI * h
+    # every value of f and its key; per bracket, the index of its value at c and at d
+    which = np.arange(a.size)
+    seen = list(f(np.concatenate((c, d)), np.tile(which, 2)))
+    keys = np.array([key(v) for v in seen], dtype=float)
+    at_c, at_d = which, which + a.size
+    open_ = h > rel_tol * np.maximum(np.abs(a), np.abs(b))
+    while open_.any():
+        left = open_ & (keys[at_c] < keys[at_d])  # the minimum is not right of d: [a, d]
+        right = open_ & ~left
+        b, d, at_d = np.where(left, d, b), np.where(left, c, d), np.where(left, at_c, at_d)
+        a, c, at_c = np.where(right, c, a), np.where(right, d, c), np.where(right, at_d, at_c)
+        h = b - a
+        c, d = np.where(left, b - _INV_PHI * h, c), np.where(right, a + _INV_PHI * h, d)
+        new = f(np.where(left, c, d)[open_], which[open_])
+        fresh = len(seen) - 1 + np.cumsum(open_)  # where the new value of an open bracket goes
+        at_c, at_d = np.where(left, fresh, at_c), np.where(right, fresh, at_d)
+        seen.extend(new)
+        keys = np.append(keys, [key(v) for v in new])
+        open_ = h > rel_tol * np.maximum(np.abs(a), np.abs(b))
+    better = keys[at_c] < keys[at_d]
+    return np.where(better, c, d), [seen[i] for i in np.where(better, at_c, at_d)]
 
 
 def _coarse_grid(t_interval: tuple[float, float], coarse_points: int) -> np.ndarray:
@@ -91,12 +109,43 @@ def _coarse_grid(t_interval: tuple[float, float], coarse_points: int) -> np.ndar
     return np.geomspace(lo, hi, coarse_points)
 
 
+def _coarse_minimum(grid: np.ndarray, vals: np.ndarray):
+    """The coarse points on each side of the best one, as the bracket of the
+    refinement, and the local minima (t, value) within 1% of the best one
+    when there is more than one, else ().  NumericalError at the first value
+    that is not finite; BoundaryMinimum when the best point is an end of the
+    grid."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NumericalError(f"U^2 is not finite at t = {grid[bad[0]]:.6g}")
+    best = int(vals.argmin())
+    if best == 0 or best == grid.size - 1:
+        raise BoundaryMinimum(
+            f"minimum at interval edge t = {grid[best]:.6g}; widen the interval"
+        )
+    interior = np.arange(1, grid.size - 1)
+    local = interior[
+        (vals[interior] <= vals[interior - 1]) & (vals[interior] <= vals[interior + 1])
+    ]
+    near = tuple((float(grid[i]), float(vals[i])) for i in local if vals[i] <= vals[best] * 1.01)
+    return float(grid[best - 1]), float(grid[best + 1]), near if len(near) > 1 else ()
+
+
+def _paired_points(ev: CurveEvaluator, t: np.ndarray, kernels) -> list:
+    """The points of the pairs (t_j, kernels_j), from one paired evaluation;
+    NumericalError at the first U^2 that is not finite."""
+    curve = ev.points(t, [kernels])[0]
+    bad = np.flatnonzero(~np.isfinite(curve.column("u_sq")))
+    if bad.size:
+        raise NumericalError(f"U^2 is not finite at t = {t[bad[0]]:.6g}")
+    return list(curve)
+
+
 def find_optimal_time(
     evaluator,
     t_interval: tuple[float, float] = (0.02, 3.0),
     coarse_points: int = 60,
     rel_tol: float = 1e-5,
-    coarse_values=None,
     key=float,
 ) -> Optimum:
     """Locate the global minimum of a scalar landscape on (0, t_max].
@@ -105,49 +154,19 @@ def find_optimal_time(
     the number minimised; with ``CurveEvaluator.point`` and the key
     ``point_u_sq``, the optimum keeps the point at t_opt.
     The coarse grid is geometric, dense near the t -> 0 divergence.  A
-    minimum sitting on an interval edge raises :class:`BoundaryMinimum`;
+    coarse value that is not finite raises :class:`NumericalError`, and a
+    minimum sitting on an interval edge :class:`BoundaryMinimum`;
     near-degenerate local minima are reported, not resolved.
-    ``coarse_values``, when given, are the values of ``evaluator`` on the
-    coarse grid, computed elsewhere; only the refinement then calls
-    ``evaluator``.  A coarse value that is not finite raises
-    :class:`NumericalError`.
     """
     grid = _coarse_grid(t_interval, coarse_points)
-    if coarse_values is None:
-        vals = np.array([key(evaluator(float(t))) for t in grid])
-    else:
-        vals = np.asarray(coarse_values, dtype=float)
-        if vals.shape != grid.shape:
-            raise ValueError(f"need {coarse_points} coarse values, got {vals.shape}")
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise NumericalError(f"U^2 is not finite at t = {grid[bad[0]]:.6g}")
-
-    best = int(vals.argmin())
-    if best == 0 or best == coarse_points - 1:
-        raise BoundaryMinimum(
-            f"minimum at interval edge t = {grid[best]:.6g}; widen the interval"
-        )
-
-    interior = np.arange(1, coarse_points - 1)
-    local = interior[
-        (vals[interior] <= vals[interior - 1]) & (vals[interior] <= vals[interior + 1])
-    ]
-    near = [
-        (float(grid[i]), float(vals[i]))
-        for i in local
-        if vals[i] <= vals[best] * 1.01
-    ]
-    multiple = len(near) > 1
-
-    t_opt, at_opt = golden_section(
-        evaluator, float(grid[best - 1]), float(grid[best + 1]), rel_tol, key
-    )
+    vals = np.array([key(evaluator(float(t))) for t in grid])
+    lo, hi, near = _coarse_minimum(grid, vals)
+    t_opt, at_opt = golden_section(evaluator, lo, hi, rel_tol, key)
     return Optimum(
         t_opt=float(t_opt),
         u_sq_min=float(key(at_opt)),
-        multiple_minima=multiple,
-        candidates=tuple(near) if multiple else (),
+        multiple_minima=bool(near),
+        candidates=near,
         at_opt=at_opt,
     )
 
@@ -166,40 +185,58 @@ def thermal_sweep(
     The dynamics do not depend on the thermal energy, only the noise does.
     So the coarse scan is one ``points`` call for all energies at once: one
     propagation of the coarse grid and one ``lambda_covariance`` over its
-    times and the bath kernels of all energies.
-    Each energy then only runs the golden-section refinement of
-    :func:`find_optimal_time` on ``point`` of its own evaluator and its row
-    of the coarse values; a row with a value that is not finite raises
-    NumericalError, and every NumericalError of a search names its energy.
-    ConfigError from the coarse scan when the noise covariance on the outer
-    mesh of every energy would be too many floats (see
-    :meth:`PropagatorTable.mesh_state`).
+    times and the bath kernels of all energies.  The golden-section
+    refinements of all energies then run in lockstep, each step one paired
+    ``points`` call over the new times of the energies still open.  Every
+    energy probes the times, and gets the optimum and the flags, of its own
+    :func:`find_optimal_time` on ``point``.  A coarse or refinement value
+    that is not finite raises NumericalError, and every NumericalError of a
+    search names its energy.  ConfigError from the coarse scan when the
+    noise covariance on the outer mesh of every energy would be too many
+    floats (see :meth:`PropagatorTable.mesh_state`).
     """
     inv_betas = np.asarray(inv_betas, dtype=float)
     if np.any(inv_betas <= 0) or np.any(np.diff(inv_betas) < 0):
         raise ValueError("inv_beta values must be positive and ascending")
     base = CurveEvaluator(cfg, moments, t_interval[1], mode)
-    evaluators = [base.with_inv_beta(float(ib)) for ib in inv_betas]
-    kernels = [ev.kernel for ev in evaluators]
+    kernels = [base.with_inv_beta(float(ib)).kernel for ib in inv_betas]
     grid = _coarse_grid(t_interval, coarse_points)
-    coarse = np.array([c.column("u_sq") for c in base.points(grid, kernels)])
 
-    t_opt, u_min, bound = np.full((3, inv_betas.size), np.nan)
-    flags = []
-    for i, (ib, ev) in enumerate(zip(inv_betas, evaluators)):
+    flags, searched, brackets = [], [], []
+    for i, (ib, curve) in enumerate(zip(inv_betas, base.points(grid, kernels))):
         try:
-            opt = find_optimal_time(
-                ev.point, t_interval, coarse_points, rel_tol, coarse_values=coarse[i],
-                key=point_u_sq,
-            )
+            lo, hi, near = _coarse_minimum(grid, curve.column("u_sq"))
         except BoundaryMinimum as exc:
             flags.append((float(ib), f"boundary_minimum: {exc}"))
             continue
         except NumericalError as exc:
             raise NumericalError(f"{exc}, inv_beta = {ib:.12g}") from exc
-        t_opt[i], u_min[i], bound[i] = opt.t_opt, opt.u_sq_min, opt.at_opt.bound
-        if opt.multiple_minima:
-            flags.append((float(ib), f"multiple_minima: {opt.candidates}"))
+        if near:
+            flags.append((float(ib), f"multiple_minima: {near}"))
+        searched.append(i)
+        brackets.append((lo, hi))
+
+    def refine(t, which):
+        """The points of the pairs (t_j, energy of bracket which_j) from one
+        paired evaluation; a NumericalError names the energy whose pair
+        fails alone too."""
+        bath = [kernels[searched[j]] for j in which]
+        try:
+            return _paired_points(base, t, bath)
+        except NumericalError:
+            for j, kernel in enumerate(bath):
+                try:
+                    _paired_points(base, t[j : j + 1], [kernel])
+                except NumericalError as exc:
+                    raise NumericalError(f"{exc}, inv_beta = {kernel.inv_beta:.12g}") from exc
+            raise
+
+    lo, hi = np.reshape(brackets, (-1, 2)).T
+    t_best, at_best = golden_section(refine, lo, hi, rel_tol, point_u_sq)
+    t_opt, u_min, bound = np.full((3, inv_betas.size), np.nan)
+    t_opt[searched] = t_best
+    u_min[searched] = [p.u_sq for p in at_best]
+    bound[searched] = [p.bound for p in at_best]
     return SweepResult(
         inv_betas=inv_betas,
         t_opt=t_opt,

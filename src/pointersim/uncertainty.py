@@ -65,6 +65,15 @@ class UncertaintyPoint:
 _COLUMNS = tuple(f.name for f in fields(UncertaintyPoint))
 
 
+def _time_grid(times) -> np.ndarray:
+    """``times`` as a 1-D grid, a scalar as one time; ValueError naming
+    any other shape."""
+    grid = np.atleast_1d(np.asarray(times, dtype=float))
+    if grid.ndim > 1:
+        raise ValueError(f"times must be a scalar or 1-D, got shape {grid.shape}")
+    return grid
+
+
 class UncertaintyCurve:
     """Uncertainty figures sampled on a time grid, one array per field of
     :class:`UncertaintyPoint`; indexing and iteration give points.
@@ -155,7 +164,7 @@ class CurveEvaluator:
         """Every figure of merit on a 1-D time grid: the dynamics of all
         times in one pass, then one Lambda call per time when eta > 0
         (``bench/test_bench.py`` counts one traced call per curve time)."""
-        times = np.asarray(times, dtype=float)
+        times = _time_grid(times)
         dynamics = self._dynamics(times)
         lam = None
         if self.cfg.eta > 0:
@@ -169,11 +178,13 @@ class CurveEvaluator:
         return self.curve([t])[0]
 
     def points(self, times, kernels) -> list[UncertaintyCurve]:
-        """One curve per bath kernel on a 1-D time grid: the dynamics of all
-        times in one pass and, when eta > 0, one Lambda call over every time
-        and kernel.  Each equals ``curve(times)`` of an evaluator with that
-        kernel."""
-        times = np.asarray(times, dtype=float)
+        """One curve per bath kernel of a list on a 1-D time grid or, for a
+        row [[k_0, ..., k_{n-1}]] of one kernel per time, one curve of the
+        pairs (times[i], k_i): the dynamics of all times in one pass and,
+        when eta > 0, one Lambda call over every time and kernel, or every
+        pair.  Each curve of a list equals ``curve(times)``, and row i of the
+        pairs ``point(times[i])``, of an evaluator with that kernel."""
+        times = _time_grid(times)
         lam = [None] * len(kernels)
         if self.cfg.eta > 0:
             lam = lambda_covariance(self.table, kernels, times)

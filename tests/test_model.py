@@ -111,24 +111,48 @@ def test_moments_reject_zero_position_variance(kwargs):
         gaussian_state_moments(**kwargs)
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
+_ARGUMENT_IDS = ["system-position", "pointer-position", "system-momentum", "pointer-momentum",
+                 "pointer-correlation"]
 
 
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"system_position_variance": NAN}, "^position variances must be > 0$"),
-        ({"pointer_position_variances": (1.0, NAN)}, "^position variances must be > 0$"),
-        ({"system_momentum_variance": NAN}, "^system: variances must be > 0$"),
-        ({"pointer_momentum_variances": (NAN, 0.25)}, "^pointer 1: variances must be > 0$"),
-        ({"pointer_correlations": (0.0, NAN)}, r"^pointer 2: DX\^2\*DP\^2 = .* = nan$"),
+        ({"system_position_variance": NAN}, "^system_position_variance must be finite, got nan$"),
+        ({"pointer_position_variances": (1.0, NAN)},
+         r"^pointer_position_variances must be finite, got \(1.0, nan\)$"),
+        ({"system_momentum_variance": NAN}, "^system_momentum_variance must be finite, got nan$"),
+        ({"pointer_momentum_variances": (NAN, 0.25)},
+         r"^pointer_momentum_variances must be finite, got \(nan, 0.25\)$"),
+        ({"pointer_correlations": (0.0, NAN)},
+         r"^pointer_correlations must be finite, got \(0.0, nan\)$"),
     ],
-    ids=["system-position", "pointer-position", "system-momentum", "pointer-momentum",
-         "pointer-correlation"],
+    ids=_ARGUMENT_IDS,
 )
 def test_moments_reject_nan(kwargs, message):
-    """Every moment check is written so that NaN fails it."""
+    """Every argument that is NaN is refused with its name."""
     with pytest.raises(ConfigError, match=message):
+        gaussian_state_moments(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # each with the momentum variance given, which 1/(4*DX^2) would zero
+        {"system_position_variance": INF, "system_momentum_variance": 1.0},
+        {"pointer_position_variances": (INF, 1.0), "pointer_momentum_variances": (1.0, 1.0)},
+        {"system_momentum_variance": INF},
+        {"pointer_momentum_variances": (INF, 0.25)},
+        {"pointer_correlations": (0.0, -INF)},
+    ],
+    ids=_ARGUMENT_IDS,
+)
+def test_moments_reject_inf(kwargs):
+    """Every argument that is infinite is refused with its name, also where
+    every other check would pass it."""
+    name = next(iter(kwargs))
+    with pytest.raises(ConfigError, match=f"^{name} must be finite, got .*inf"):
         gaussian_state_moments(**kwargs)
 
 

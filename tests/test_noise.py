@@ -317,6 +317,15 @@ def test_lambda_of_a_time_array_equals_the_per_time_calls(monkeypatch, open_conf
     fresh = PropagatorTable(build_generator(open_config, mode), 2.5)
     per_time = np.stack([lambda_covariance(fresh, kernels, t) for t in times.tolist()], axis=1)
     np.testing.assert_array_equal(stacked, per_time)
+    # paired: kernel i % 3 at time i alone
+    cycle = np.arange(times.size) % len(kernels)
+    paired = lambda_covariance(table, [[kernels[i] for i in cycle]], times)
+    np.testing.assert_array_equal(paired, per_time[cycle, np.arange(times.size)][None])
+
+
+def test_lambda_refuses_a_row_that_does_not_pair_with_the_times(table, bath_kernel):
+    with pytest.raises(ValueError, match="^2 paired kernels for 3 times$"):
+        lambda_covariance(table, [[bath_kernel] * 2], [0.5, 1.0, 2.0])
 
 
 def test_lambda_of_a_tiny_time_with_merged_edges_raises_as_alone(table, bath_kernel):

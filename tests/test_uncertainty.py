@@ -251,6 +251,38 @@ def test_points_match_point_per_kernel(evaluator):
     assert [list(curve) for curve in batch] == [[ev.point(t) for t in times] for ev in evaluators]
 
 
+@pytest.mark.parametrize("pass_nodes", [None, 30], ids=["cap", "small-cap"])
+@pytest.mark.parametrize("eta", [0.0, 0.25], ids=["closed", "open"])
+def test_paired_points_match_point_per_pair(monkeypatch, default_moments, eta, pass_nodes):
+    """A row of kernels pairs kernel i with time i: each pair has the bits
+    of its own point(), on both sides of t = 0.1 and across pass
+    boundaries, also where two pairs share a kernel."""
+    import pointersim.noise
+
+    if pass_nodes is not None:
+        monkeypatch.setattr(pointersim.noise, "_PASS_NODES", pass_nodes)
+    base = CurveEvaluator(MeasurementConfig(eta=eta), default_moments, 3.0)
+    evaluators = [base.with_inv_beta(ib) for ib in (0.5, 1.0, 3.0, 1.0, 0.5)]
+    times = [0.05, 0.8, 2.4, 0.07, 1.3]
+    (paired,) = base.points(times, [[ev.kernel for ev in evaluators]])
+    assert list(paired) == [ev.point(t) for ev, t in zip(evaluators, times)]
+
+
+@pytest.mark.parametrize("call", ["curve", "points", "paired"])
+def test_times_are_a_scalar_or_one_dimensional(evaluator, call):
+    """A grid of another shape is refused with its shape; a scalar is one
+    time."""
+    k = evaluator.kernel
+    run = {
+        "curve": lambda t: [evaluator.curve(t)],
+        "points": lambda t: evaluator.points(t, [k]),
+        "paired": lambda t: evaluator.points(t, [[k] * np.size(t)]),
+    }[call]
+    with pytest.raises(ValueError, match=r"^times must be a scalar or 1-D, got shape \(1, 2\)$"):
+        run([[0.5, 1.0]])
+    assert [list(c) for c in run(1.0)] == [[evaluator.point(1.0)]]
+
+
 def test_det_a_rtol_rejects_in_both_guards(closed_config, default_moments, monkeypatch):
     """The checked inverse refuses a near-singular A at the fixed rtol, and
     CurveEvaluator goes through the same guard (rtol patched to 1)."""
