@@ -109,15 +109,21 @@ def _coarse_grid(t_interval: tuple[float, float], coarse_points: int) -> np.ndar
     return np.geomspace(lo, hi, coarse_points)
 
 
+def _require_finite(t: np.ndarray, vals) -> None:
+    """NumericalError at the first time t_i whose value vals_i is not finite:
+    the one check of the coarse scans and the refinements."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NumericalError(f"U^2 is not finite at t = {t[bad[0]]:.6g}")
+
+
 def _coarse_minimum(grid: np.ndarray, vals: np.ndarray):
     """The coarse points on each side of the best one, as the bracket of the
     refinement, and the local minima (t, value) within 1% of the best one
     when there is more than one, else ().  NumericalError at the first value
     that is not finite; BoundaryMinimum when the best point is an end of the
     grid."""
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise NumericalError(f"U^2 is not finite at t = {grid[bad[0]]:.6g}")
+    _require_finite(grid, vals)
     best = int(vals.argmin())
     if best == 0 or best == grid.size - 1:
         raise BoundaryMinimum(
@@ -135,9 +141,7 @@ def _paired_points(ev: CurveEvaluator, t: np.ndarray, kernels) -> list:
     """The points of the pairs (t_j, kernels_j), from one paired evaluation;
     NumericalError at the first U^2 that is not finite."""
     curve = ev.points(t, [kernels])[0]
-    bad = np.flatnonzero(~np.isfinite(curve.column("u_sq")))
-    if bad.size:
-        raise NumericalError(f"U^2 is not finite at t = {t[bad[0]]:.6g}")
+    _require_finite(t, curve.column("u_sq"))
     return list(curve)
 
 
@@ -154,14 +158,21 @@ def find_optimal_time(
     the number minimised; with ``CurveEvaluator.point`` and the key
     ``point_u_sq``, the optimum keeps the point at t_opt.
     The coarse grid is geometric, dense near the t -> 0 divergence.  A
-    coarse value that is not finite raises :class:`NumericalError`, and a
-    minimum sitting on an interval edge :class:`BoundaryMinimum`;
-    near-degenerate local minima are reported, not resolved.
+    coarse or refinement value that is not finite raises
+    :class:`NumericalError`, and a minimum sitting on an interval edge
+    :class:`BoundaryMinimum`; near-degenerate local minima are reported, not
+    resolved.
     """
     grid = _coarse_grid(t_interval, coarse_points)
     vals = np.array([key(evaluator(float(t))) for t in grid])
     lo, hi, near = _coarse_minimum(grid, vals)
-    t_opt, at_opt = golden_section(evaluator, lo, hi, rel_tol, key)
+
+    def refine(t, _):
+        at = [evaluator(float(x)) for x in t]
+        _require_finite(t, [key(v) for v in at])
+        return at
+
+    (t_opt,), (at_opt,) = golden_section(refine, [lo], [hi], rel_tol, key)
     return Optimum(
         t_opt=float(t_opt),
         u_sq_min=float(key(at_opt)),

@@ -15,18 +15,21 @@ position convolution with the full dissipation kernel (potential shift
 and slip term retained).
 
 Every e^{Ft} comes from one :class:`ExpTable` (Van Loan, IEEE TAC 23:395,
-1978): full rows of e^{F s_j} on a uniform grid s_j = j h, and a forward
-Taylor step from the node below, e^{F(s_j + d)} = e^{F s_j} sum_k F^k d^k / k!.
-The generator of the closed measurement (eta = 0) is nilpotent, so its
-series ends at F^3 and its table is the single node s = 0, exact at any t.
+1978): full rows of e^{F s_j} on a uniform grid s_j = j h, from one stacked
+:func:`expm`, and a forward Taylor step from the node below,
+e^{F(s_j + d)} = e^{F s_j} sum_k F^k d^k / k!.  :func:`expm` is the scaling
+and squaring method of Al-Mohy & Higham (2009) in numpy, so the module needs
+no SciPy.  The generator of the closed measurement (eta = 0) is nilpotent,
+so its series ends at F^3 and its table is the single node s = 0, the
+identity, exact at any t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial as fact
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, NumericalError
 from .model import CouplingMatrices, MeasurementConfig, build_coupling_matrices
@@ -36,6 +39,7 @@ __all__ = [
     "ExpTable",
     "build_generator",
     "checked_inverse",
+    "expm",
     "propagate",
     "response_matrices",
 ]
@@ -54,6 +58,17 @@ _CLOSED_TERMS = 4
 #: most grid nodes a table may hold, as many as a time grid may have points;
 #: the default config, at omega_c*t_max = 60, needs 120
 _MAX_NODES = 100_000
+#: Pade degrees m of the scaling and squaring exponential: the numerator
+#: coefficients b_k = (2m-k)!/(k!(m-k)!), the largest ||A^k||^(1/k) the degree
+#: serves at double precision, and 1/|c_2m+1| = (2m)!(2m+1)!/(m!)^2 of its
+#: backward-error series (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+#: 31:970, 2009, Table 3.1 and (2.6))
+_PADE = tuple(
+    ([float(fact(2 * m - k) // (fact(k) * fact(m - k))) for k in range(m + 1)], theta,
+     float(fact(2 * m) * fact(2 * m + 1) // fact(m) ** 2))
+    for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+                     (7, 9.504178996162932e-1), (9, 2.097847961257068), (13, 4.25))
+)
 
 
 @dataclass(frozen=True)
@@ -111,6 +126,72 @@ def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> Augme
     return AugmentedGenerator(generator=gen, noise_map=noise, coupling=coup, cfg=cfg)
 
 
+def _onenorm(a: np.ndarray) -> np.ndarray:
+    """||a||_1 of stacked matrices."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _ell(a: np.ndarray, m: int, c: float) -> np.ndarray:
+    """Squarings that the degree-m Pade of each stacked matrix a needs on top
+    for its backward error to stay at the unit roundoff, from the exact
+    ||abs(a)^(2m+1)||_1 (the ell of Al-Mohy & Higham 2009, Algorithm 6.1).
+    The power is taken of abs(a)/||a||_1, whose entries stay <= 1, and
+    scaled back in logarithms, so that it cannot overflow."""
+    norm = _onenorm(a)
+    ell = np.zeros(len(a))
+    on = norm > 0.0
+    v, b = np.ones((on.sum(), 1, a.shape[-1])), np.abs(a[on]) / norm[on, None, None]
+    for _ in range(2 * m + 1):
+        v = v @ b
+    log_alpha = np.log2(v.max(axis=(1, 2), initial=0.0)) + 2 * m * np.log2(norm[on]) - np.log2(c)
+    ell[on] = np.ceil((log_alpha + 53) / (2 * m))
+    return np.maximum(ell, 0.0)
+
+
+def expm(a) -> np.ndarray:
+    """e^A of square matrices stacked along the leading axes of ``a``.
+
+    The scaling and squaring method of Al-Mohy & Higham (2009), which SciPy
+    also implements: per matrix the lowest Pade degree m, and for m = 13 the
+    fewest squarings s, that ||A^k||^(1/k) and the backward-error bound allow;
+    then r_m(A / 2^s) squared s times.  A matrix whose powers overflow gets
+    s = 0 and a result that is not finite.
+    """
+    a = np.asarray(a, dtype=float)
+    shape, eye = a.shape, np.eye(a.shape[-1])
+    a = a.reshape((-1,) + shape[-2:])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        d4, d6 = _onenorm(a4) ** 0.25, _onenorm(a6) ** (1 / 6)
+        d8, d10 = _onenorm(a4 @ a4) ** 0.125, _onenorm(a4 @ a6) ** 0.1
+        eta = np.maximum(d6, d8)
+        s = np.maximum(np.ceil(np.log2(np.minimum(eta, np.maximum(d8, d10)) / _PADE[-1][1])), 0.0)
+        s += _ell(a * 0.5 ** s[:, None, None], 13, _PADE[-1][2])
+        degree = np.full(len(a), len(_PADE) - 1)
+        for i in range(len(_PADE) - 2, -1, -1):  # the lowest degree that serves wins
+            b, theta, c = _PADE[i]
+            fits = np.flatnonzero((np.maximum(d4, d6) if i < 2 else eta) < theta)
+            degree[fits[_ell(a[fits], len(b) - 1, c) == 0]] = i
+    s = np.where((degree == len(_PADE) - 1) & np.isfinite(s), s, 0.0).astype(int)
+
+    x = np.empty_like(a)
+    for i, (b, _, _) in enumerate(_PADE):
+        on = degree == i
+        sc = 0.5 ** s[on, None, None]
+        p2, p4, p6 = a2[on] * sc**2, a4[on] * sc**4, a6[on] * sc**6
+        powers = (eye, p2, p4, p6, p4 @ p4, p4 @ p6, p6 @ p6)[: len(b) // 2]
+        u = a[on] * sc @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+        # r_m = (V+U)(V-U)^-1, the factors commute: solved for the rows, it
+        # comes out twice as accurate as (V-U)^-1(V+U) on non-normal tables
+        x[on] = np.linalg.solve(np.swapaxes(v - u, 1, 2), np.swapaxes(v + u, 1, 2)).swapaxes(1, 2)
+    for i in range(s.max(initial=0)):
+        x[s > i] = x[s > i] @ x[s > i]
+    return x.reshape(shape)
+
+
 def _taylor(coeffs: np.ndarray, d: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] d^k for every step d, stacked along axis 0; one small
     matmul per step, so a step has the same bits alone as in a batch."""
@@ -126,10 +207,12 @@ class ExpTable:
     """e^{Fs} of the augmented generator on [0, t_max].
 
     The grid step is h = 1/(2 rho(F)), at most 1/32, with rho the spectral
-    radius of the generator; rho only sets the scale.  Off the grid every
-    value is a forward Taylor step of 14 terms from the node below.  The
-    closed (6-dimensional) generator has F^4 = 0: its series is the cubic,
-    exact at any step, and its table the node s = 0 alone, at any t_max.
+    radius of the generator; rho only sets the scale.  The nodes e^{F s_j}
+    come from one call of the module's :func:`expm` on the stack of the
+    j*h*F.  Off the grid every value is a forward Taylor step of 14 terms
+    from the node below.  The closed (6-dimensional) generator has F^4 = 0:
+    its series is the cubic, exact at any step, and its table the node
+    s = 0 alone, the identity, at any t_max, with no call of expm.
     """
 
     def __init__(self, gen: AugmentedGenerator, t_max: float):
@@ -152,7 +235,8 @@ class ExpTable:
                 f"at rho(F) = {rho:.3g}, more than {_MAX_NODES}; lower omega_c*t_max "
                 f"(= {gen.cfg.omega_c * t_max:.3g}), eta or the couplings"
             )
-        self._exp = expm(np.arange(n + 1)[:, None, None] * self.step * f)  # e^{F s_j}
+        # e^{F s_j}; the closed table's one node is e^{F*0} = I
+        self._exp = expm(np.arange(n + 1)[:, None, None] * self.step * f) if n else np.eye(dim)[None]
 
     def _split(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Node index j and forward step d = s - s_j of every time s."""

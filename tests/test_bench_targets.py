@@ -36,8 +36,22 @@ def test_span_target_resolves(module, path):
     assert callable(owner)
 
 
-@pytest.mark.parametrize("module", ["propagator", "oracle"])
+@pytest.mark.parametrize("module", ["oracle"])
 def test_expm_is_bound_where_the_trace_counts_it(module):
-    """The trace counts matrix exponentials through the ``expm`` name of
-    these two modules, so each must call SciPy's through that name."""
+    """The trace counts the oracle's matrix exponentials through its
+    ``expm`` name, so it must call SciPy's through that name."""
     assert importlib.import_module(f"pointersim.{module}").expm is scipy.linalg.expm
+
+
+@pytest.mark.parametrize("eta, calls", [(0.0, 0), (0.25, 1)], ids=["closed", "open"])
+def test_propagator_tables_call_expm_through_its_module_name(monkeypatch, eta, calls):
+    """The trace counts table builds through ``propagator.expm``: an open
+    table calls it once, through the module global, and the closed table,
+    whose one node is the identity, not at all."""
+    from pointersim import propagator
+    from pointersim.model import MeasurementConfig
+
+    seen, original = [], propagator.expm
+    monkeypatch.setattr(propagator, "expm", lambda a: seen.append(a.shape) or original(a))
+    propagator.ExpTable(propagator.build_generator(MeasurementConfig(eta=eta)), 3.0)
+    assert len(seen) == calls

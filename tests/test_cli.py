@@ -451,7 +451,7 @@ _SRC = Path(pointersim.__file__).resolve().parents[1]
 _PROBE = """
 import json, sys
 from pointersim.cli import main
-names = ("scipy.integrate", "scipy.special", "pointersim.oracle")
+names = ("scipy.integrate", "scipy.linalg", "scipy.special", "pointersim.oracle")
 report = {"import": [m for m in names if m in sys.modules]}
 for step, argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, step
@@ -471,8 +471,8 @@ def _loaded_after(steps):
 
 
 def test_startup_loads_no_oracle_and_no_integrate(tmp_path):
-    """The quadrature module and the oracle cost import time that only
-    validate needs; scipy.special loads with the first eta > 0 run."""
+    """The quadrature module, the oracle and SciPy's linalg and special
+    cost import time that only validate needs; no other run loads them."""
     closed = _write_config(tmp_path, eta=0.0, time_grid={"start": 0.1, "stop": 1.0, "count": 4})
     opened = tmp_path / "open.json"
     opened.write_text(json.dumps({"time_grid": {"start": 0.1, "stop": 1.0, "count": 4}}))
@@ -484,15 +484,55 @@ def test_startup_loads_no_oracle_and_no_integrate(tmp_path):
         ["uncertainty", ["uncertainty", "--config", str(opened), "--out", out]],
         ["sweep", ["sweep", "--config", str(swept), "--out", out]],
     ])
-    assert loaded == {
-        "import": [], "closed": [], "uncertainty": ["scipy.special"], "sweep": ["scipy.special"],
-    }
+    assert loaded == {"import": [], "closed": [], "uncertainty": [], "sweep": []}
 
 
 def test_validate_loads_oracle_and_integrate(tmp_path):
     loaded = _loaded_after([["validate", ["validate", "--out", str(tmp_path / "v.txt")]]])
-    assert loaded["validate"] == ["scipy.integrate", "scipy.special", "pointersim.oracle"]
+    assert loaded["validate"] == [
+        "scipy.integrate", "scipy.linalg", "scipy.special", "pointersim.oracle"]
     assert (tmp_path / "v.txt").read_text().count("PASS ") == 5
+
+
+#: runs CLI commands with every scipy import refused
+_NO_SCIPY = """
+import json, sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, NoScipy())
+from pointersim.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_compute_commands_run_without_scipy(tmp_path):
+    """uncertainty (eta > 0 and eta = 0), optimize and sweep run with every
+    scipy import refused, and write the bytes of a run that may import it."""
+    closed = _write_config(tmp_path, eta=0.0, time_grid={"start": 0.1, "stop": 2.0, "count": 5})
+    opened = tmp_path / "open.json"
+    opened.write_text(json.dumps({"time_grid": {"start": 0.1, "stop": 2.0, "count": 5}}))
+    swept = tmp_path / "sweep.json"
+    swept.write_text(json.dumps({"sweep": {"inv_betas": [0.5, 3.5]}}))
+    runs = [["uncertainty", "--config", str(opened)], ["uncertainty", "--config", closed],
+            ["optimize"], ["sweep", "--config", str(swept), "--mode", "raw"]]
+    blocked = [argv + ["--out", str(tmp_path / f"blocked{i}.csv")] for i, argv in enumerate(runs)]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(_SRC)!r})\n" + _NO_SCIPY,
+         json.dumps(blocked)],
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"free{i}.csv")]) == EXIT_OK
+        free = (tmp_path / f"free{i}.csv").read_bytes()
+        assert (tmp_path / f"blocked{i}.csv").read_bytes() == free, argv
 
 
 def test_matsubara_resonance_exits_numerical(tmp_path, capsys):

@@ -166,6 +166,14 @@ def test_coarse_minimum_is_the_scan_of_find_optimal_time():
         _coarse_minimum(grid, grid)
 
 
+def test_find_optimal_time_refuses_a_refinement_value_that_is_not_finite():
+    """Finite on the 60 coarse times and nan between them: the first
+    refinement value is refused, as a coarse one would be."""
+    grid = set(np.geomspace(0.02, 3.0, 60).tolist())
+    with pytest.raises(NumericalError, match="U\\^2 is not finite at t = 0.978214$"):
+        find_optimal_time(lambda t: (t - 1.0) ** 2 if t in grid else float("nan"))
+
+
 def _python_golden_section(f, a, b, rel_tol):
     """Reference: the one-bracket search in Python floats, as it was before
     the brackets stepped in lockstep."""
