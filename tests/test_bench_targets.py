@@ -10,7 +10,6 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-import scipy.linalg
 
 _SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -36,11 +35,22 @@ def test_span_target_resolves(module, path):
     assert callable(owner)
 
 
-@pytest.mark.parametrize("module", ["oracle"])
-def test_expm_is_bound_where_the_trace_counts_it(module):
-    """The trace counts the oracle's matrix exponentials through its
-    ``expm`` name, so it must call SciPy's through that name."""
-    assert importlib.import_module(f"pointersim.{module}").expm is scipy.linalg.expm
+def test_discrete_bath_calls_expm_through_its_module_name(monkeypatch):
+    """The trace counts the discrete bath's step through ``oracle.expm``:
+    one call per ``discrete_pointer_covariance``, through the module global,
+    on the generator's two off-diagonal blocks."""
+    import numpy as np
+
+    from pointersim import oracle
+    from pointersim.model import MeasurementConfig, gaussian_state_moments
+
+    seen, original = [], oracle.expm
+    monkeypatch.setattr(oracle, "expm", lambda b, c: seen.append(b.shape) or original(b, c))
+    w = (np.arange(5) + 0.5) * 2.0
+    bath = oracle.DiscreteBath(5, 10.0, w, 0.1 * np.sqrt(w))
+    times = [0.2, 0.4, 0.6]
+    oracle.discrete_pointer_covariance(MeasurementConfig(), gaussian_state_moments(), bath, times)
+    assert seen == [(13, 13)]
 
 
 @pytest.mark.parametrize("eta, calls", [(0.0, 0), (0.25, 1)], ids=["closed", "open"])

@@ -28,7 +28,7 @@ def test_closed_form_pointer_coefficient(closed_config):
 def test_discretize_eta_zero_couplings():
     bath = oracle.discretize_bath(MeasurementConfig(eta=0.0), n_modes=50)
     assert np.all(bath.couplings == 0.0)
-    assert not bath.has_tail
+    assert bath.frequencies.size == bath.n_modes  # no tail mode
 
 
 def test_discretize_under_resolved_rejected(open_config):
@@ -128,3 +128,101 @@ def test_continuum_closed_covariance(closed_config, default_moments):
     cov_p = np.diag([0.25, cj[2, 2], cj[3, 3]])
     expect = (k @ cov_x @ k.T + g @ cov_p @ g.T)[1:3, 1:3]
     np.testing.assert_allclose(cov, expect, rtol=1e-10)
+
+
+def _small_bath(n):
+    """n resolved modes up to 2n plus one stiff tail mode at 100."""
+    w = np.append((np.arange(n) + 0.5) * 2.0, 100.0)
+    return oracle.DiscreteBath(n, 2.0 * n, w, 0.3 * np.sqrt(w))
+
+
+@pytest.mark.parametrize("n_modes", [1, 7, 200])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        MeasurementConfig(),
+        MeasurementConfig(eta=0.0),
+        MeasurementConfig(kappa1=1.3, kappa2=0.7, mass_ratio=2.0),
+    ],
+    ids=["default", "closed", "generic"],
+)
+def test_full_generator_maps_each_half_into_the_other(cfg, n_modes):
+    bath = oracle.discretize_bath(cfg, n_modes) if n_modes == 200 else _small_bath(n_modes)
+    order = oracle._halves(bath.frequencies.size)
+    f = oracle.build_full_generator(cfg, bath)
+    assert np.array_equal(np.sort(order), np.arange(f.shape[0]))
+    h = order.size // 2
+    pos, mom = order[:h], order[h:]
+    assert not f[np.ix_(pos, pos)].any() and not f[np.ix_(mom, mom)].any()
+
+
+@pytest.mark.parametrize("state, block", [(0, "Pos', Pos'"), (1, "Mom', Mom'")])
+def test_generator_with_an_entry_inside_a_half_is_refused(
+    monkeypatch, open_config, default_moments, state, block
+):
+    """X_S lies in Pos', X_1 in Mom': a diagonal entry on either is inside its half."""
+    build = oracle.build_full_generator
+
+    def leaky(cfg, bath):
+        f = build(cfg, bath)
+        f[state, state] = 1e-3
+        return f
+
+    monkeypatch.setattr(oracle, "build_full_generator", leaky)
+    with pytest.raises(NumericalError, match=rf"F\[{block}\] is not zero"):
+        oracle.discrete_pointer_covariance(open_config, default_moments, _small_bath(7), [0.2])
+
+
+def test_discrete_covariance_rejects_an_empty_grid(open_config, default_moments):
+    with pytest.raises(ValueError, match="times is empty"):
+        oracle.discrete_pointer_covariance(open_config, default_moments, _small_bath(7), [])
+
+
+@pytest.mark.parametrize("n_modes", [200, 400])
+def test_split_step_pointer_rows_match_scipy_expm(open_config, n_modes):
+    """The pointer rows of one 0.2 step against SciPy's dense expm of the
+    same [[0, B], [C, 0]], to 2e-13 of their largest entry."""
+    from scipy.linalg import expm
+
+    bath = oracle.discretize_bath(open_config, n_modes)
+    order = oracle._halves(bath.frequencies.size)
+    f = oracle.build_full_generator(open_config, bath)[np.ix_(order, order)] * 0.2
+    h = order.size // 2
+    rows = np.eye(f.shape[0])[1:3, order]  # X_1 and X_2 in the halves' order
+    new, ref = rows @ np.block(oracle.expm(f[:h, h:], f[h:, :h])), rows @ expm(f)
+    assert np.abs(new - ref).max() <= 2e-13 * np.abs(ref).max()
+
+
+def _row_taylor(f, rows, dt, steps, substeps, terms=24):
+    """rows @ e^{F m dt}, m = 1..steps, in long double: a Taylor series of
+    the rows alone on every substep, with no scaling and squaring."""
+    f, r = f.astype(np.longdouble), rows.astype(np.longdouble)
+    h, out = np.longdouble(dt) / substeps, []
+    for _ in range(steps):
+        for _ in range(substeps):
+            term = acc = r
+            for k in range(1, terms):
+                term = term @ f * (h / k)
+                acc = acc + term
+            r = acc
+        out.append(r)
+    return out
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double here"
+)
+def test_discrete_covariance_matches_an_extended_precision_reference(
+    open_config, default_moments
+):
+    """A 20-mode bath with a stiff tail, three 0.2 steps, against row-only
+    long-double Taylor stepping (h * rho(F) = 0.5, 24 terms): within 1e-13
+    of the covariance's largest entry."""
+    bath = _small_bath(20)
+    times = np.array([0.2, 0.4, 0.6])
+    disc = oracle.discrete_pointer_covariance(open_config, default_moments, bath, times)
+    f = oracle.build_full_generator(open_config, bath)
+    sig = oracle.initial_covariance(open_config, default_moments, bath).astype(np.longdouble)
+    rows = _row_taylor(f, np.eye(f.shape[0])[1:3], 0.2, 3, 40)
+    ref = np.array([r @ sig @ r.T for r in rows], dtype=float)
+    assert np.abs(disc - ref).max() <= 1e-13 * np.abs(ref).max()
