@@ -269,7 +269,7 @@ def cmd_sweep(run: Inputs, mode: str) -> list[str]:
 
 
 def cmd_validate(args) -> int:
-    from .oracle import GATES  # loads scipy.integrate; keep it off startup
+    from .oracle import GATES  # only validate needs the oracle; keep it off startup
 
     lines = []
     for name, measure, tol in GATES:

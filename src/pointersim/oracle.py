@@ -240,14 +240,9 @@ def initial_covariance(
     n = bath.frequencies.size
     d = 3 + 2 * n
     sig = np.zeros((2 * d, 2 * d))
-    cj = moments.cov_j
-    # system and pointers
-    sig[0, 0] = moments.var_xs0
-    sig[d, d] = moments.var_ps0
-    sig[1, 1], sig[2, 2] = cj[0, 0], cj[1, 1]
-    sig[d + 1, d + 1], sig[d + 2, d + 2] = cj[2, 2], cj[3, 3]
-    sig[1, d + 1] = sig[d + 1, 1] = cj[0, 2]
-    sig[2, d + 2] = sig[d + 2, 2] = cj[1, 3]
+    # system, and the pointers J = (X_1, X_2, P_1, P_2)
+    sig[0, 0], sig[d, d] = moments.var_xs0, moments.var_ps0
+    sig[np.ix_([1, 2, d + 1, d + 2], [1, 2, d + 1, d + 2])] = moments.cov_j
     # thermal bath, twice (two disjoint baths)
     vq, vk = thermal_mode_variances(bath, cfg.inv_beta)
     for b in range(2):
@@ -276,10 +271,13 @@ def expm(b: np.ndarray, c: np.ndarray) -> list[list[np.ndarray]]:
     s = ceil(log(norm / _THETA, 4)) if _THETA < norm < np.inf else 0
     n *= 0.25**s
     n2, eye = n @ n, np.eye(len(b))
-    powers = np.stack((np.broadcast_to(eye, n.shape), n, n2, n2 @ n))
-    n4, es = n2 @ n2, np.tensordot(_SERIES[:, 3], powers, 1)  # [series, N]
+    n4, powers = n2 @ n2, np.stack((np.broadcast_to(eye, n.shape), n, n2, n2 @ n))
+    del n, n2  # copies in powers: the series holds powers, n4 and two sums
+    es = np.tensordot(_SERIES[:, 3], powers, 1)  # [series, N]
     for j in (2, 1, 0):
-        es = es @ n4 + np.tensordot(_SERIES[:, j], powers, 1)
+        es = es @ n4
+        es += np.tensordot(_SERIES[:, j], powers, 1)
+    del n4, powers
     e, sn = es
     for _ in range(s):
         e, sn = 2.0 * (2.0 * e + e @ e), sn + sn @ e
@@ -331,10 +329,10 @@ def continuum_pointer_covariance(
     """Pointer-position covariance from the continuum propagator pipeline."""
     times = np.asarray(times, dtype=float)
     gen = build_generator(cfg, mode)
-    cj = moments.cov_j
-    cov_x = np.diag([moments.var_xs0, cj[0, 0], cj[1, 1]])
-    cov_p = np.diag([moments.var_ps0, cj[2, 2], cj[3, 3]])
-    cov_xp = np.diag([0.0, cj[0, 2], cj[1, 3]])
+    cov = np.zeros((6, 6))  # (X_S, X_1, X_2, P_S, P_1, P_2)
+    cov[0, 0], cov[3, 3] = moments.var_xs0, moments.var_ps0
+    cov[np.ix_([1, 2, 4, 5], [1, 2, 4, 5])] = moments.cov_j
+    cov_x, cov_p, cov_xp = cov[:3, :3], cov[3:, 3:], cov[:3, 3:]
     table = PropagatorTable(gen, float(times.max()))
     k, g, _ = table.propagators(times)
     k_t, g_t = k.transpose(0, 2, 1), g.transpose(0, 2, 1)

@@ -487,10 +487,9 @@ def test_startup_loads_no_oracle_and_no_integrate(tmp_path):
     assert loaded == {"import": [], "closed": [], "uncertainty": [], "sweep": []}
 
 
-def test_validate_loads_oracle_and_integrate(tmp_path):
+def test_validate_loads_the_oracle_and_no_scipy(tmp_path):
     loaded = _loaded_after([["validate", ["validate", "--out", str(tmp_path / "v.txt")]]])
-    assert loaded["validate"] == [
-        "scipy.integrate", "scipy.linalg", "scipy.special", "pointersim.oracle"]
+    assert loaded["validate"] == ["pointersim.oracle"]
     assert (tmp_path / "v.txt").read_text().count("PASS ") == 5
 
 
@@ -513,15 +512,16 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_compute_commands_run_without_scipy(tmp_path):
-    """uncertainty (eta > 0 and eta = 0), optimize and sweep run with every
-    scipy import refused, and write the bytes of a run that may import it."""
+    """uncertainty (eta > 0 and eta = 0), optimize, sweep and validate run
+    with every scipy import refused, and write the bytes of a run that may
+    import it."""
     closed = _write_config(tmp_path, eta=0.0, time_grid={"start": 0.1, "stop": 2.0, "count": 5})
     opened = tmp_path / "open.json"
     opened.write_text(json.dumps({"time_grid": {"start": 0.1, "stop": 2.0, "count": 5}}))
     swept = tmp_path / "sweep.json"
     swept.write_text(json.dumps({"sweep": {"inv_betas": [0.5, 3.5]}}))
     runs = [["uncertainty", "--config", str(opened)], ["uncertainty", "--config", closed],
-            ["optimize"], ["sweep", "--config", str(swept), "--mode", "raw"]]
+            ["optimize"], ["sweep", "--config", str(swept), "--mode", "raw"], ["validate"]]
     blocked = [argv + ["--out", str(tmp_path / f"blocked{i}.csv")] for i, argv in enumerate(runs)]
     proc = subprocess.run(
         [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(_SRC)!r})\n" + _NO_SCIPY,

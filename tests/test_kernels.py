@@ -11,6 +11,7 @@ from pointersim.kernels import (
     BathKernel,
     _cosine_lorentz_integral,
     _digamma,
+    _oscillatory_quad,
     _quantum_moments,
     dissipation_from_spectral_density,
     dissipation_kernel_scalar,
@@ -53,6 +54,13 @@ def test_dissipation_sine_transform_reconstruction():
         direct = float(dissipation_kernel_scalar(t, KERNEL))
         recon = dissipation_from_spectral_density(float(t), KERNEL)
         assert abs(recon - direct) < 1e-12 * mu0
+
+
+def test_dissipation_sine_transform_is_odd_in_t():
+    """The quadrature runs on |t|: the transform is odd in t, and 0 at 0."""
+    assert dissipation_from_spectral_density(0.0, KERNEL) == 0.0
+    assert dissipation_from_spectral_density(-0.3, KERNEL) == -dissipation_from_spectral_density(
+        0.3, KERNEL)
 
 
 def test_nu_series_matches_quadrature_20_points():
@@ -170,6 +178,35 @@ def test_nu_small_time_has_no_resonance():
     np.testing.assert_allclose(small, quad, rtol=1e-6)
     with pytest.raises(NumericalError, match="where omega_c meets a Matsubara frequency"):
         noise_autocorrelation(np.append(taus, cut), kern)
+
+
+#: one sine and one cosine transform of integrands other than the bath's:
+#: one that decays like 1/w, and one with a log factor
+_FOURIER_CASES = {
+    "sin": lambda w: w / (w * w + 4.0),
+    "cos": lambda w: np.log1p(w) / (1.0 + w * w),
+}
+
+
+@pytest.mark.parametrize("weight", sorted(_FOURIER_CASES))
+@pytest.mark.parametrize("wvar", [0.3, 1.3, 5.0])
+def test_oscillatory_quad_matches_scipy_qawf(weight, wvar):
+    """The double-exponential rule against SciPy's QAWF, within QAWF's own
+    error estimate (3.7e-13 to 9.8e-13 absolute; the rule is measured at
+    most 2.9e-15 from it on these six values, at most 4e-11 relative)."""
+    f = _FOURIER_CASES[weight]
+    ref, est = integrate.quad(f, 0.0, np.inf, weight=weight, wvar=wvar, epsabs=1e-12,
+                              epsrel=1e-10, limit=400, limlst=200)
+    assert abs(_oscillatory_quad(f, weight, wvar, 1.0) - ref) <= est
+
+
+@pytest.mark.parametrize("weight", ["sin", "cos"])
+def test_oscillatory_quad_refuses_an_integrand_with_a_jump(weight):
+    """A step at w = 1 converges only algebraically in h: the rules at
+    h = 0.1 and 0.125 differ by 0.068 (cos) and 0.076 (sin), far above 1e-6
+    of the scale."""
+    with pytest.raises(NumericalError, match=f"{weight} transform at 1.0 has error estimate"):
+        _oscillatory_quad(lambda w: (w < 1.0).astype(float), weight, 1.0, 1.0)
 
 
 def _quad_moments(eta, omega_c, beta):

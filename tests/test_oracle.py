@@ -3,9 +3,10 @@ import pytest
 
 from pointersim.errors import NumericalError
 from pointersim.kernels import BathKernel, dissipation_kernel_scalar
-from pointersim.model import MeasurementConfig
+from pointersim.model import GaussianMoments, MeasurementConfig
 from pointersim import oracle
 from pointersim.propagator import response_matrices
+from pointersim.uncertainty import CurveEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,35 @@ def test_continuum_closed_covariance(closed_config, default_moments):
     cov_p = np.diag([0.25, cj[2, 2], cj[3, 3]])
     expect = (k @ cov_x @ k.T + g @ cov_p @ g.T)[1:3, 1:3]
     np.testing.assert_allclose(cov, expect, rtol=1e-10)
+
+
+def test_correlated_pointers_reach_both_oracles(open_config):
+    """A cov_J with every pointer pair correlated (positive definite):
+    both oracles must carry the whole block.  A^-1 C A^-T of the pointer
+    covariance C has the diagonal var_S(0) + sigma_k^2 + Xi_k^2, so its
+    sigma terms must be CurveEvaluator's: to 1e-10 from the continuum
+    oracle, to 2e-3 from a 100-mode bath (measured 1.1e-4).  Read from the
+    diagonal and the (X_k, P_k) entries alone, sigma_1^2 is off by 6.7%."""
+    cj = np.diag([1.0, 1.0, 0.5, 0.5])
+    cj[0, 1] = cj[1, 0] = 0.4
+    cj[2, 3] = cj[3, 2] = -0.2
+    cj[0, 3] = cj[3, 0] = 0.3
+    cj[1, 2] = cj[2, 1] = 0.1
+    assert np.linalg.eigvalsh(cj).min() > 0.2
+    moments = GaussianMoments(cov_j=cj, var_xs0=1.0, var_ps0=0.25)
+    times = np.arange(1, 11) * 0.2
+    ev = CurveEvaluator(open_config, moments, 2.0, "raw")
+    curve = ev.curve(times)
+    a_inv = np.linalg.inv(response_matrices(*ev.table.propagators(times)[:2])[0])
+    var_0 = np.array([moments.var_xs0, moments.var_ps0])
+    xi = np.stack([curve.column("xi1_sq"), curve.column("xi2_sq")], axis=1)
+    sigma = np.stack([curve.column("sigma1_sq"), curve.column("sigma2_sq")], axis=1)
+    cont = oracle.continuum_pointer_covariance(open_config, moments, times, "raw")
+    bath = oracle.discretize_bath(open_config, n_modes=100)
+    disc = oracle.discrete_pointer_covariance(open_config, moments, bath, times)
+    for cov, tol in ((cont, 1e-10), (disc, 2e-3)):
+        inferred = np.diagonal(a_inv @ cov @ a_inv.transpose(0, 2, 1), axis1=1, axis2=2)
+        assert np.abs(inferred - var_0 - xi - sigma).max() < tol * np.abs(sigma).max()
 
 
 def _small_bath(n):
