@@ -104,31 +104,40 @@ def dissipation_kernel_scalar(t, kernel: BathKernel):
     return kernel.eta * (wc * wc) * np.exp(-wc * t)
 
 
-#: H_2j/(2j)!, j = 0, ..., 30, with the harmonic numbers H_n: the series in
-#: x^2 of Shi(x)*sinh(x) - (Chi(x) - gamma - ln x)*cosh(x), the product of the
-#: odd and even halves of the series of Ei and E1 (DLMF 6.6.1-6.6.2), since
-#: sum_m (-1)^(m+1) binom(n, m)/m = H_n
-_SHI_CHI_SERIES = [sum(1.0 / m for m in range(1, 2 * j + 1)) / math.factorial(2 * j)
-                   for j in range(31)]
-#: (2j-1)!, j = 0, ..., 30 (j = 0 unused): -1 times the asymptotic series of
-#: the integral in 1/x^2, -sum_{k odd} k!/x^(k+1) (DLMF 6.12.1)
-_ASYMPTOTIC_SERIES = [0.0] + [float(math.factorial(2 * j - 1)) for j in range(1, 31)]
+#: most elements of a block of series terms at many points: it bounds a call's work arrays
+_BLOCK = 1 << 15
+
 #: x = a*tau up to which the power series serve, and from which the asymptotic
 #: series does: its smallest term there is 1e-19 of the integral, ~ 1/x^2
 _SERIES_X, _ASYMPTOTIC_X = 2.0, 50.0
 
 
+def _truncated(coeffs: list, vm: float) -> list:
+    """coeffs[1:n] of sum_{j>=1} coeffs[j] * v^j, whose terms fall at v = vm,
+    the largest v of its branch: those above 2^-54 of the first term there."""
+    return [c for j, c in enumerate(coeffs) if j and c * vm**j > 2.0**-54 * coeffs[1] * vm]
+
+
+#: H_2j/(2j)!, j >= 1, with the harmonic numbers H_n: the series in x^2 of
+#: Shi(x)*sinh(x) - (Chi(x) - gamma - ln x)*cosh(x), the product of the odd
+#: and even halves of the series of Ei and E1 (DLMF 6.6.1-6.6.2), since
+#: sum_m (-1)^(m+1) binom(n, m)/m = H_n
+_SHI_CHI_SERIES = _truncated([sum(1.0 / m for m in range(1, 2 * j + 1)) / math.factorial(2 * j)
+                              for j in range(31)], _SERIES_X**2)
+#: (2j-1)!, j >= 1: -1 times the asymptotic series of the integral in 1/x^2,
+#: -sum_{k odd} k!/x^(k+1) (DLMF 6.12.1)
+_ASYMPTOTIC_SERIES = _truncated([0.0] + [float(math.factorial(2 * j - 1)) for j in range(1, 31)],
+                                _ASYMPTOTIC_X**-2)
+#: k in x^k/(k*k!), the terms of Ei(x) - gamma - ln x (DLMF 6.6.1): x < 50 needs 118
+_EI_TERMS = np.arange(1.0, 131.0)
+
+
 def _power_series(coeffs: list, v: np.ndarray) -> np.ndarray:
-    """sum_{j>=1} coeffs[j] * v^j for v >= 0 and coefficients >= 0, by Horner's
-    rule, with the terms the largest v needs to double precision."""
-    vm, power, total, n = float(v.max()), 1.0, 0.0, 1
-    while coeffs[n] * power * vm > 2.0**-54 * total:
-        power *= vm
-        total += coeffs[n] * power
-        n += 1
-    acc = 0.0
-    for c in coeffs[n - 1 : 0 : -1]:
-        acc = (acc + c) * v
+    """sum_{j>=1} coeffs[j-1] * v^j by Horner's rule."""
+    acc = coeffs[-1] * v
+    for c in coeffs[-2::-1]:
+        acc += c
+        acc *= v
     return acc
 
 
@@ -137,27 +146,41 @@ def _shi_chi(x: np.ndarray) -> np.ndarray:
     return _power_series(_SHI_CHI_SERIES, x * x) - (np.log(x) + np.euler_gamma) * np.cosh(x)
 
 
-def _exp_e1(x: np.ndarray) -> np.ndarray:
-    """e^x E1(x) for x > 1 from the continued fraction
-    1/(x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...)))), the even part of DLMF 6.9.1.
-    It is evaluated from its tail, to the depth at which Lentz's method
-    converges (every factor 1 to 2 ulp) for the smallest x, where the fraction
-    converges slowest: as accurate as Lentz's product, and a third the work."""
-    x0, i = float(x.min()), 0
-    b, d, c = x0 + 1.0, 1.0 / (x0 + 1.0), math.inf
+def _cf_depth(x0: float) -> int:
+    """The depth of the fraction of :func:`_exp_e1` at which Lentz's method
+    converges (every factor 1 to 2 ulp) at x0; it falls as x0 grows."""
+    i, b, d, c = 0, x0 + 1.0, 1.0 / (x0 + 1.0), math.inf
     while i == 0 or abs(c * d - 1.0) > 2.0**-51:
         i += 1
         b += 2.0
         d = 1.0 / (b - i * i * d)
         c = b - i * i / c
-    tail = 0.0
-    for j in range(i, 0, -1):
-        tail = j * j / (x + (2 * j + 1) - tail)
-    return 1.0 / (x + 1.0 - tail)
+    return i
 
 
-def _cosine_lorentz_integral(tau: np.ndarray, a: float) -> np.ndarray:
-    """int_0^inf w*cos(w*tau)/(w^2+a^2) dw for tau > 0.
+#: depth of the fraction of :func:`_exp_e1` on [n, n+1), 2 <= n < 50: the depth at n
+_CF_DEPTHS = np.array([_cf_depth(max(n, _SERIES_X)) for n in range(int(_ASYMPTOTIC_X))])
+
+
+def _exp_e1(x: np.ndarray) -> np.ndarray:
+    """e^x E1(x) for 2 <= x < 50 from the continued fraction
+    1/(x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...)))), the even part of DLMF 6.9.1.
+    It is evaluated from its tail, to the depth of floor(x), as accurate as
+    Lentz's product: every point runs the levels of the deepest, those deeper
+    than its own with numerator 0, which leave it where its own starts."""
+    depth = _CF_DEPTHS[x.astype(np.intp)]
+    levels = np.arange(1.0, depth.max() + 1.0)
+    num = np.where(levels[:, None] <= depth, levels[:, None] ** 2, 0.0)  # a row per level
+    denom = x + (2.0 * levels - 1.0)[:, None]
+    s, t = x + (2.0 * levels.size + 1.0), np.empty_like(x)
+    for j in range(levels.size - 1, -1, -1):
+        np.divide(num[j], s, out=t)
+        np.subtract(denom[j], t, out=s)
+    return 1.0 / s
+
+
+def _cosine_lorentz_integral(tau: np.ndarray, a) -> np.ndarray:
+    """int_0^inf w*cos(w*tau)/(w^2+a^2) dw for tau > 0, a a scalar or one per point.
 
     Equals -(1/2) * [exp(-x)*Ei(x) - exp(x)*E1(x)] = Shi(x)*sinh(x) -
     Chi(x)*cosh(x) (DLMF 6.2.15-6.2.16) at x = a*tau and diverges like
@@ -169,6 +192,10 @@ def _cosine_lorentz_integral(tau: np.ndarray, a: float) -> np.ndarray:
     x = a * np.asarray(tau, dtype=float)
     if x.max() <= _SERIES_X:  # the common case: one branch, nothing to mask
         return _shi_chi(x)
+    step = _BLOCK // _EI_TERMS.size
+    if x.size > step:
+        return np.concatenate([_cosine_lorentz_integral(x[i : i + step], 1.0)
+                               for i in range(0, x.size, step)])
     out = np.empty_like(x)
     low, high = x <= _SERIES_X, x >= _ASYMPTOTIC_X
     mid = ~(low | high)
@@ -178,8 +205,10 @@ def _cosine_lorentz_integral(tau: np.ndarray, a: float) -> np.ndarray:
         out[high] = -_power_series(_ASYMPTOTIC_SERIES, 1.0 / x[high] ** 2)
     if mid.any():
         xm = x[mid]
-        k = np.arange(1.0, 131.0)  # x^k/(k*k!) (DLMF 6.6.1): x < 50 needs 118 terms
-        ei = np.euler_gamma + np.log(xm) + np.cumprod(xm[:, None] / k, axis=1) @ (1.0 / k)
+        terms = xm[:, None] / _EI_TERMS  # a row a point: x^k/k!, x^k/(k*k!), their sum
+        np.multiply.accumulate(terms, axis=1, out=terms)
+        terms /= _EI_TERMS
+        ei = np.euler_gamma + np.log(xm) + terms.sum(axis=1)
         out[mid] = -0.5 * (np.exp(-xm) * ei - _exp_e1(xm))
     return out
 
@@ -256,43 +285,72 @@ def _quantum_moments(eta: float, omega_c: float, beta: float) -> tuple[float, fl
     return moments
 
 
-def _nu_series(tau: np.ndarray, kernel: BathKernel) -> np.ndarray:
-    """Exponential-series form of nu for tau >= _SWITCH*beta (elementwise).
+#: n of the Matsubara frequencies nu_n = 2*pi*n/beta: a point takes n up to
+#: floor(46/(nu_1*tau)) + 2, at most 148 on tau >= _SWITCH*beta
+_MATSUBARA_TERMS = np.arange(1.0, 149.0)
+
+
+@lru_cache(maxsize=32)
+def _parameters(kernel: BathKernel, small: bool, series: bool) -> tuple:
+    """omega_c, eta*omega_c^2/pi and the moments B0, B2, B4 of the small-time
+    form, and the series as sum_j a_j*exp(-r_j*tau) in rows -r_j and a_j, the
+    Drude term (r_0 = omega_c) then the Matsubara terms (r_n = nu_n), each if
+    points take it, else zeros; NumericalError at a Matsubara resonance."""
+    eta, wc, beta = kernel.eta, kernel.omega_c, kernel.beta
+    moments = (wc, eta * (wc * wc) / math.pi, *_quantum_moments(eta, wc, beta)) if small else (0.0,) * 5
+    table = np.zeros((2, _MATSUBARA_TERMS.size + 1))
+    if series:
+        z = beta * wc / (2.0 * math.pi)
+        if abs(z - max(round(z), 1)) < _RESONANCE_TOL:
+            raise NumericalError(
+                f"beta*omega_c/(2*pi) = {z:.12g} is within {_RESONANCE_TOL:g} of an "
+                "integer, where omega_c meets a Matsubara frequency; move omega_c "
+                "or inv_beta so that it lies off the integer"
+            )
+        nu_n = (2.0 * math.pi / beta) * _MATSUBARA_TERMS
+        table[:, 0] = -wc, 0.5 * eta * (wc * wc) / math.tan(0.5 * beta * wc)
+        table[:, 1:] = -nu_n, (2.0 * eta * (wc * wc) / beta) * nu_n / (nu_n * nu_n - wc * wc)
+    table.flags.writeable = False
+    return moments, table
+
+
+def _nu_series(tau: np.ndarray, rows: np.ndarray, tables: list) -> np.ndarray:
+    """Exponential-series form of nu for tau >= _SWITCH*beta, at points of
+    the kernels ``rows``, with the tables of :func:`_parameters`.
 
     nu(tau) = (eta*wc^2/2)*cot(beta*wc/2)*exp(-wc*tau)
               + (2*eta*wc^2/beta) * sum_n nu_n*exp(-nu_n*tau)/(nu_n^2-wc^2)
     with Matsubara frequencies nu_n = 2*pi*n/beta.  Derived by residue
-    decomposition of coth; validated against direct quadrature.
+    decomposition of coth; validated against direct quadrature.  A point's
+    terms are a column of a block, summed down it and read where they end.
     """
-    eta, wc, beta = kernel.eta, kernel.omega_c, kernel.beta
-    delta = 2.0 * np.pi / beta
-    n_terms = int(np.ceil(46.0 / (delta * float(np.min(tau))))) + 1
-    nu_n = delta * np.arange(1, n_terms + 1)
-    terms = nu_n[:, None] * np.exp(-np.outer(nu_n, tau)) / (nu_n**2 - wc * wc)[:, None]
-    series = (2.0 * eta * (wc * wc) / beta) * terms.sum(axis=0)
-    drude = 0.5 * eta * (wc * wc) / np.tan(0.5 * beta * wc) * np.exp(-wc * tau)
-    return drude + series
-
-
-def _nu_smalltime(tau: np.ndarray, kernel: BathKernel) -> np.ndarray:
-    """nu for tau << beta: exact classical part plus even Taylor quantum part.
-
-    The classical (coth -> 1) part carries the integrable log singularity
-    and is evaluated exactly via exponential integrals; the quantum
-    remainder is analytic in tau^2 and expanded to fourth order.
-    """
-    eta, wc = kernel.eta, kernel.omega_c
-    b0, b2, b4 = _quantum_moments(eta, wc, kernel.beta)
-    classical = (eta * (wc * wc) / np.pi) * _cosine_lorentz_integral(tau, wc)
-    return classical + b0 - 0.5 * b2 * tau**2 + b4 * tau**4 / 24.0
+    tables = np.array(tables).transpose(1, 2, 0)  # -r or a, term, kernel
+    last = (-46.0 / (tables[0][1, rows] * tau)).astype(np.intp) + 2
+    width = int(last.max()) + 1
+    if last.size * width <= _BLOCK:
+        blocks = [(slice(None), width)]
+    else:  # of _BLOCK elements, of counts within a factor 2
+        blocks, octave = [], np.frexp(last)[1]
+        for e in np.flatnonzero(np.bincount(octave)).tolist():
+            group, step = np.flatnonzero(octave == e), _BLOCK >> e
+            blocks += [(group[i : i + step], 1 << e) for i in range(0, group.size, step)]
+    out = np.empty_like(tau)
+    for at, width in blocks:
+        terms = tables[0][:width, rows[at]]
+        terms *= tau[at]
+        np.exp(terms, out=terms)
+        terms *= tables[1][:width, rows[at]]
+        np.add.accumulate(terms, out=terms)
+        out[at] = terms[last[at], np.arange(terms.shape[1])]
+    return out
 
 
 def _abs_times(t) -> np.ndarray:
-    """|t| as a 1-D array; NumericalError where t = 0."""
-    tau = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
-    if np.any(tau == 0.0):
+    """|t| as an array of at least one dimension; NumericalError where t = 0."""
+    tau = np.abs(np.asarray(t, dtype=float))
+    if not tau.all():
         raise NumericalError("nu(t) diverges logarithmically at t = 0")
-    return tau
+    return tau if tau.ndim else tau.reshape(1)
 
 
 def nu_quadrature(t, kernel: BathKernel):
@@ -309,38 +367,47 @@ def nu_quadrature(t, kernel: BathKernel):
     return float(out[0]) if np.isscalar(t) else out
 
 
-def noise_autocorrelation(t, kernel: BathKernel):
+def noise_autocorrelation(t, kernel: BathKernel | list[BathKernel]):
     """Symmetric noise autocorrelation nu(t) (common pointer diagonal entry).
 
     nu(t) = (eta*wc^2/pi) int_0^inf dw w*coth(beta*w/2)*cos(w*t)/(w^2+wc^2).
     Even in t, with an integrable logarithmic divergence at t = 0, where
     evaluation is rejected.  ``t`` is a scalar or an array of times,
-    |t| > 0.
+    |t| > 0, of one :class:`BathKernel`; or a 2-D array of times with a
+    sequence of kernels, one kernel per row.
 
     Below |t| = _SWITCH*beta the small-time form is used; above it the
     Matsubara series, which raises :class:`NumericalError` when
     beta*omega_c/(2*pi) lies within ``_RESONANCE_TOL`` of an integer
     n >= 1, where omega_c meets the n-th Matsubara frequency.  The
-    small-time form has no pole.
+    small-time form has no pole.  The first row that fails raises as it
+    would alone.  Every truncation of a point and the order of every sum
+    over its terms are its own, so it gets the same bits in any call.
     """
     tau = _abs_times(t)
-    out = np.zeros_like(tau)
-    if kernel.eta == 0.0:
-        return float(out[0]) if np.isscalar(t) else out
-
-    small = tau < _SWITCH * kernel.beta
-    if np.any(small):
-        out[small] = _nu_smalltime(tau[small], kernel)
-    if np.any(~small):
-        z = kernel.beta * kernel.omega_c / (2.0 * np.pi)
-        if abs(z - max(round(z), 1)) < _RESONANCE_TOL:
-            raise NumericalError(
-                f"beta*omega_c/(2*pi) = {z:.12g} is within {_RESONANCE_TOL:g} of an "
-                "integer, where omega_c meets a Matsubara frequency; move omega_c "
-                "or inv_beta so that it lies off the integer"
-            )
-        out[~small] = _nu_series(tau[~small], kernel)
-    return float(out[0]) if np.isscalar(t) else out
+    kernels = [kernel] if isinstance(kernel, BathKernel) else list(kernel)
+    if not isinstance(kernel, BathKernel) and (tau.ndim != 2 or tau.shape[0] != len(kernels)):
+        raise ValueError(f"{len(kernels)} bath kernels for times of shape {tau.shape}")
+    times = tau.reshape(len(kernels), -1)
+    small = times < np.array([_SWITCH * k.beta for k in kernels])[:, None]
+    series, out = ~small, np.empty_like(times)
+    quiet = [k.eta == 0.0 for k in kernels]
+    if any(quiet):  # a kernel of eta = 0 has no noise
+        small[quiet] = series[quiet] = False
+        out[quiet] = 0.0
+    n_small = small.sum(axis=1).tolist()
+    n_series = [0 if q else times.shape[1] - n for q, n in zip(quiet, n_small)]
+    moments, tables = zip(*[_parameters(k, s > 0, m > 0)
+                            for k, s, m in zip(kernels, n_small, n_series)])
+    if any(n_small):  # the classical part exactly, the quantum part to fourth order in t
+        wc, classical, b0, b2, b4 = np.repeat(np.array(moments).T, n_small, axis=1)
+        x = times[small]
+        x2 = x * x
+        out[small] = (classical * _cosine_lorentz_integral(x, wc) + b0 - 0.5 * b2 * x2
+                      + b4 * x2 * x2 / 24)
+    if any(n_series):
+        out[series] = _nu_series(times[series], np.repeat(np.arange(len(kernels)), n_series), tables)
+    return float(out[0, 0]) if np.isscalar(t) else out.reshape(tau.shape)
 
 
 def dissipation_from_spectral_density(t: float, kernel: BathKernel) -> float:

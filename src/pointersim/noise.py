@@ -40,9 +40,10 @@ afresh on its 10 nodes, and each smaller t the 18 graded panels scaled to
 it.  These chains of panels are independent: :func:`lambda_covariance`
 stacks those of all its times and bath kernels into passes of at most
 _PASS_NODES kernel-nodes, with the bits of one call per time: every kernel
-at every time or, paired, kernel i at time i, with nu per chain on its own
-nodes.  The closed measurement (eta = 0) has no noise: its table has no
-mesh, and Lambda = 0.
+at every time or, paired, kernel i at time i, with nu of all the kernels
+of a pass in one call, which gives each node the bits of any other call.
+The closed measurement (eta = 0) has no noise: its table has no mesh, and
+Lambda = 0.
 """
 
 from __future__ import annotations
@@ -176,10 +177,9 @@ def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int, c=None, d=None
     # e^{Fs} N and e^{F(b-s)} N at the nodes, flattened, in one matrix product
     e_sn, e_bsn = (e[: 2 * nodes].reshape(-1, dim) @ noise).reshape(2, chains, panels, n, 2 * dim)
 
-    # e^{Fr} N nu(r) at the nodes, nu one call per kernel, on the nodes of its
-    # chains; and D at the edges and nodes
-    nu = np.array([[noise_autocorrelation(x, kernel) for x, kernel in
-                    zip(s.reshape(row.size, -1), row)] for row in kernels])
+    # e^{Fr} N nu(r) at the nodes, nu in one call with a row per kernel of the
+    # grid (k, 1) or (1, m), on the nodes of its chains; and D at the edges and nodes
+    nu = noise_autocorrelation(s.reshape(kernels.shape[1], -1).repeat(k, axis=0), list(kernels.flat))
     g = nu.reshape(k, chains, panels, n, 1) * e_sn
     start = (np.zeros((k, chains, dim, 2)) if d is None else d).reshape(k, chains, 1, 2 * dim)
     d_edges = np.concatenate((start, width * (w @ g)), axis=2).cumsum(axis=2)

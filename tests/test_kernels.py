@@ -180,6 +180,64 @@ def test_nu_small_time_has_no_resonance():
         noise_autocorrelation(np.append(taus, cut), kern)
 
 
+#: a cold bath: the small-time form below |t| = 0.05*beta = 2.5, at x = 40|t|
+#: on its power series (x <= 2), its continued fraction (2 < x < 50) and its
+#: asymptotic series (x >= 50), and the Matsubara series above
+_COLD = BathKernel(eta=0.25, omega_c=40.0, inv_beta=0.02)
+_PROBES = np.concatenate([
+    np.array([1e-6, 0.01, 0.03, _SERIES_X]) / 40.0,
+    np.array([np.nextafter(_SERIES_X, 3.0), 2.5, 3.0, 7.9, 8.0, 20.5, 49.99]) / 40.0,
+    np.array([_ASYMPTOTIC_X, 60.0, 99.0]) / 40.0,
+    [2.5, 2.6, 3.1, 4.0, 7.0],
+])
+
+
+def test_nu_of_a_point_has_the_same_bits_in_any_call():
+    """Every truncation of a point is its own, and so is the order of every
+    sum over its terms: each probe has the bits of its call alone in a
+    1-element array, in a 10-point chain, in calls of 460 and 4,600 random
+    points (all four forms, every term count and depth of fraction) and in
+    a row of a stack beside kernels of other temperatures; a row of eta = 0
+    is exactly 0."""
+    alone = np.array([noise_autocorrelation(float(t), _COLD) for t in _PROBES])
+    in_arrays = [noise_autocorrelation(np.array([t]), _COLD)[0] for t in _PROBES]
+    np.testing.assert_array_equal(in_arrays, alone)
+    nodes = 0.5 * (np.polynomial.legendre.leggauss(10)[0] + 1.0)
+    for t, value in zip(_PROBES, alone):
+        chain = t * (1.0 + 0.3 * (nodes - nodes[3]))  # the probe at node 3
+        chain[3] = t
+        assert noise_autocorrelation(chain, _COLD)[3] == value
+    rng = np.random.default_rng(7)
+    for size in (460, 4600):
+        batch = rng.uniform(1e-4, 8.0, size)
+        at = rng.choice(size, _PROBES.size, replace=False)
+        batch[at] = _PROBES
+        np.testing.assert_array_equal(noise_autocorrelation(batch, _COLD)[at], alone)
+        others = [BathKernel(0.25, 40.0, inv_beta) for inv_beta in (0.5, 4.0)]
+        quiet = BathKernel(0.0, 40.0, 0.02)
+        stack = noise_autocorrelation(np.stack([batch] * 4), [others[0], _COLD, quiet, others[1]])
+        np.testing.assert_array_equal(stack[1, at], alone)
+        assert np.all(stack[2] == 0.0)
+        np.testing.assert_array_equal(stack[3], noise_autocorrelation(batch, others[1]))
+
+
+@pytest.mark.parametrize("failing", [
+    BathKernel(eta=0.25, omega_c=20.0, inv_beta=20.0 / (3 * 2.0 * np.pi)),  # resonant
+    BathKernel(eta=0.25, omega_c=1e-80, inv_beta=1.0),  # moments not finite
+])
+def test_a_stacked_call_raises_as_its_failing_row_alone(failing):
+    times = np.array([0.01, 0.5, 1.0])
+    with pytest.raises(NumericalError) as alone:
+        noise_autocorrelation(times, failing)
+    with pytest.raises(NumericalError) as stacked:
+        noise_autocorrelation(np.stack([times, times]), [KERNEL, failing])
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(NumericalError, match="diverges logarithmically at t = 0"):
+        noise_autocorrelation(np.array([times, [0.1, 0.0, 0.2]]), [KERNEL, KERNEL])
+    with pytest.raises(ValueError, match=r"^1 bath kernels for times of shape \(2, 3\)$"):
+        noise_autocorrelation(np.stack([times, times]), [KERNEL])
+
+
 #: one sine and one cosine transform of integrands other than the bath's:
 #: one that decays like 1/w, and one with a log factor
 _FOURIER_CASES = {
