@@ -7,43 +7,40 @@ obeys
 
     dC/dt = F C + C F^T + N D^T + D N^T,   D(t) = int_0^t e^{Fr} N nu(r) dr,
 
-and Lambda(t) = P C(t) P^T, with P the pointer-position rows.  Over a
-panel [a, b] of width h this is
+and Lambda(t) = P C(t) P^T, with P the pointer-position rows.  From a to t
 
-    C(b) = e^{Fh} C(a) e^{F^T h}
-           + int_a^b e^{F(b-s)} (N D(s)^T + D(s) N^T) e^{F^T(b-s)} ds,
+    C(t) = e^{F(t-a)} C(a) e^{F^T(t-a)}
+           + int_a^t e^{F(t-s)} (N D(s)^T + D(s) N^T) e^{F^T(t-s)} ds,
 
-and :func:`_forward` steps C and D across panels of n Gauss-Legendre nodes:
-D at the nodes of a panel from D(a) and the spectral integration matrix
-S_ij = int_0^{x_i} l_j(x) dx of the Lagrange basis l_j on the nodes
-(Greengard, SIAM J. Numer. Anal. 28:1071, 1991), then the panel integral
-by the Gauss-Legendre rule.  All e^{Fs}, e^{F(b-s)} and e^{Fh} of a pass
-are one read of the exponential table of :mod:`~pointersim.propagator`.
+on panels of n Gauss-Legendre nodes: D at the nodes of a panel from D at
+its start and the spectral integration matrix S_ij = int_0^{x_i} l_j(x) dx
+of the Lagrange basis l_j on the nodes (Greengard, SIAM J. Numer. Anal.
+28:1071, 1991), the integral by the Gauss-Legendre rule.  Only on the mesh
+(below) does :func:`_forward` step C panel by panel; :func:`_end_pass`
+reads every Lambda(t) as the pointer block alone, one sum over the nodes
+with the rows P e^{F(t-s)}.  A pass reads its exponentials at once from the
+table of :mod:`~pointersim.propagator`, P or N folded into its series.
 
 Swapping the two integrals gives the lag form
 Lambda(t) = int_0^t du nu(u) P (W(t-u) e^{F^T u} + e^{Fu} W(t-u)) P^T, with
 the Gramian W(s) = int_0^s e^{Fr} N N^T e^{F^T r} dr (Van Loan, IEEE TAC
-23:395, 1978).  On the same panels the two rules sample nu at the same
-nodes with the same weights: sum_i w_i S_ij p(x_i) = w_j int_{x_j}^1 p for
-every polynomial p of degree < n, so they differ only in how they
-integrate the smooth factor of nu, which both resolve to rounding.
+23:395, 1978).  On the same panels both rules sample nu at the same nodes
+with the same weights (sum_i w_i S_ij p(x_i) = w_j int_{x_j}^1 p for every
+polynomial p of degree < n), and resolve its smooth factor to rounding.
 
-The panels of Lambda(t) are 16 graded panels on [0, u0], with
-u0 = min(0.05, t/2), toward the logarithmic singularity of nu at 0, then
-regular panels of width 0.1 whose edges sit at u0 + k*0.1, and a last,
-partial panel that ends at t.  From t = 0.1 on, u0 = 0.05 for every t, so
-every panel but the last is a panel of one outer mesh on [0, t_max].  The
-first time a bath kernel meets the mesh, one pass gives C and D at every
-mesh edge, and :class:`PropagatorTable` keeps them per kernel.  Each
-t >= 0.1 is then one partial panel from the mesh edge below it, with nu
+The panels of Lambda(t) are 16 graded panels on [0, u0], u0 = min(0.05,
+t/2), toward the logarithmic singularity of nu at 0, regular panels of
+width 0.1 with edges at u0 + k*0.1, and a last, partial panel that ends at
+t.  From t = 0.1 on, u0 = 0.05, so every panel but the last is one of an
+outer mesh on [0, t_max]: the first time a bath kernel meets it, one pass
+gives C and D at its edges, which :class:`PropagatorTable` keeps per kernel.
+Each t >= 0.1 is then one partial panel from the mesh edge below it, nu
 afresh on its 10 nodes, and each smaller t the 18 graded panels scaled to
-it.  These chains of panels are independent: :func:`lambda_covariance`
-stacks those of all its times and bath kernels into passes of at most
-_PASS_NODES kernel-nodes, with the bits of one call per time: every kernel
-at every time or, paired, kernel i at time i, with nu of all the kernels
-of a pass in one call, which gives each node the bits of any other call.
-The closed measurement (eta = 0) has no noise: its table has no mesh, and
-Lambda = 0.
+it, from zero.  :func:`lambda_covariance` stacks these independent chains
+of all its times and bath kernels into end passes of at most _PASS_NODES
+kernel-nodes, with the bits of one call per time: every kernel at every
+time or, paired, kernel i at time i, nu of all the kernels of a pass in one
+call.  The closed measurement (eta = 0) has no noise, no mesh: Lambda = 0.
 """
 
 from __future__ import annotations
@@ -156,53 +153,77 @@ def _columns(grid: np.ndarray, index) -> np.ndarray:
     return grid if grid.shape[1] == 1 else grid[:, index]
 
 
-def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int, c=None, d=None):
-    """C (dim x dim) and D (dim x 2) of every row of the kernel grid at
-    every edge of every chain (a row of ``edges``, or a 1-D ``edges`` alone),
-    stacked as (rows, *chains, edges, dim, dim) and (..., dim, 2), from c and
-    d at the first edges (zero if None), with one n-node panel between edges.
-    Every step is elementwise or a matmul stacked over the rows and chains,
-    so each gets the same bits alone as in a stack."""
-    kernels = _kernel_grid(kernels)
-    x, w = _gl_nodes(n)
-    shape = edges.shape[:-1]
-    edges = edges.reshape(-1, edges.shape[-1])
-    lo, width = edges[:, :-1, None], (edges[:, 1:] - edges[:, :-1])[..., None]
-    s = lo + width * x  # (chains, panels, n)
-    (chains, panels), nodes, k = s.shape[:2], s.size, len(kernels)
-    noise = table.gen.noise_map[:, 1:3]
-    dim = noise.shape[0]
-    e = table.exp(np.concatenate((s.ravel(), (edges[:, 1:, None] - s).ravel(), width.ravel())))
-    e_bs, e_h = e[nodes : 2 * nodes], e[2 * nodes :].reshape(chains, panels, dim, dim)
-    # e^{Fs} N and e^{F(b-s)} N at the nodes, flattened, in one matrix product
-    e_sn, e_bsn = (e[: 2 * nodes].reshape(-1, dim) @ noise).reshape(2, chains, panels, n, 2 * dim)
-
-    # e^{Fr} N nu(r) at the nodes, nu in one call with a row per kernel of the
-    # grid (k, 1) or (1, m), on the nodes of its chains; and D at the edges and nodes
+def _d_states(kernels: np.ndarray, s, width, e_sn, start=None):
+    """D of every row of the kernel grid at the edges and nodes s (chains,
+    panels, n) of panels of width ``width``, (rows, chains, panels + 1, 2*dim)
+    and (rows, *s.shape, 2*dim), from e^{Fs} N at s and ``start`` (zero if
+    None); nu in one call, a row per kernel of the grid (k, 1) or (1, m)."""
+    (chains, panels, n), k = s.shape, len(kernels)
     nu = noise_autocorrelation(s.reshape(kernels.shape[1], -1).repeat(k, axis=0), list(kernels.flat))
-    g = nu.reshape(k, chains, panels, n, 1) * e_sn
-    start = (np.zeros((k, chains, dim, 2)) if d is None else d).reshape(k, chains, 1, 2 * dim)
-    d_edges = np.concatenate((start, width * (w @ g)), axis=2).cumsum(axis=2)
-    d_nodes = d_edges[:, :, :-1, None] + width[..., None] * (_integration_matrix(n) @ g)
+    g = nu.reshape(k, chains, panels, n, 1) * e_sn.reshape(chains, panels, n, -1)
+    ints = width * (_gl_nodes(n)[1] @ g)  # across each panel
+    start = np.zeros_like(ints[:, :, :1]) if start is None else start.reshape(k, chains, 1, -1)
+    d_edges = np.concatenate((start, ints), axis=2).cumsum(axis=2)
+    return d_edges, d_edges[:, :, :-1, None] + width[..., None] * (_integration_matrix(n) @ g)
 
+
+def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int):
+    """C and D of every bath kernel of a list at every edge of ``edges``,
+    (kernels, edges, dim, dim) and (..., dim, 2), from zero, with one n-node
+    panel between edges: the pass over the mesh.  Each step is elementwise or
+    a matmul stacked over the kernels: the same bits alone as in a stack."""
+    kernels, noise = _kernel_grid(kernels), table.gen.noise_map[:, 1:3]
+    width = np.diff(edges)[None, :, None]
+    s = edges[None, :-1, None] + width * _gl_nodes(n)[0]  # (1, panels, n)
+    (panels, n), k, nodes, dim = s.shape[1:], len(kernels), s.size, len(noise)
+    e = table.exp(np.concatenate((s.ravel(), (edges[1:, None] - s[0]).ravel(), width.ravel())))
+    e_bs, e_h = e[nodes : 2 * nodes], e[2 * nodes :]
+    # e^{Fs} N and e^{F(b-s)} N at the nodes, flattened, in one matrix product
+    e_sn, e_bsn = (e[: 2 * nodes].reshape(-1, dim) @ noise).reshape(2, panels, n, dim, 2)
+    d_edges, d_nodes = _d_states(kernels, s, width, e_sn)
     # the panel integrals sum_i w_i h e^{F(b-s_i)} N D(s_i)^T e^{F^T(b-s_i)}, symmetrized
-    left = ((width * w)[..., None] * e_bsn).reshape(chains, panels, n, dim, 2)
-    right = (e_bs @ d_nodes.reshape(k, nodes, dim, 2)).reshape(k, chains, panels, n, dim, 2)
-    q = (left.transpose(0, 1, 3, 2, 4).reshape(chains, panels, dim, 2 * n)
-         @ right.swapaxes(-1, -2).reshape(k, chains, panels, 2 * n, dim))
+    left = (width[0] * _gl_nodes(n)[1])[..., None, None] * e_bsn
+    right = (e_bs @ d_nodes.reshape(k, nodes, dim, 2)).reshape(k, panels, n, dim, 2)
+    q = (left.transpose(0, 2, 1, 3).reshape(panels, dim, 2 * n)
+         @ right.swapaxes(-1, -2).reshape(k, panels, 2 * n, dim))
     q += q.swapaxes(-1, -2)
+    c_edges = [np.zeros((k, dim, dim))]
+    for e_i, q_i in zip(e_h, q.swapaxes(0, 1)):  # over the panels
+        c_edges.append(e_i @ c_edges[-1] @ e_i.T + q_i)
+    return np.stack(c_edges, axis=1), d_edges.reshape(k, panels + 1, dim, 2)
 
-    c_edges = [np.zeros((k, chains, dim, dim)) if c is None else c]
-    steps = e_h.swapaxes(0, 1), e_h.transpose(1, 0, 3, 2), q.transpose(2, 0, 1, 3, 4)
-    for e_i, e_t, q_i in zip(*steps):  # over the panels
-        c_edges.append(e_i @ c_edges[-1] @ e_t + q_i)
-    return (np.stack(c_edges, axis=2).reshape((k,) + shape + (panels + 1, dim, dim)),
-            d_edges.reshape((k,) + shape + (panels + 1, dim, 2)))
+
+def _end_pass(table: ExpTable, kernels, edges: np.ndarray, c=None, d=None) -> np.ndarray:
+    """P C(t) P^T, unsymmetrized, of every row of a kernel grid at the end t
+    of every chain (a row of ``edges``), (rows, chains, 2, 2), from c and d at
+    its start a (zero if None), on _PANEL_NODES-node panels.  As
+    e^{F(t-b)} e^{F(b-s)} = e^{F(t-s)}, the C that :func:`_forward` steps
+    across the panels ends in one sum over their nodes s_i, a matrix-vector
+    product per row and chain (the same bits alone as in a stack):
+
+        (P e^{F(t-a)}) c (P e^{F(t-a)})^T
+        + sum_i w_i h (P e^{F(t-s_i)} N) (P e^{F(t-s_i)} D(s_i))^T + transpose."""
+    width, noise = np.diff(edges)[..., None], table.gen.noise_map[:, 1:3]
+    s = edges[:, :-1, None] + width * _gl_nodes(_PANEL_NODES)[0]  # (chains, panels, n)
+    (chains, panels, n), k, dim = s.shape, len(kernels), len(noise)
+    lag = np.concatenate(((edges[:, -1:, None] - s).ravel(), edges[:, -1] - edges[:, 0]))
+    p, e_sn = table.exp_folded(lag, slice(1, 3), s, noise)
+    p_s = p[: s.size].reshape(chains, panels * n, 2, dim)
+    d_nodes = _d_states(kernels, s, width, e_sn, d)[1]
+    pn = (p_s.reshape(-1, dim) @ noise).reshape(chains, -1, 2, 2)  # P e^{F(t-s_i)} N
+    left = ((width * _gl_nodes(n)[1]).reshape(chains, -1, 1, 1) * pn).transpose(0, 2, 1, 3)
+    # y[a, b, (i, m, f)] = w_i h pn_i[a, f] p_i[b, m], the weight of D(s_i)[m, f], for all rows
+    y = left[:, :, None, :, None] * p_s.transpose(0, 2, 1, 3)[:, None, ..., None]
+    lam = (y.reshape(chains, 4, -1) @ d_nodes.reshape(k, chains, -1, 1)).reshape(k, chains, 2, 2)
+    lam += lam.swapaxes(-1, -2)
+    if c is not None:  # the start state, carried to t
+        lam += p[s.size :] @ c @ p[s.size :].swapaxes(-1, -2)
+    return lam
 
 
 def _end_lambda(lam, where, table: ExpTable, kernels, chains: np.ndarray, c=None, d=None):
     """Into ``lam[:, where]``: P C P^T of every kernel row at the end of
-    every chain (chains, edges) of :func:`_forward`, in passes of at most
+    every chain (chains, edges) of :func:`_end_pass`, in passes of at most
     _PASS_NODES kernel-nodes (or one chain of one kernel, if that is more)."""
     unit = (chains.shape[1] - 1) * _PANEL_NODES
     k_step = max(1, min(len(kernels), _PASS_NODES // unit))
@@ -212,8 +233,7 @@ def _end_lambda(lam, where, table: ExpTable, kernels, chains: np.ndarray, c=None
             at = slice(i, i + k_step), slice(j, j + step)
             start = [x if x is None else x[at] for x in (c, d)]
             bath = _columns(kernels[at[0]], at[1])
-            c_end = _forward(table, bath, chains[at[1]], _PANEL_NODES, *start)[0]
-            lam[at[0], where[at[1]]] = c_end[:, :, -1, 1:3, 1:3]
+            lam[at[0], where[at[1]]] = _end_pass(table, bath, chains[at[1]], *start)
 
 
 def lambda_covariance(table: PropagatorTable, kernels, t) -> np.ndarray:

@@ -192,17 +192,6 @@ def expm(a) -> np.ndarray:
     return x.reshape(shape)
 
 
-def _taylor(coeffs: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] d^k for every step d, stacked along axis 0; one small
-    matmul per step, so a step has the same bits alone as in a batch."""
-    powers = np.empty((len(coeffs), d.size))
-    powers[0] = 1.0
-    for k in range(1, len(powers)):
-        np.multiply(powers[k - 1], d, out=powers[k])
-    terms = np.ascontiguousarray(powers.T)[:, None, :] @ coeffs.reshape(len(coeffs), -1)
-    return terms.reshape((d.size,) + coeffs.shape[1:])
-
-
 class ExpTable:
     """e^{Fs} of the augmented generator on [0, t_max].
 
@@ -247,18 +236,39 @@ class ExpTable:
         j = np.minimum(j, len(self._exp) - 1).astype(np.intp)
         return j, s - j * self.step
 
+    def _read(self, *parts) -> list[np.ndarray]:
+        """Each part (s, coeffs, rows) at its times s: rows ``rows`` of the node
+        s_j below (I for an exact table) times the step sum_k coeffs[k] d^k, or
+        for rows None step times node; NumericalError where one is not finite."""
+        times = [np.asarray(s, dtype=float) for s, _, _ in parts]
+        j, d = self._split(np.concatenate([s.ravel() for s in times]))
+        powers = np.ones((len(self._c_exp), d.size))  # d^k, for all parts
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], d, out=powers[k])
+        powers, reads, at = np.ascontiguousarray(powers.T)[:, None, :], [], 0
+        for s, (_, coeffs, rows) in zip(times, parts):
+            at, here = at + s.size, slice(at, at + s.size)
+            # one small matmul per step: a step has the same bits alone as in a batch
+            e = (powers[here] @ coeffs.reshape(len(coeffs), -1)).reshape(-1, *coeffs.shape[1:])
+            if len(self._exp) > 1:
+                e = e @ self._exp[j[here]] if rows is None else self._exp[j[here], rows] @ e
+            elif rows is not None:
+                e = e[:, rows]
+            if not np.isfinite(e).all():
+                bad = ~np.isfinite(e).all(axis=(-2, -1))
+                raise NumericalError(f"matrix exponential not finite at t = {s.ravel()[bad][0]}")
+            reads.append(e.reshape(s.shape + e.shape[1:]))
+        return reads
+
     def exp(self, s, rows=slice(None)) -> np.ndarray:
-        """The rows ``rows`` of e^{Fs} at the times s, shaped s.shape + (rows,
-        dim); NumericalError at the first time where one is not finite."""
-        s = np.asarray(s, dtype=float)
-        j, d = self._split(s)
-        e = _taylor(self._c_exp, d)
-        # the one node of an exact table is e^{F*0} = I
-        e = e[:, rows] if len(self._exp) == 1 else self._exp[j, rows] @ e
-        bad = ~np.isfinite(e).all(axis=(-2, -1))
-        if bad.any():
-            raise NumericalError(f"matrix exponential not finite at t = {s.ravel()[bad][0]}")
-        return e.reshape(s.shape + e.shape[1:])
+        """The rows ``rows`` of e^{Fs} at the times s, s.shape + (rows, dim);
+        NumericalError at the first time where one is not finite."""
+        return self._read((s, self._c_exp, rows))[0]
+
+    def exp_folded(self, s, rows, u, right: np.ndarray) -> list[np.ndarray]:
+        """The rows ``rows`` of e^{Fs} and e^{Fu} right, each folded into the step:
+        e^{Fd} commutes with e^{F s_j}, so the rows are (sum_k d^k F^k[rows]/k!) e^{F s_j}."""
+        return self._read((s, self._c_exp[:, rows], None), (u, self._c_exp @ right, slice(None)))
 
     def propagators(self, t):
         """(K(t), G(t), Gdot(t)), each t.shape + (3, 3).

@@ -16,9 +16,11 @@ from pointersim.noise import (
     _PANEL_NODES,
     _PANEL_WIDTH,
     PropagatorTable,
+    _end_pass,
     _forward,
     _gl_nodes,
     _integration_matrix,
+    _kernel_grid,
     _u_panels,
     lambda_covariance,
     xi_matrix,
@@ -185,6 +187,44 @@ def test_forward_gives_a_kernel_the_same_bits_alone_as_in_a_batch(table):
             np.testing.assert_array_equal(together[i], alone[0])
 
 
+def _assert_close_to_the_forward_pass(end, forward):
+    """Each kernel's and time's block agrees to 1e-14 of its largest entry."""
+    scale = np.abs(forward).max(axis=(-2, -1))[..., None, None]
+    assert end.shape == forward.shape and np.all(np.abs(end - forward) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_end_pass_of_graded_chains_matches_the_forward_pass(open_config, mode):
+    """The pointer-block sum over the 18 graded panels of t < 0.1 equals the
+    pointer block of C stepped panel by panel from zero."""
+    table = PropagatorTable(build_generator(open_config, mode), 2.5)
+    kernels = [BathKernel(0.25, 20.0, ib) for ib in (0.5, 1.0, 4.0)]
+    times = np.geomspace(1e-3, 0.099, 13)
+    chains = np.array([_u_panels(t, _GRADED_PANELS) for t in times])
+    end = _end_pass(table, _kernel_grid(kernels), chains)
+    forward = np.stack(
+        [_forward(table, kernels, edges, _PANEL_NODES)[0][:, -1, 1:3, 1:3] for edges in chains], axis=1
+    )
+    _assert_close_to_the_forward_pass(end, forward)
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_end_pass_from_the_mesh_state_matches_the_forward_pass(open_config, mode):
+    """One panel from the cached C and D at the mesh edge below t equals the
+    forward pass over the mesh up to that edge and on to t."""
+    table = PropagatorTable(build_generator(open_config, mode), 2.5)
+    kernels = [BathKernel(0.25, 20.0, ib) for ib in (0.5, 1.0, 4.0)]
+    times = np.concatenate(([0.1, np.nextafter(table.mesh[5], 1.0)], np.linspace(0.13, 2.5, 17)))
+    edge = np.searchsorted(table.mesh, times) - 1
+    chains = np.stack((table.mesh[edge], times), axis=1)
+    end = _end_pass(table, _kernel_grid(kernels), chains, *table.mesh_state(kernels, edge))
+    forward = np.stack([
+        _forward(table, kernels, np.append(table.mesh[: e + 1], t), _PANEL_NODES)[0][:, -1, 1:3, 1:3]
+        for e, t in zip(edge, times)
+    ], axis=1)
+    _assert_close_to_the_forward_pass(end, forward)
+
+
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
 def test_lambda_matches_spline_table(open_config, bath_kernel, time_grid_200, mode):
     """The exact table agrees with the former spline table and inner rule
@@ -342,17 +382,21 @@ def test_no_stacked_pass_takes_more_nodes_than_the_cap(monkeypatch, open_config)
     """Every pass, the mesh pass of ten kernels included, asks nu for at
     most _PASS_NODES kernel-nodes, and together they ask for every node."""
     passes = []
-    forward, nu = pointersim.noise._forward, pointersim.noise.noise_autocorrelation
+    nu = pointersim.noise.noise_autocorrelation
 
-    def counted_forward(*args, **kwargs):
-        passes.append(0)
-        return forward(*args, **kwargs)
+    def counted(pass_function):
+        def wrapped(*args, **kwargs):
+            passes.append(0)
+            return pass_function(*args, **kwargs)
+
+        return wrapped
 
     def counted_nu(t, kernel):
         passes[-1] += np.size(t)
         return nu(t, kernel)
 
-    monkeypatch.setattr(pointersim.noise, "_forward", counted_forward)
+    for name in ("_forward", "_end_pass"):  # the mesh pass and the end passes
+        monkeypatch.setattr(pointersim.noise, name, counted(getattr(pointersim.noise, name)))
     monkeypatch.setattr(pointersim.noise, "noise_autocorrelation", counted_nu)
     table = PropagatorTable(build_generator(open_config), 3.0)
     kernels = [BathKernel(0.25, 20.0, 0.5 + 0.25 * i) for i in range(10)]

@@ -212,6 +212,39 @@ def test_closed_table_is_one_node_at_any_range(cfg):
 
 
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
+@pytest.mark.parametrize("eta", [0.0, 0.25], ids=["closed", "open"])
+def test_folded_reads_match_the_full_read(mode, eta):
+    """The rows folded into the series equal the rows of the full e^{Fs},
+    and the pointer columns N folded into it e^{Fs} N, to 1e-14 of the
+    largest entry, on and between the grid nodes; both reads in one call
+    give the bits of each alone."""
+    gen = build_generator(MeasurementConfig(eta=eta), mode)
+    table, noise = ExpTable(gen, 3.0), gen.noise_map[:, 1:3]
+    rng = np.random.default_rng(7)
+    times = np.concatenate([np.arange(4) * table.step, [3.0], rng.uniform(0.0, 3.0, 60)])
+    rows, cols = table.exp_folded(times, slice(1, 3), times[::-1], noise)
+    full = table.exp(times)
+    assert rows.shape == (times.size, 2, full.shape[-1]) and cols.shape == (times.size, full.shape[-1], 2)
+    for got, want in ((rows, full[:, 1:3]), (cols[::-1], full @ noise)):
+        scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    alone = [table.exp_folded(t, slice(1, 3), t, noise) for t in times[:5].tolist()]
+    np.testing.assert_array_equal(rows[:5], [r for r, _ in alone])
+    np.testing.assert_array_equal(cols[::-1][:5], [c for _, c in alone])
+
+
+def test_a_folded_read_that_overflows_raises(closed_config):
+    """Either folded read names its first time whose series overflows, as
+    the full read does."""
+    gen = build_generator(closed_config)
+    table, noise, bad = ExpTable(gen, 1e300), gen.noise_map[:, 1:3], np.array([1.0, 1e300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, u in ((bad, [1.0]), ([1.0], bad)):
+            with pytest.raises(NumericalError, match="matrix exponential not finite at t = 1e"):
+                table.exp_folded(s, slice(1, 3), u, noise)
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
 def test_open_table_keeps_its_series_when_high_powers_are_tiny(mode):
     """At eta = 1e-4 and omega_c = 1e-3, F^12 or F^13 of the open generator
     falls below 1e-14 of |F|^k, yet F is not nilpotent; an open generator
