@@ -16,17 +16,17 @@ on panels of n Gauss-Legendre nodes: D at the nodes of a panel from D at
 its start and the spectral integration matrix S_ij = int_0^{x_i} l_j(x) dx
 of the Lagrange basis l_j on the nodes (Greengard, SIAM J. Numer. Anal.
 28:1071, 1991), the integral by the Gauss-Legendre rule.  Only on the mesh
-(below) does :func:`_forward` step C panel by panel; :func:`_end_pass`
-reads every Lambda(t) as the pointer block alone, one sum over the nodes
-with the rows P e^{F(t-s)}.  A pass reads its exponentials at once from the
-table of :mod:`~pointersim.propagator`, P or N folded into its series.
+(below) does :func:`_forward` step C panel by panel.
 
 Swapping the two integrals gives the lag form
 Lambda(t) = int_0^t du nu(u) P (W(t-u) e^{F^T u} + e^{Fu} W(t-u)) P^T, with
 the Gramian W(s) = int_0^s e^{Fr} N N^T e^{F^T r} dr (Van Loan, IEEE TAC
 23:395, 1978).  On the same panels both rules sample nu at the same nodes
 with the same weights (sum_i w_i S_ij p(x_i) = w_j int_{x_j}^1 p for every
-polynomial p of degree < n), and resolve its smooth factor to rounding.
+polynomial p of degree < n).  :func:`_end_pass` reads every other Lambda(t)
+in this form, as sum_j nu(s_j) z_j + transpose + the start state's part: z_j,
+the rule's w_j h P W(t-s_j) e^{F^T s_j} P^T, is free of the temperature and
+built once per chain, from the rows P e^{F(t-s)} and e^{Fs} N, for its kernels.
 
 The panels of Lambda(t) are 16 graded panels on [0, u0], u0 = min(0.05,
 t/2), toward the logarithmic singularity of nu at 0, regular panels of
@@ -81,7 +81,7 @@ class PropagatorTable(ExpTable):
         # the edges of every panel of Lambda(t_max) but the last; the closed
         # measurement (eta = 0) has no noise, and no mesh
         self.mesh = _u_panels(t_max, _GRADED_PANELS)[:-1] if gen.cfg.eta > 0 else np.zeros(0)
-        self._cache: dict[BathKernel, tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict[BathKernel, np.ndarray] = {}
 
     def mesh_state(self, kernels, edges) -> tuple[np.ndarray, np.ndarray]:
         """C and D at the mesh edges of index ``edges`` per row of the kernel
@@ -99,13 +99,14 @@ class PropagatorTable(ExpTable):
                 "lower sweep.count or t_max"
             )
         step = max(1, _PASS_NODES // ((self.mesh.size - 1) * _PANEL_NODES))
-        for first in range(0, len(new), step):
-            batch = new[first : first + step]
-            self._cache.update(zip(batch, zip(*_forward(self, batch, self.mesh, _PANEL_NODES))))
-        return tuple(np.array([  # a row of one kernel reads every edge
-            self._cache[row[0]][i][edges] if row.size == 1
-            else [self._cache[k][i][e] for k, e in zip(row, edges)] for row in grid
-        ]) for i in (0, 1))
+        for first in range(0, len(new), step):  # C and D side by side, (edges, dim, dim + 2)
+            c_d = _forward(self, new[first : first + step], self.mesh, _PANEL_NODES)
+            self._cache.update(zip(new[first : first + step], np.concatenate(c_d, axis=-1)))
+        state = np.array([  # a row of one kernel reads every edge
+            self._cache[row[0]][edges] if row.size == 1
+            else [self._cache[k][e] for k, e in zip(row, edges)] for row in grid
+        ])
+        return state[..., :dim], state[..., dim:]
 
 
 @lru_cache(maxsize=None)
@@ -153,20 +154,6 @@ def _columns(grid: np.ndarray, index) -> np.ndarray:
     return grid if grid.shape[1] == 1 else grid[:, index]
 
 
-def _d_states(kernels: np.ndarray, s, width, e_sn, start=None):
-    """D of every row of the kernel grid at the edges and nodes s (chains,
-    panels, n) of panels of width ``width``, (rows, chains, panels + 1, 2*dim)
-    and (rows, *s.shape, 2*dim), from e^{Fs} N at s and ``start`` (zero if
-    None); nu in one call, a row per kernel of the grid (k, 1) or (1, m)."""
-    (chains, panels, n), k = s.shape, len(kernels)
-    nu = noise_autocorrelation(s.reshape(kernels.shape[1], -1).repeat(k, axis=0), list(kernels.flat))
-    g = nu.reshape(k, chains, panels, n, 1) * e_sn.reshape(chains, panels, n, -1)
-    ints = width * (_gl_nodes(n)[1] @ g)  # across each panel
-    start = np.zeros_like(ints[:, :, :1]) if start is None else start.reshape(k, chains, 1, -1)
-    d_edges = np.concatenate((start, ints), axis=2).cumsum(axis=2)
-    return d_edges, d_edges[:, :, :-1, None] + width[..., None] * (_integration_matrix(n) @ g)
-
-
 def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int):
     """C and D of every bath kernel of a list at every edge of ``edges``,
     (kernels, edges, dim, dim) and (..., dim, 2), from zero, with one n-node
@@ -180,7 +167,12 @@ def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int):
     e_bs, e_h = e[nodes : 2 * nodes], e[2 * nodes :]
     # e^{Fs} N and e^{F(b-s)} N at the nodes, flattened, in one matrix product
     e_sn, e_bsn = (e[: 2 * nodes].reshape(-1, dim) @ noise).reshape(2, panels, n, dim, 2)
-    d_edges, d_nodes = _d_states(kernels, s, width, e_sn)
+    # D at the edges and nodes: nu of all the kernels in one call
+    nu = noise_autocorrelation(s.reshape(1, -1).repeat(k, axis=0), list(kernels.flat))
+    g = nu.reshape(k, 1, panels, n, 1) * e_sn.reshape(1, panels, n, -1)
+    ints = width * (_gl_nodes(n)[1] @ g)  # across each panel
+    d_edges = np.concatenate((np.zeros_like(ints[:, :, :1]), ints), axis=2).cumsum(axis=2)
+    d_nodes = d_edges[:, :, :-1, None] + width[..., None] * (_integration_matrix(n) @ g)
     # the panel integrals sum_i w_i h e^{F(b-s_i)} N D(s_i)^T e^{F^T(b-s_i)}, symmetrized
     left = (width[0] * _gl_nodes(n)[1])[..., None, None] * e_bsn
     right = (e_bs @ d_nodes.reshape(k, nodes, dim, 2)).reshape(k, panels, n, dim, 2)
@@ -196,29 +188,48 @@ def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int):
 def _end_pass(table: ExpTable, kernels, edges: np.ndarray, c=None, d=None) -> np.ndarray:
     """P C(t) P^T, unsymmetrized, of every row of a kernel grid at the end t
     of every chain (a row of ``edges``), (rows, chains, 2, 2), from c and d at
-    its start a (zero if None), on _PANEL_NODES-node panels.  As
-    e^{F(t-b)} e^{F(b-s)} = e^{F(t-s)}, the C that :func:`_forward` steps
-    across the panels ends in one sum over their nodes s_i, a matrix-vector
-    product per row and chain (the same bits alone as in a stack):
-
-        (P e^{F(t-a)}) c (P e^{F(t-a)})^T
-        + sum_i w_i h (P e^{F(t-s_i)} N) (P e^{F(t-s_i)} D(s_i))^T + transpose."""
+    its start a (zero if None), on _PANEL_NODES-node panels: the C that
+    :func:`_forward` steps ends, as e^{F(t-b)} e^{F(b-s)} = e^{F(t-s)}, in
+    (P e^{F(t-a)}) c (P e^{F(t-a)})^T + sum_i R_i . D(s_i) + transpose, with
+    R_i = w_i h (P e^{F(t-s_i)} N) (x) P e^{F(t-s_i)} at the nodes.  D is linear
+    in nu: nu(s_j), at node j of panel q, has the 2x2 weight z_j = h_q (sum_i
+    S_ij R_i + w_j sum_{i past q} R_i) . e^{F s_j} N, free of the temperature,
+    so the kernels of a chain share it: a row is nu at the nodes and d dotted
+    with the z_j and sum_i R_i (the same bits alone as in a stack)."""
     width, noise = np.diff(edges)[..., None], table.gen.noise_map[:, 1:3]
     s = edges[:, :-1, None] + width * _gl_nodes(_PANEL_NODES)[0]  # (chains, panels, n)
     (chains, panels, n), k, dim = s.shape, len(kernels), len(noise)
     lag = np.concatenate(((edges[:, -1:, None] - s).ravel(), edges[:, -1] - edges[:, 0]))
     p, e_sn = table.exp_folded(lag, slice(1, 3), s, noise)
-    p_s = p[: s.size].reshape(chains, panels * n, 2, dim)
-    d_nodes = _d_states(kernels, s, width, e_sn, d)[1]
-    pn = (p_s.reshape(-1, dim) @ noise).reshape(chains, -1, 2, 2)  # P e^{F(t-s_i)} N
-    left = ((width * _gl_nodes(n)[1]).reshape(chains, -1, 1, 1) * pn).transpose(0, 2, 1, 3)
-    # y[a, b, (i, m, f)] = w_i h pn_i[a, f] p_i[b, m], the weight of D(s_i)[m, f], for all rows
-    y = left[:, :, None, :, None] * p_s.transpose(0, 2, 1, 3)[:, None, ..., None]
-    lam = (y.reshape(chains, 4, -1) @ d_nodes.reshape(k, chains, -1, 1)).reshape(k, chains, 2, 2)
+    pn = (p[: s.size].reshape(-1, dim) @ noise).reshape(*s.shape, 2, 2)  # P e^{F(t-s_i)} N
+    left = ((width * _gl_nodes(n)[1])[..., None, None] * pn).swapaxes(1, 2)  # nodes (i, q)
+    # r[:, i, q] = R_i of node i of panel q, as (a, b, f, m); row n sums the panels past q
+    r = np.empty((chains, n + 1, panels, 2, 2, 2, dim))
+    p_s = p[: s.size].reshape(*s.shape, 2, dim).swapaxes(1, 2)
+    np.multiply(left[..., None, :, None], p_s[..., None, :, None, :], out=r[:, :n])
+    panel, r[:, n, -1] = r[:, :n].sum(axis=1), 0.0
+    np.cumsum(panel[:, :0:-1], axis=1, out=r[:, n, -2::-1])
+    weight = (_weights(n) @ r.reshape(chains, n + 1, -1)).reshape(chains, n, panels, 4, 2 * dim)
+    e_t = (width[..., None, None] * e_sn).transpose(0, 2, 1, 4, 3).reshape(chains, n, panels, -1)
+    z = np.einsum("cjqxy,cjqy->cjqx", weight, e_t).reshape(chains, -1, 4)  # nodes (j, q)
+    nodes = s.swapaxes(1, 2).reshape(kernels.shape[1], -1).repeat(k, axis=0)
+    nu = noise_autocorrelation(nodes, list(kernels.flat)).reshape(k, chains, 1, -1)
+    if d is not None:  # the start state's D, weighed by sum_i R_i
+        total = (r[:, n, 0] + panel[:, 0]).transpose(0, 4, 3, 1, 2).reshape(chains, 2 * dim, 4)
+        nu, z = np.concatenate((nu, d.reshape(k, chains, 1, -1)), -1), np.concatenate((z, total), 1)
+    lam = (nu @ z).reshape(k, chains, 2, 2)
     lam += lam.swapaxes(-1, -2)
-    if c is not None:  # the start state, carried to t
+    if c is not None:  # the start state's C, carried to t
         lam += p[s.size :] @ c @ p[s.size :].swapaxes(-1, -2)
     return lam
+
+
+@lru_cache(maxsize=None)
+def _weights(n: int) -> np.ndarray:
+    """(n, n + 1): row j weighs R_i of its own panel by S_ij, of later ones by w_j."""
+    w = np.vstack((_integration_matrix(n), _gl_nodes(n)[1]))
+    w.flags.writeable = False
+    return w.T
 
 
 def _end_lambda(lam, where, table: ExpTable, kernels, chains: np.ndarray, c=None, d=None):
@@ -270,8 +281,8 @@ def lambda_covariance(table: PropagatorTable, kernels, t) -> np.ndarray:
         chains = np.array([_u_panels(noisy[i], _GRADED_PANELS) for i in below])
         _end_lambda(lam, below, table, _columns(kernels, below), chains)
     cov = 0.5 * (lam + lam.swapaxes(-1, -2))
-    trace = np.trace(cov, axis1=-2, axis2=-1)
-    min_eig = np.linalg.eigvalsh(cov)[..., 0]
+    trace = cov[..., 0, 0] + cov[..., 1, 1]  # the smaller eigenvalue of each, in closed form
+    min_eig = 0.5 * (trace - np.hypot(cov[..., 0, 0] - cov[..., 1, 1], 2.0 * cov[..., 0, 1]))
     bad = np.flatnonzero(min_eig < -1e-10 * np.maximum(trace, 1e-300))
     if bad.size:
         raise NumericalError(

@@ -25,7 +25,7 @@ from pointersim.noise import (
     lambda_covariance,
     xi_matrix,
 )
-from pointersim.propagator import build_generator, checked_inverse
+from pointersim.propagator import ExpTable, build_generator, checked_inverse
 from pointersim.uncertainty import CurveEvaluator
 
 
@@ -361,6 +361,49 @@ def test_lambda_of_a_time_array_equals_the_per_time_calls(monkeypatch, open_conf
     cycle = np.arange(times.size) % len(kernels)
     paired = lambda_covariance(table, [[kernels[i] for i in cycle]], times)
     np.testing.assert_array_equal(paired, per_time[cycle, np.arange(times.size)][None])
+
+
+@pytest.mark.parametrize("pass_nodes", [None, 600], ids=["cap", "small-cap"])
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_each_kernel_of_a_list_has_the_bits_of_its_own_call(monkeypatch, open_config, mode,
+                                                              pass_nodes):
+    """The kernels of a pass share the node weights of its chains: kernel i
+    of a list has, at times on both sides of t = 0.1, the bits of a call of
+    kernel i alone, whose passes hold more chains (a small cap splits the
+    graded chains of three kernels into passes of one chain)."""
+    if pass_nodes is not None:
+        monkeypatch.setattr(pointersim.noise, "_PASS_NODES", pass_nodes)
+    kernels = [BathKernel(eta=0.25, omega_c=20.0, inv_beta=ib) for ib in (0.5, 1.0, 4.0)]
+    table = PropagatorTable(build_generator(open_config, mode), 2.5)
+    times = np.concatenate((np.geomspace(1e-3, 0.099, 13), np.linspace(0.1, 2.5, 40)))
+    stacked = lambda_covariance(table, kernels, times)
+    for i, kernel in enumerate(kernels):
+        np.testing.assert_array_equal(stacked[i], lambda_covariance(table, [kernel], times)[0])
+
+
+def test_the_kernels_of_a_pass_share_its_table_reads(monkeypatch, open_config):
+    """The node weights of a chain are built once for all the kernels of its
+    pass: a coarse scan of ten kernels, which fit in one pass per chain,
+    reads no more lags from the exponential table than one of one kernel."""
+    lags = []
+    folded = ExpTable.exp_folded
+
+    def counted(self, s, rows, u, right):
+        lags.append(np.size(s) + np.size(u))
+        return folded(self, s, rows, u, right)
+
+    table = PropagatorTable(build_generator(open_config), 3.0)
+    kernels = [BathKernel(0.25, 20.0, 0.5 + 0.5 * i) for i in range(10)]
+    assert len(kernels) * (_GRADED_PANELS + 2) * _PANEL_NODES <= pointersim.noise._PASS_NODES
+    times = np.geomspace(0.02, 3.0, 60)
+    lambda_covariance(table, kernels, times)  # the mesh pass, which reads through exp
+    monkeypatch.setattr(ExpTable, "exp_folded", counted)
+    reads = []
+    for bath in (kernels, kernels[:1]):
+        lags.clear()
+        lambda_covariance(table, bath, times)
+        reads.append(sum(lags))
+    assert 0 < reads[0] <= reads[1]
 
 
 def test_lambda_refuses_a_row_that_does_not_pair_with_the_times(table, bath_kernel):

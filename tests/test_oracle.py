@@ -3,7 +3,7 @@ import pytest
 
 from pointersim.errors import NumericalError
 from pointersim.kernels import BathKernel, dissipation_kernel_scalar
-from pointersim.model import GaussianMoments, MeasurementConfig
+from pointersim.model import GaussianMoments, MeasurementConfig, gaussian_state_moments
 from pointersim import oracle
 from pointersim.propagator import response_matrices
 from pointersim.uncertainty import CurveEvaluator
@@ -256,3 +256,14 @@ def test_discrete_covariance_matches_an_extended_precision_reference(
     rows = _row_taylor(f, np.eye(f.shape[0])[1:3], 0.2, 3, 40)
     ref = np.array([r @ sig @ r.T for r in rows], dtype=float)
     assert np.abs(disc - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_inequality_chain_gate_equals_a_curve_per_energy():
+    """The gate's one ``points`` call over both energies gives exactly the
+    value of one ``curve(times)`` per energy."""
+    ev = CurveEvaluator(MeasurementConfig(), gaussian_state_moments(), 3.0)
+    worst = -np.inf
+    for inv_beta in (1.0, 2.0):
+        for p in ev.with_inv_beta(inv_beta).curve(np.linspace(0.05, 3.0, 40)):
+            worst = max(worst, p.bound - p.u_sq, 1.0 - p.bound)
+    assert oracle._inequality_chain_margin() == worst
