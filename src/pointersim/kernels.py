@@ -24,6 +24,7 @@ __all__ = [
     "spectral_density_scalar",
     "dissipation_kernel_scalar",
     "noise_autocorrelation",
+    "nu_log_coefficient",
     "nu_quadrature",
     "dissipation_from_spectral_density",
 ]
@@ -408,6 +409,13 @@ def noise_autocorrelation(t, kernel: BathKernel | list[BathKernel]):
     if any(n_series):
         out[series] = _nu_series(times[series], np.repeat(np.arange(len(kernels)), n_series), tables)
     return float(out[0, 0]) if np.isscalar(t) else out.reshape(tau.shape)
+
+
+def nu_log_coefficient(t: np.ndarray, kernels: list[BathKernel]) -> np.ndarray:
+    """A(t) in nu(t) = A(t) ln|t| + B(t), B smooth, one kernel a row of t: the classical
+    prefactor of the small-time form times the -cosh(x) at ln x in :func:`_shi_chi`."""
+    wc, classical = np.array([(k.omega_c, k.eta * (k.omega_c * k.omega_c)) for k in kernels]).T
+    return -(classical / math.pi)[:, None] * np.cosh(wc[:, None] * t)
 
 
 def dissipation_from_spectral_density(t: float, kernel: BathKernel) -> float:

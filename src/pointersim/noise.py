@@ -28,19 +28,23 @@ in this form, as sum_j nu(s_j) z_j + transpose + the start state's part: z_j,
 the rule's w_j h P W(t-s_j) e^{F^T s_j} P^T, is free of the temperature and
 built once per chain, from the rows P e^{F(t-s)} and e^{Fs} N, for its kernels.
 
-The panels of Lambda(t) are 16 graded panels on [0, u0], u0 = min(0.05,
-t/2), toward the logarithmic singularity of nu at 0, regular panels of
-width 0.1 with edges at u0 + k*0.1, and a last, partial panel that ends at
-t.  From t = 0.1 on, u0 = 0.05, so every panel but the last is one of an
-outer mesh on [0, t_max]: the first time a bath kernel meets it, one pass
-gives C and D at its edges, which :class:`PropagatorTable` keeps per kernel.
-Each t >= 0.1 is then one partial panel from the mesh edge below it, nu
-afresh on its 10 nodes, and each smaller t the 18 graded panels scaled to
-it, from zero.  :func:`lambda_covariance` stacks these independent chains
-of all its times and bath kernels into end passes of at most _PASS_NODES
-kernel-nodes, with the bits of one call per time: every kernel at every
-time or, paired, kernel i at time i, nu of all the kernels of a pass in one
-call.  The closed measurement (eta = 0) has no noise, no mesh: Lambda = 0.
+The panels of Lambda(t) are [0, u0/2^h], u0 = min(0.05, t/2), h panels that
+double from it to u0, regular panels of width 0.1 with edges at u0 + k*0.1,
+and a last, partial one that ends at t.  On the first, nu = A ln u + B with B
+smooth, and the Gauss rule takes nu(s_j) + A(s_j) c_j, exact on the logarithm
+(product integration: Atkinson, The Numerical Solution of Integral Equations
+of the Second Kind, 1997, 4.2); h keeps omega_c*u0/2^h <= 2, past which A ~
+cosh(omega_c*u) makes B cancel.  From t = 0.1 on, u0 = 0.05, so every panel
+but the last is one of an outer mesh on [0, t_max]: the first time a bath
+kernel meets it, one pass gives C and D at its edges, which
+:class:`PropagatorTable` keeps per kernel.  Each t >= 0.1 is then one partial
+panel from the mesh edge below it, nu afresh on its 10 nodes, and each
+smaller t the h + 2 panels scaled to it, from zero.  :func:`lambda_covariance`
+stacks these independent chains of all its times and bath kernels into end
+passes of at most _PASS_NODES kernel-nodes, with the bits of one call per
+time: every kernel at every time or, paired, kernel i at time i, nu of all
+the kernels of a pass in one call.  The closed measurement (eta = 0) has no
+noise, no mesh: Lambda = 0.
 """
 
 from __future__ import annotations
@@ -50,25 +54,22 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .kernels import BathKernel, noise_autocorrelation
+from .kernels import BathKernel, noise_autocorrelation, nu_log_coefficient
 from .propagator import AugmentedGenerator, ExpTable
 
 __all__ = ["PropagatorTable", "lambda_covariance", "xi_matrix"]
 
 #: outer panels: Gauss-Legendre nodes per panel, regular width, and
-#: where, how fast and in how many panels they grade toward the
-#: logarithmic singularity of nu at u = 0
+#: where they start to halve toward the logarithmic singularity of nu at u = 0
 _PANEL_NODES = 10
 _PANEL_WIDTH = 0.1
 _GRADED_START = 0.05
-_GRADED_RATIO = 0.18
-_GRADED_PANELS = 16
 #: most floats the mesh cache of a table may hold over all its bath
-#: kernels, dim^2 + 2*dim = 80 per mesh edge and kernel, about 10*t_max + 18
-#: edges; the default sweep holds 37,600
+#: kernels, dim^2 + 2*dim = 80 per mesh edge and kernel, about
+#: 10*t_max + 2 + h edges; the default sweep holds 24,800
 _MAX_MESH_NU = 10_000_000
 #: most kernel-nodes (bath kernels times panel nodes) in one stacked pass,
-#: which bound its work arrays: ten kernels on the 46 mesh panels of t_max = 3
+#: which bound its work arrays: ten kernels on the 30 mesh panels of t_max = 3
 _PASS_NODES = 4_600
 
 
@@ -78,9 +79,10 @@ class PropagatorTable(ExpTable):
 
     def __init__(self, gen: AugmentedGenerator, t_max: float):
         super().__init__(gen, t_max)
+        self.halvings = max(0, int(np.ceil(np.log2(0.5 * _GRADED_START * gen.cfg.omega_c))))
         # the edges of every panel of Lambda(t_max) but the last; the closed
         # measurement (eta = 0) has no noise, and no mesh
-        self.mesh = _u_panels(t_max, _GRADED_PANELS)[:-1] if gen.cfg.eta > 0 else np.zeros(0)
+        self.mesh = _u_panels(t_max, self.halvings)[:-1] if gen.cfg.eta > 0 else np.zeros(0)
         self._cache: dict[BathKernel, np.ndarray] = {}
 
     def mesh_state(self, kernels, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -130,16 +132,34 @@ def _integration_matrix(n: int) -> np.ndarray:
     return s
 
 
-def _u_panels(t: float, graded_panels: int) -> np.ndarray:
-    """Panel edges of Lambda(t) on [0, t], ascending from 0:
-    ``graded_panels`` graded panels below u0 = min(_GRADED_START, t/2),
-    regular edges at u0 + k*_PANEL_WIDTH below t, and t."""
+@lru_cache(maxsize=None)
+def _log_weights(n: int) -> np.ndarray:
+    """c_j = omega_j/w_j - ln x_j at the n Gauss-Legendre nodes of [0, 1]: omega_j =
+    int_0^1 l_j(v) ln v dv = w_j sum_k (2k+1) P_k(2x_j-1) m_k, the product weights, with
+    m_k = int_0^1 P_k(2v-1) ln v dv, -1 at k = 0, else (-1)^(k+1)/(k(k+1))."""
+    x, k = _gl_nodes(n)[0], np.arange(1.0, n)
+    m = np.append(-1.0, (-1.0) ** (k + 1) / (k * (k + 1))) * (2.0 * np.arange(n) + 1.0)
+    c = np.polynomial.legendre.legvander(2.0 * x - 1.0, n - 1) @ m - np.log(x)
+    c.flags.writeable = False
+    return c
+
+
+def _nu(nodes: np.ndarray, kernels: list, n: int, first) -> np.ndarray:
+    """nu of the kernels, one a row, at ``nodes``; ``first`` picks the nodes of first
+    panels [0, a], n a panel, which take nu + A c_j: the same bits in any pass."""
+    nu = noise_autocorrelation(nodes, kernels)
+    if first is not None:
+        at = nodes[:, first]
+        nu[:, first] += nu_log_coefficient(at, kernels) * np.resize(_log_weights(n), at.shape[1])
+    return nu
+
+
+def _u_panels(t: float, halvings: int) -> np.ndarray:
+    """Panel edges of Lambda(t) on [0, t], ascending from 0: u0 = min(_GRADED_START,
+    t/2) over 2^halvings, ..., 2, 1, regular edges at u0 + k*_PANEL_WIDTH below t, and t."""
     u0 = min(_GRADED_START, 0.5 * t)
-    graded = [u0]
-    for _ in range(graded_panels):
-        graded.append(graded[-1] * _GRADED_RATIO)
     regular = u0 + _PANEL_WIDTH * np.arange(1, int((t - u0) / _PANEL_WIDTH) + 2)
-    return np.concatenate(([0.0], graded[::-1], regular[regular < t], [t]))
+    return np.concatenate(([0.0], u0 / 2.0 ** np.arange(halvings, -1, -1), regular[regular < t], [t]))
 
 
 def _kernel_grid(kernels) -> np.ndarray:
@@ -168,7 +188,7 @@ def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int):
     # e^{Fs} N and e^{F(b-s)} N at the nodes, flattened, in one matrix product
     e_sn, e_bsn = (e[: 2 * nodes].reshape(-1, dim) @ noise).reshape(2, panels, n, dim, 2)
     # D at the edges and nodes: nu of all the kernels in one call
-    nu = noise_autocorrelation(s.reshape(1, -1).repeat(k, axis=0), list(kernels.flat))
+    nu = _nu(s.reshape(1, -1).repeat(k, axis=0), list(kernels.flat), n, slice(0, n))
     g = nu.reshape(k, 1, panels, n, 1) * e_sn.reshape(1, panels, n, -1)
     ints = width * (_gl_nodes(n)[1] @ g)  # across each panel
     d_edges = np.concatenate((np.zeros_like(ints[:, :, :1]), ints), axis=2).cumsum(axis=2)
@@ -188,7 +208,7 @@ def _forward(table: ExpTable, kernels, edges: np.ndarray, n: int):
 def _end_pass(table: ExpTable, kernels, edges: np.ndarray, c=None, d=None) -> np.ndarray:
     """P C(t) P^T, unsymmetrized, of every row of a kernel grid at the end t
     of every chain (a row of ``edges``), (rows, chains, 2, 2), from c and d at
-    its start a (zero if None), on _PANEL_NODES-node panels: the C that
+    its start a (if None, a = 0), on _PANEL_NODES-node panels: the C that
     :func:`_forward` steps ends, as e^{F(t-b)} e^{F(b-s)} = e^{F(t-s)}, in
     (P e^{F(t-a)}) c (P e^{F(t-a)})^T + sum_i R_i . D(s_i) + transpose, with
     R_i = w_i h (P e^{F(t-s_i)} N) (x) P e^{F(t-s_i)} at the nodes.  D is linear
@@ -213,7 +233,8 @@ def _end_pass(table: ExpTable, kernels, edges: np.ndarray, c=None, d=None) -> np
     e_t = (width[..., None, None] * e_sn).transpose(0, 2, 1, 4, 3).reshape(chains, n, panels, -1)
     z = np.einsum("cjqxy,cjqy->cjqx", weight, e_t).reshape(chains, -1, 4)  # nodes (j, q)
     nodes = s.swapaxes(1, 2).reshape(kernels.shape[1], -1).repeat(k, axis=0)
-    nu = noise_autocorrelation(nodes, list(kernels.flat)).reshape(k, chains, 1, -1)
+    first = slice(None, None, panels) if d is None else None  # panel 0 of chains from 0
+    nu = _nu(nodes, list(kernels.flat), n, first).reshape(k, chains, 1, -1)
     if d is not None:  # the start state's D, weighed by sum_i R_i
         total = (r[:, n, 0] + panel[:, 0]).transpose(0, 4, 3, 1, 2).reshape(chains, 2 * dim, 4)
         nu, z = np.concatenate((nu, d.reshape(k, chains, 1, -1)), -1), np.concatenate((z, total), 1)
@@ -277,8 +298,8 @@ def lambda_covariance(table: PropagatorTable, kernels, t) -> np.ndarray:
         chains = np.stack((table.mesh[edge], ends), axis=1)
         bath = _columns(kernels, on)
         _end_lambda(lam, on, table, bath, chains, *table.mesh_state(bath, edge))
-    if below:  # 18 scaled panels; where a tiny t merges them, a node is 0
-        chains = np.array([_u_panels(noisy[i], _GRADED_PANELS) for i in below])
+    if below:  # halvings + 2 panels scaled to t, from zero
+        chains = np.array([_u_panels(noisy[i], table.halvings) for i in below])
         _end_lambda(lam, below, table, _columns(kernels, below), chains)
     cov = 0.5 * (lam + lam.swapaxes(-1, -2))
     trace = cov[..., 0, 0] + cov[..., 1, 1]  # the smaller eigenvalue of each, in closed form

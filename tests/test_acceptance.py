@@ -23,7 +23,6 @@ from pointersim.kernels import (
 )
 from pointersim.model import MeasurementConfig, gaussian_state_moments
 from pointersim.noise import (
-    _GRADED_PANELS,
     _PANEL_NODES,
     PropagatorTable,
     _forward,
@@ -217,8 +216,8 @@ def test_criterion_6_kernel_correctness():
 
 def _doubled_lambda(table, kernel, t):
     """Lambda(t) from one forward pass with twice the nodes per panel and
-    four more graded panels, all off the mesh."""
-    edges = _u_panels(t, _GRADED_PANELS + 4)
+    the first panel halved once more, all off the mesh."""
+    edges = _u_panels(t, table.halvings + 1)
     cov = _forward(table, [kernel], edges, 2 * _PANEL_NODES)[0][0, -1, 1:3, 1:3]
     return 0.5 * (cov + cov.T)
 

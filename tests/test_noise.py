@@ -7,11 +7,9 @@ from scipy.linalg import expm
 import pointersim.noise
 from pointersim.cli import EXIT_NUMERICAL, main
 from pointersim.errors import ConfigError, NumericalError
-from pointersim.kernels import BathKernel, noise_autocorrelation
+from pointersim.kernels import BathKernel, noise_autocorrelation, nu_log_coefficient
 from pointersim.model import MeasurementConfig
 from pointersim.noise import (
-    _GRADED_PANELS,
-    _GRADED_RATIO,
     _GRADED_START,
     _PANEL_NODES,
     _PANEL_WIDTH,
@@ -21,6 +19,7 @@ from pointersim.noise import (
     _gl_nodes,
     _integration_matrix,
     _kernel_grid,
+    _log_weights,
     _u_panels,
     lambda_covariance,
     xi_matrix,
@@ -56,19 +55,22 @@ def _table_block(table):
     return block
 
 
-def _panel_loop_lambda(block, kernel, t, doubled=False, inner_nodes=48):
+def _panel_loop_lambda(block, kernel, t, halvings, doubled=False, inner_nodes=48):
     """Reference Lambda(t) in the lag form on the panels of :func:`_u_panels`,
-    with G given by ``block``: nu and G on all panels of t at once, and the
-    inner integral H(u) = int_0^{t-u} G(r) G(r+u)^T dr by an
-    ``inner_nodes``-point Gauss-Legendre rule; ``doubled`` as in
-    :func:`_doubled_lambda`."""
-    xg, wg = _gl_nodes(2 * _PANEL_NODES if doubled else _PANEL_NODES)
+    with G given by ``block``: nu and G on all panels of t at once, nu on the
+    first panel plus A(u) c_j of the product rule, and the inner integral
+    H(u) = int_0^{t-u} G(r) G(r+u)^T dr by an ``inner_nodes``-point
+    Gauss-Legendre rule; ``doubled`` as in :func:`_doubled_lambda`."""
+    n = 2 * _PANEL_NODES if doubled else _PANEL_NODES
+    xg, wg = _gl_nodes(n)
     xr, wr = _gl_nodes(inner_nodes)
-    edges = _u_panels(t, _GRADED_PANELS + 4 if doubled else _GRADED_PANELS)
+    edges = _u_panels(t, halvings + 1 if doubled else halvings)
     lo, width = edges[:-1], np.diff(edges)
     keep = width > 0.0
     u = (lo[keep, None] + width[keep, None] * xg).ravel()
     wu = (width[keep, None] * wg).ravel()
+    nu = noise_autocorrelation(u, kernel)
+    nu[:n] += nu_log_coefficient(u[None, :n], [kernel])[0] * _log_weights(n)
     span = t - u
     r = span[:, None] * xr
     g1 = block(r) * (span[:, None] * wr)[..., None, None]
@@ -77,7 +79,7 @@ def _panel_loop_lambda(block, kernel, t, doubled=False, inner_nodes=48):
     h = g1.transpose(0, 2, 1, 3).reshape(u.size, 2, -1) @ g2.transpose(0, 1, 3, 2).reshape(
         u.size, -1, 2
     )
-    cov = np.einsum("u,u,uab->ab", wu, noise_autocorrelation(u, kernel), h + h.transpose(0, 2, 1))
+    cov = np.einsum("u,u,uab->ab", wu, nu, h + h.transpose(0, 2, 1))
     return 0.5 * (cov + cov.T)
 
 
@@ -89,31 +91,23 @@ def _pass_lambda(table, kernel, edges, n):
 
 def _doubled_lambda(table, kernel, t):
     """The convergence reference: Lambda(t) with twice the nodes per panel
-    and four more graded panels, all off the mesh."""
-    return _pass_lambda(table, kernel, _u_panels(t, _GRADED_PANELS + 4), 2 * _PANEL_NODES)
+    and the first panel halved once more, all off the mesh."""
+    return _pass_lambda(table, kernel, _u_panels(t, table.halvings + 1), 2 * _PANEL_NODES)
 
 
-def _spread_u_panels(t, graded_panels):
-    """The former outer layout: the graded panels below u0 of
-    :func:`_u_panels`, and regular panels spread evenly over [u0, t]."""
+def _spread_u_panels(t, halvings):
+    """The former outer layout: the panels below u0 of :func:`_u_panels`,
+    and regular panels spread evenly over [u0, t]."""
     u0 = min(_GRADED_START, 0.5 * t)
-    edges = [t]
     n_reg = max(1, int(np.ceil((t - u0) / _PANEL_WIDTH)))
-    for i in range(1, n_reg):
-        edges.append(t - i * (t - u0) / n_reg)
-    edges.append(u0)
-    lo = u0
-    for _ in range(graded_panels):
-        lo *= _GRADED_RATIO
-        edges.append(lo)
-    edges.append(0.0)
-    return np.array(edges[::-1])
+    spread = [t - i * (t - u0) / n_reg for i in range(n_reg - 1, 0, -1)]
+    return np.concatenate((_u_panels(t, halvings)[: halvings + 2], spread, [t]))
 
 
 def _spread_lambda(table, kernel, t):
     """Lambda(t) on the former layout :func:`_spread_u_panels`, with nu
     evaluated afresh on every node."""
-    return _pass_lambda(table, kernel, _spread_u_panels(t, _GRADED_PANELS), _PANEL_NODES)
+    return _pass_lambda(table, kernel, _spread_u_panels(t, table.halvings), _PANEL_NODES)
 
 
 class _SplineTable:
@@ -179,6 +173,54 @@ def test_integration_matrix_is_exact_on_polynomials(n):
         )
 
 
+@pytest.mark.parametrize("n", [10, 20])
+def test_product_weights_integrate_v_to_the_p_ln_v_exactly(n):
+    """The product weights omega_j = w_j (c_j + ln x_j) give int_0^1 v^p ln v dv
+    = -1/(p+1)^2 for every p < n."""
+    x, w = _gl_nodes(n)
+    omega = w * (_log_weights(n) + np.log(x))
+    for p in range(n):
+        assert abs(omega @ x**p + 1.0 / (p + 1) ** 2) <= 1e-14
+
+
+@pytest.mark.parametrize("inv_beta, bound", [(1.0, 1e-12), (5.0, 1e-10)],
+                         ids=["small-time", "hot"])
+def test_nu_less_its_logarithm_is_smooth_at_zero(inv_beta, bound):
+    """B = nu - A ln u has a finite limit as u -> 0, and on the first panel
+    [0, 0.05] the product rule integrates nu as plain Gauss-Legendre on 40
+    panels graded toward 0 does (plain Gauss-Legendre on the one panel is
+    7e-3 off).  A hot bath's nu switches from the small-time form to the
+    series at 0.05*beta = 0.01, inside the panel, with a kink (the small-time
+    form is 2.7e-9 off just below it) that limits any rule there to ~1e-11."""
+    kernel = BathKernel(0.25, 20.0, inv_beta)
+
+    def log_part(u):
+        return nu_log_coefficient(u[None], [kernel])[0]
+
+    u = 0.05 * 10.0 ** -np.arange(8.0, 15.0)
+    tail = noise_autocorrelation(u, kernel) - log_part(u) * np.log(u)  # ln u: 15 a decade
+    assert np.ptp(tail) <= 1e-13 * abs(tail[-1])
+    x, w = _gl_nodes(_PANEL_NODES)
+    s = 0.05 * x
+    rule = 0.05 * w @ (noise_autocorrelation(s, kernel) + log_part(s) * _log_weights(_PANEL_NODES))
+    edges = np.append(0.0, 0.05 * 0.25 ** np.arange(40, -1, -1))
+    xr, wr = _gl_nodes(20)
+    u = (edges[:-1, None] + np.diff(edges)[:, None] * xr).ravel()
+    ref = (np.diff(edges)[:, None] * wr).ravel() @ noise_autocorrelation(u, kernel)
+    assert abs(rule - ref) <= bound * abs(ref)
+
+
+def test_first_panel_is_the_fewest_halvings_to_omega_c_times_its_width_at_most_2():
+    """A table halves [0, 0.05] as often as it must, and no more, to give its
+    first panel a width a with omega_c*a <= 2: 0 times up to omega_c = 40."""
+    for omega_c, expected in ((1e-3, 0), (20.0, 0), (40.0, 0), (40.5, 1), (100.0, 2), (200.0, 3),
+                              (2000.0, 6)):
+        gen = build_generator(MeasurementConfig(omega_c=omega_c))
+        h = PropagatorTable(gen, 0.2).halvings
+        assert h == expected and omega_c * _GRADED_START / 2**h <= 2.0
+        assert h == 0 or omega_c * _GRADED_START / 2 ** (h - 1) > 2.0
+
+
 def test_forward_gives_a_kernel_the_same_bits_alone_as_in_a_batch(table):
     kernels = [BathKernel(eta=0.25, omega_c=20.0, inv_beta=ib) for ib in (0.5, 1.0, 4.0)]
     batch = _forward(table, kernels, table.mesh, _PANEL_NODES)
@@ -194,18 +236,19 @@ def _assert_close_to_the_forward_pass(end, forward):
 
 
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
-def test_end_pass_of_graded_chains_matches_the_forward_pass(open_config, mode):
-    """The pointer-block sum over the 18 graded panels of t < 0.1 equals the
-    pointer block of C stepped panel by panel from zero."""
-    table = PropagatorTable(build_generator(open_config, mode), 2.5)
-    kernels = [BathKernel(0.25, 20.0, ib) for ib in (0.5, 1.0, 4.0)]
-    times = np.geomspace(1e-3, 0.099, 13)
-    chains = np.array([_u_panels(t, _GRADED_PANELS) for t in times])
-    end = _end_pass(table, _kernel_grid(kernels), chains)
-    forward = np.stack(
-        [_forward(table, kernels, edges, _PANEL_NODES)[0][:, -1, 1:3, 1:3] for edges in chains], axis=1
-    )
-    _assert_close_to_the_forward_pass(end, forward)
+def test_end_pass_of_graded_chains_matches_the_forward_pass(mode):
+    """The pointer-block sum over the halvings + 2 panels of t < 0.1 (2 at
+    omega_c = 20, 5 at 200) equals the pointer block of C stepped panel by
+    panel from zero, both with the product rule on the first panel."""
+    for omega_c in (20.0, 200.0):
+        table = PropagatorTable(build_generator(MeasurementConfig(omega_c=omega_c), mode), 2.5)
+        kernels = [BathKernel(0.25, omega_c, ib) for ib in (0.5, 1.0, 4.0)]
+        times = np.geomspace(1e-3, 0.099, 13)
+        chains = np.array([_u_panels(t, table.halvings) for t in times])
+        end = _end_pass(table, _kernel_grid(kernels), chains)
+        forward = np.stack([_forward(table, kernels, edges, _PANEL_NODES)[0][:, -1, 1:3, 1:3]
+                            for edges in chains], axis=1)
+        _assert_close_to_the_forward_pass(end, forward)
 
 
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
@@ -233,7 +276,7 @@ def test_lambda_matches_spline_table(open_config, bath_kernel, time_grid_200, mo
     table = PropagatorTable(gen, 3.0)
     spline = _SplineTable(gen, 3.0)
     for t in time_grid_200:
-        ref = _panel_loop_lambda(spline.pointer_block, bath_kernel, float(t))
+        ref = _panel_loop_lambda(spline.pointer_block, bath_kernel, float(t), table.halvings)
         new = lambda_covariance(table, [bath_kernel], float(t))[0]
         assert np.abs(new - ref).max() <= 1e-7 * np.abs(ref).max()
 
@@ -303,7 +346,8 @@ def test_lambda_matches_panel_loop(open_config, bath_kernel, time_grid_200, mode
     table = PropagatorTable(gen, 3.0)
     block = _table_block(table)
     for t in time_grid_200:
-        ref = _panel_loop_lambda(block, bath_kernel, float(t), doubled, 96 if doubled else 48)
+        ref = _panel_loop_lambda(block, bath_kernel, float(t), table.halvings, doubled,
+                                 96 if doubled else 48)
         if doubled:
             new = _doubled_lambda(table, bath_kernel, float(t))
         else:
@@ -325,6 +369,29 @@ def test_lambda_matches_spread_layout(time_grid_200, mode, omega_c, inv_beta):
         assert np.abs(new - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize(
+    "omega_c, inv_beta", [(20.0, 1.0), (40.0, 0.5), (10.0, 5.0), (200.0, 1.0), (20.0, 0.02)]
+)
+@pytest.mark.parametrize("mode", ["renormalized", "raw"])
+def test_lambda_converges_to_plain_gauss_on_finely_graded_panels(monkeypatch, mode, omega_c,
+                                                                 inv_beta):
+    """Lambda agrees to 1e-9 of its largest entry with a reference that
+    shares no rule with it near u = 0: plain Gauss-Legendre, 20 nodes a
+    panel, on 40 panels graded by 1/4 toward 0 below u0 and the regular
+    panels above."""
+    cfg = MeasurementConfig(omega_c=omega_c, inv_beta=inv_beta)
+    table = PropagatorTable(build_generator(cfg, mode), 3.0)
+    kernel = BathKernel(cfg.eta, omega_c, inv_beta)
+    times = np.geomspace(1e-3, 2.99, 25)
+    lam = lambda_covariance(table, [kernel], times)[0]
+    monkeypatch.setattr(pointersim.noise, "_log_weights", np.zeros)  # plain Gauss-Legendre
+    for t, new in zip(times, lam):
+        u0 = min(_GRADED_START, 0.5 * t)
+        edges = np.concatenate(([0.0], u0 * 0.25 ** np.arange(40, 0, -1), _u_panels(t, 0)[1:]))
+        ref = _pass_lambda(table, kernel, edges, 2 * _PANEL_NODES)
+        assert np.abs(new - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
 def _edge_case_times(mesh, t_max):
     """Times below and above 0.1 and both float neighbours of 0.1, every
     mesh edge and its float neighbours (but those of 0, where nu diverges),
@@ -333,7 +400,7 @@ def _edge_case_times(mesh, t_max):
     return np.concatenate((
         [0.0, np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0), t_max],
         mesh, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-        np.geomspace(1e-3, 0.099, 13), np.linspace(0.1, t_max, 200),
+        np.geomspace(1e-3, 0.099, 80), np.linspace(0.1, t_max, 200),
     ))
 
 
@@ -351,7 +418,7 @@ def test_lambda_of_a_time_array_equals_the_per_time_calls(monkeypatch, open_conf
     cap = pointersim.noise._PASS_NODES
     on_mesh = times >= 2.0 * _GRADED_START
     assert on_mesh.sum() * len(kernels) * _PANEL_NODES > cap
-    assert (~on_mesh).sum() * len(kernels) * (2 + _GRADED_PANELS) * _PANEL_NODES > cap
+    assert (~on_mesh).sum() * len(kernels) * (2 + table.halvings) * _PANEL_NODES > cap
     stacked = lambda_covariance(table, kernels, times)
     assert stacked.shape == (len(kernels), times.size, 2, 2)
     fresh = PropagatorTable(build_generator(open_config, mode), 2.5)
@@ -363,7 +430,7 @@ def test_lambda_of_a_time_array_equals_the_per_time_calls(monkeypatch, open_conf
     np.testing.assert_array_equal(paired, per_time[cycle, np.arange(times.size)][None])
 
 
-@pytest.mark.parametrize("pass_nodes", [None, 600], ids=["cap", "small-cap"])
+@pytest.mark.parametrize("pass_nodes", [None, 60], ids=["cap", "small-cap"])
 @pytest.mark.parametrize("mode", ["renormalized", "raw"])
 def test_each_kernel_of_a_list_has_the_bits_of_its_own_call(monkeypatch, open_config, mode,
                                                               pass_nodes):
@@ -394,7 +461,7 @@ def test_the_kernels_of_a_pass_share_its_table_reads(monkeypatch, open_config):
 
     table = PropagatorTable(build_generator(open_config), 3.0)
     kernels = [BathKernel(0.25, 20.0, 0.5 + 0.5 * i) for i in range(10)]
-    assert len(kernels) * (_GRADED_PANELS + 2) * _PANEL_NODES <= pointersim.noise._PASS_NODES
+    assert len(kernels) * (table.halvings + 2) * _PANEL_NODES <= pointersim.noise._PASS_NODES
     times = np.geomspace(0.02, 3.0, 60)
     lambda_covariance(table, kernels, times)  # the mesh pass, which reads through exp
     monkeypatch.setattr(ExpTable, "exp_folded", counted)
@@ -411,18 +478,29 @@ def test_lambda_refuses_a_row_that_does_not_pair_with_the_times(table, bath_kern
         lambda_covariance(table, [[bath_kernel] * 2], [0.5, 1.0, 2.0])
 
 
-def test_lambda_of_a_tiny_time_with_merged_edges_raises_as_alone(table, bath_kernel):
-    """Where the graded edges of a tiny t round together, a node rounds to 0
-    and nu diverges there: the array form raises as the scalar one does."""
-    tiny = 1e-315
-    assert np.unique(_u_panels(tiny, _GRADED_PANELS)).size < _GRADED_PANELS + 3
-    for t in (tiny, np.array([0.05, tiny, 1.0])):
-        with pytest.raises(NumericalError, match="diverges logarithmically at t = 0"):
-            lambda_covariance(table, [bath_kernel], t)
+def _outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (NumericalError, ValueError) as err:
+        return type(err), str(err)
+
+
+def test_a_subnormal_time_has_the_same_outcome_as_a_scalar_and_in_an_array(table, bath_kernel):
+    """A subnormal t gives the same Lambda, or the same error, alone and in an
+    array: at 5e-324, t/2 rounds to 0, a node sits at 0 and nu diverges."""
+    for tiny in (1e-315, 5e-324):
+        alone = _outcome(lambda: lambda_covariance(table, [bath_kernel], tiny)[0])
+        stacked = _outcome(lambda: lambda_covariance(table, [bath_kernel], [0.05, tiny, 1.0])[0, 1])
+        if isinstance(alone, tuple):
+            assert stacked == alone
+        else:
+            np.testing.assert_array_equal(stacked, alone)
+        assert isinstance(alone, tuple) == (tiny == 5e-324)
 
 
 def test_no_stacked_pass_takes_more_nodes_than_the_cap(monkeypatch, open_config):
-    """Every pass, the mesh pass of ten kernels included, asks nu for at
+    """Every pass, the mesh passes of ten kernels included, asks nu for at
     most _PASS_NODES kernel-nodes, and together they ask for every node."""
     passes = []
     nu = pointersim.noise.noise_autocorrelation
@@ -441,11 +519,14 @@ def test_no_stacked_pass_takes_more_nodes_than_the_cap(monkeypatch, open_config)
     for name in ("_forward", "_end_pass"):  # the mesh pass and the end passes
         monkeypatch.setattr(pointersim.noise, name, counted(getattr(pointersim.noise, name)))
     monkeypatch.setattr(pointersim.noise, "noise_autocorrelation", counted_nu)
+    # a cap below the 3,800 and 4,100 kernel-nodes of the coarse scan on each side of
+    # t = 0.1, so that those passes split
+    monkeypatch.setattr(pointersim.noise, "_PASS_NODES", 2_000)
     table = PropagatorTable(build_generator(open_config), 3.0)
     kernels = [BathKernel(0.25, 20.0, 0.5 + 0.25 * i) for i in range(10)]
     times = np.geomspace(0.02, 3.0, 60)
     lambda_covariance(table, kernels, times)
-    panels = [1 if t >= 2.0 * _GRADED_START else _GRADED_PANELS + 2 for t in times]
+    panels = [1 if t >= 2.0 * _GRADED_START else table.halvings + 2 for t in times]
     assert max(passes) <= pointersim.noise._PASS_NODES and len(passes) > 3
     assert sum(passes) == len(kernels) * _PANEL_NODES * (table.mesh.size - 1 + sum(panels))
 
@@ -453,16 +534,16 @@ def test_no_stacked_pass_takes_more_nodes_than_the_cap(monkeypatch, open_config)
 def test_u_panels_align_on_the_mesh(table):
     """From t = 2*_GRADED_START on, every panel but the last is a mesh panel,
     and the last one ends at t; below, the layout is the former one."""
-    mesh = _u_panels(table.t_max, _GRADED_PANELS)[:-1]
+    mesh = _u_panels(table.t_max, table.halvings)[:-1]
     aligned = _GRADED_START + 3 * _PANEL_WIDTH
     for t in (0.1, 0.13, 0.15, 0.25, aligned, 1.0, 1.05, 2.4999):
-        edges = _u_panels(t, _GRADED_PANELS)
+        edges = _u_panels(t, table.halvings)
         np.testing.assert_array_equal(edges[:-1], mesh[: edges.size - 1])
         # an aligned t ends a full panel, one rounding of its edges wide
         assert edges[-1] == t and 0.0 < t - edges[-2] <= _PANEL_WIDTH * (1.0 + 1e-15)
     for t in (0.0, 0.02, 0.07, 0.0999):
         np.testing.assert_array_equal(
-            _u_panels(t, _GRADED_PANELS), _spread_u_panels(t, _GRADED_PANELS)
+            _u_panels(t, table.halvings), _spread_u_panels(t, table.halvings)
         )
 
 
@@ -470,7 +551,7 @@ def test_mesh_nu_is_a_fresh_evaluation(table, bath_kernel):
     """Lambda from the cached mesh edge equals one fresh pass over all panels
     of t; nu of a whole-mesh batch may differ from it in the last bits."""
     cached = lambda_covariance(table, [bath_kernel], 1.7)[0]
-    fresh = _pass_lambda(table, bath_kernel, _u_panels(1.7, _GRADED_PANELS), _PANEL_NODES)
+    fresh = _pass_lambda(table, bath_kernel, _u_panels(1.7, table.halvings), _PANEL_NODES)
     assert np.abs(cached - fresh).max() <= 1e-14 * np.abs(fresh).max()
 
 
@@ -498,14 +579,13 @@ def test_lambda_on_the_mesh_evaluates_one_panel_of_nu(monkeypatch, open_config, 
         assert points[0] == _PANEL_NODES
 
 
-def test_default_sweep_evaluates_a_quarter_of_the_nu_points(monkeypatch, tmp_path):
+def test_default_sweep_evaluates_nu_on_at_most_13_200_points(monkeypatch, tmp_path):
     """The default sweep evaluated nu on 197,200 points before the outer
-    mesh; it may evaluate at most a quarter of that."""
-    from pointersim.cli import main
-
+    mesh and on 45,200 with 16 graded panels toward u = 0; with one panel
+    there, by the product rule, it may evaluate at most 13,200."""
     points = _count_nu_points(monkeypatch)
     assert main(["sweep", "--out", str(tmp_path / "sweep.csv")]) == 0
-    assert points[0] <= 197_200 // 4
+    assert points[0] <= 13_200
 
 
 def _eleven_kernels(cfg):
