@@ -57,21 +57,17 @@ class SweepResult:
 
 
 def golden_section(f, a, b, rel_tol: float = 1e-5, key=float):
-    """Golden-section search for the minimum of a unimodal key(f) on [a, b],
-    returning the best t and f's value there; ValueError for a rel_tol
-    below MIN_REL_TOL.
+    """Golden-section search for the minimum of a unimodal key(f) on the
+    brackets [a_i, b_i] of 1-D arrays a and b, in lockstep; ValueError for a
+    rel_tol below MIN_REL_TOL.
 
-    With 1-D arrays a and b it searches the brackets [a_i, b_i] in lockstep
-    and returns the array of best times and the list of f's values there.
-    Each step then makes one call f(t, which) on the new times t of the
-    brackets ``which`` still open, and f returns one value per time.  The
-    float64 arithmetic gives a bracket the same steps as a search of its own.
+    Returns the array of best times and the list of f's values there.  Each
+    step makes one call f(t, which) on the new times t of the brackets
+    ``which`` still open, and f returns one value per time.  The float64
+    arithmetic gives a bracket the same steps as a search of its own.
     """
     if not rel_tol >= MIN_REL_TOL:
         raise ValueError(f"rel_tol must be >= {MIN_REL_TOL:g}, got {rel_tol!r}")
-    if np.ndim(a) == 0:  # one bracket: f of one time
-        t, at = golden_section(lambda t, _: [f(x) for x in t], [a], [b], rel_tol, key)
-        return t[0], at[0]
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     h = b - a
     c, d = b - _INV_PHI * h, a + _INV_PHI * h

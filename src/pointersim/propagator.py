@@ -18,10 +18,10 @@ Every e^{Ft} comes from one :class:`ExpTable` (Van Loan, IEEE TAC 23:395,
 1978): full rows of e^{F s_j} on a uniform grid s_j = j h, from one stacked
 :func:`expm`, and a forward Taylor step from the node below,
 e^{F(s_j + d)} = e^{F s_j} sum_k F^k d^k / k!.  :func:`expm` is the scaling
-and squaring method of Al-Mohy & Higham (2009) in numpy, so the module needs
-no SciPy.  The generator of the closed measurement (eta = 0) is nilpotent,
-so its series ends at F^3 and its table is the single node s = 0, the
-identity, exact at any t.
+and squaring method of Al-Mohy & Higham (2009) at Pade degree 13 alone, in
+numpy, so the module needs no SciPy.  The generator of the closed
+measurement (eta = 0) is nilpotent, so its series ends at F^3 and its table
+is the single node s = 0, the identity, exact at any t.
 """
 
 from __future__ import annotations
@@ -58,17 +58,12 @@ _CLOSED_TERMS = 4
 #: most grid nodes a table may hold, as many as a time grid may have points;
 #: the default config, at omega_c*t_max = 60, needs 120
 _MAX_NODES = 100_000
-#: Pade degrees m of the scaling and squaring exponential: the numerator
-#: coefficients b_k = (2m-k)!/(k!(m-k)!), the largest ||A^k||^(1/k) the degree
-#: serves at double precision, and 1/|c_2m+1| = (2m)!(2m+1)!/(m!)^2 of its
-#: backward-error series (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
-#: 31:970, 2009, Table 3.1 and (2.6))
-_PADE = tuple(
-    ([float(fact(2 * m - k) // (fact(k) * fact(m - k))) for k in range(m + 1)], theta,
-     float(fact(2 * m) * fact(2 * m + 1) // fact(m) ** 2))
-    for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-                     (7, 9.504178996162932e-1), (9, 2.097847961257068), (13, 4.25))
-)
+#: Pade degree 13 of the scaling and squaring exponential: numerator
+#: coefficients b_k = (26-k)!/(k!(13-k)!), the largest ||A^k||^(1/k) it serves
+#: at double precision, and 1/|c_27| = 26!27!/(13!)^2 of its backward-error
+#: series (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31:970, Table 3.1, (2.6))
+_PADE_B = [float(fact(26 - k) // (fact(k) * fact(13 - k))) for k in range(14)]
+_PADE_THETA, _PADE_C = 4.25, float(fact(26) * fact(27) // fact(13) ** 2)
 
 
 @dataclass(frozen=True)
@@ -152,10 +147,10 @@ def expm(a) -> np.ndarray:
     """e^A of square matrices stacked along the leading axes of ``a``.
 
     The scaling and squaring method of Al-Mohy & Higham (2009), which SciPy
-    also implements: per matrix the lowest Pade degree m, and for m = 13 the
-    fewest squarings s, that ||A^k||^(1/k) and the backward-error bound allow;
-    then r_m(A / 2^s) squared s times.  A matrix whose powers overflow gets
-    s = 0 and a result that is not finite.
+    also implements, at Pade degree 13 alone: per matrix the fewest
+    squarings s that ||A^k||^(1/k) and the backward-error bound allow, then
+    r_13(A / 2^s) squared s times.  A zero matrix gives I exactly.  A matrix
+    whose powers overflow gets s = 0 and a result that is not finite.
     """
     a = np.asarray(a, dtype=float)
     shape, eye = a.shape, np.eye(a.shape[-1])
@@ -164,29 +159,21 @@ def expm(a) -> np.ndarray:
         a2 = a @ a
         a4 = a2 @ a2
         a6 = a4 @ a2
-        d4, d6 = _onenorm(a4) ** 0.25, _onenorm(a6) ** (1 / 6)
-        d8, d10 = _onenorm(a4 @ a4) ** 0.125, _onenorm(a4 @ a6) ** 0.1
-        eta = np.maximum(d6, d8)
-        s = np.maximum(np.ceil(np.log2(np.minimum(eta, np.maximum(d8, d10)) / _PADE[-1][1])), 0.0)
-        s += _ell(a * 0.5 ** s[:, None, None], 13, _PADE[-1][2])
-        degree = np.full(len(a), len(_PADE) - 1)
-        for i in range(len(_PADE) - 2, -1, -1):  # the lowest degree that serves wins
-            b, theta, c = _PADE[i]
-            fits = np.flatnonzero((np.maximum(d4, d6) if i < 2 else eta) < theta)
-            degree[fits[_ell(a[fits], len(b) - 1, c) == 0]] = i
-    s = np.where((degree == len(_PADE) - 1) & np.isfinite(s), s, 0.0).astype(int)
+        d6, d8, d10 = _onenorm(a6) ** (1 / 6), _onenorm(a4 @ a4) ** 0.125, _onenorm(a4 @ a6) ** 0.1
+        eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+        s = np.maximum(np.ceil(np.log2(eta / _PADE_THETA)), 0.0)
+        s += _ell(a * 0.5 ** s[:, None, None], 13, _PADE_C)
+    s = np.where(np.isfinite(s), s, 0.0).astype(int)
 
-    x = np.empty_like(a)
-    for i, (b, _, _) in enumerate(_PADE):
-        on = degree == i
-        sc = 0.5 ** s[on, None, None]
-        p2, p4, p6 = a2[on] * sc**2, a4[on] * sc**4, a6[on] * sc**6
-        powers = (eye, p2, p4, p6, p4 @ p4, p4 @ p6, p6 @ p6)[: len(b) // 2]
-        u = a[on] * sc @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers))
-        # r_m = (V+U)(V-U)^-1, the factors commute: solved for the rows, it
-        # comes out twice as accurate as (V-U)^-1(V+U) on non-normal tables
-        x[on] = np.linalg.solve(np.swapaxes(v - u, 1, 2), np.swapaxes(v + u, 1, 2)).swapaxes(1, 2)
+    sc = 0.5 ** s[:, None, None]
+    p2, p4, p6 = a2 * sc**2, a4 * sc**4, a6 * sc**6
+    powers = (eye, p2, p4, p6, p4 @ p4, p4 @ p6, p6 @ p6)
+    u = a * sc @ sum(_PADE_B[2 * k + 1] * p for k, p in enumerate(powers))
+    v = sum(_PADE_B[2 * k] * p for k, p in enumerate(powers))
+    # r_13 = (V+U)(V-U)^-1, the factors commute: solved for the rows, it
+    # comes out twice as accurate as (V-U)^-1(V+U) on non-normal tables
+    x = np.linalg.solve(np.swapaxes(v - u, 1, 2), np.swapaxes(v + u, 1, 2)).swapaxes(1, 2)
+    x[~a.any(axis=(1, 2))] = eye  # the solve leaves b_0 I / b_0 I 1 ulp off
     for i in range(s.max(initial=0)):
         x[s > i] = x[s > i] @ x[s > i]
     return x.reshape(shape)

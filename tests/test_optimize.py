@@ -17,8 +17,14 @@ from pointersim.optimize import (
 from pointersim.uncertainty import CurveEvaluator, UncertaintyCurve, UncertaintyPoint
 
 
+def _one_bracket(f, a, b, rel_tol=1e-5):
+    """golden_section of a scalar f on the one bracket [a, b]."""
+    (t,), (at,) = golden_section(lambda t, _: [f(x) for x in t], [a], [b], rel_tol)
+    return t, at
+
+
 def test_golden_section_quadratic():
-    t, v = golden_section(lambda x: (x - 1.3) ** 2 + 2.0, 0.5, 3.0, rel_tol=1e-8)
+    t, v = _one_bracket(lambda x: (x - 1.3) ** 2 + 2.0, 0.5, 3.0, rel_tol=1e-8)
     assert t == pytest.approx(1.3, abs=1e-6)
     assert v == pytest.approx(2.0, abs=1e-10)
 
@@ -41,7 +47,7 @@ def _at_most_500_calls(f):
 def test_rel_tol_below_the_floor_is_rejected(closed_config, default_moments, rel_tol):
     f = _at_most_500_calls(lambda t: (t - 1.0) ** 2)
     with pytest.raises(ValueError, match="rel_tol"):
-        golden_section(f, 0.5, 1.5, rel_tol)
+        _one_bracket(f, 0.5, 1.5, rel_tol)
     with pytest.raises(ValueError, match="rel_tol"):
         find_optimal_time(f, (0.5, 1.5), coarse_points=7, rel_tol=rel_tol)
     with pytest.raises(ValueError, match="rel_tol"):
@@ -50,7 +56,7 @@ def test_rel_tol_below_the_floor_is_rejected(closed_config, default_moments, rel
 
 def test_rel_tol_at_the_floor_converges():
     f = _at_most_500_calls(lambda t: (t - 1.0) ** 2)
-    t, _ = golden_section(f, 0.5, 1.5, MIN_REL_TOL)
+    t, _ = _one_bracket(f, 0.5, 1.5, MIN_REL_TOL)
     assert t == pytest.approx(1.0, abs=1e-6)
 
 
@@ -161,7 +167,7 @@ def test_coarse_minimum_is_the_scan_of_find_optimal_time():
     lo, hi, near = _coarse_minimum(grid, np.array([_two_wells(t) for t in grid]))
     scanned = find_optimal_time(_two_wells, (0.1, 2.8))
     assert near == scanned.candidates and len(near) == 2
-    assert golden_section(_two_wells, lo, hi) == (scanned.t_opt, scanned.u_sq_min)
+    assert _one_bracket(_two_wells, lo, hi) == (scanned.t_opt, scanned.u_sq_min)
     with pytest.raises(BoundaryMinimum):
         _coarse_minimum(grid, grid)
 
@@ -206,7 +212,7 @@ def test_golden_section_gives_the_bits_of_the_python_float_search(rel_tol):
         (lambda t: float("nan") if t > 1.5 else (t - 1.0) ** 2, 0.3, 2.4),
     ]
     for f, a, b in cases:
-        t, v = golden_section(f, a, b, rel_tol)
+        t, v = _one_bracket(f, a, b, rel_tol)
         t_ref, v_ref = _python_golden_section(f, a, b, rel_tol)
         assert t == t_ref and (v == v_ref or np.isnan(v) and np.isnan(v_ref))
 
@@ -223,7 +229,7 @@ def test_lockstep_golden_section_steps_each_bracket_as_alone():
         return [wells[i](x) for x, i in zip(t.tolist(), which.tolist())]
 
     t, values = golden_section(f, lo, hi, rel_tol=1e-9)
-    alone = [golden_section(w, a, b, rel_tol=1e-9) for w, a, b in zip(wells, lo, hi)]
+    alone = [_one_bracket(w, a, b, rel_tol=1e-9) for w, a, b in zip(wells, lo, hi)]
     assert t.tolist() == [x for x, _ in alone] and values == [v for _, v in alone]
     assert calls[0] == [0, 1, 2, 3, 0, 1, 2, 3]
     assert len(calls) > 30 and all(c == sorted(set(c)) for c in calls[1:])

@@ -324,6 +324,23 @@ def test_expm_matches_scipy_on_table_stacks(cfg, mode):
     assert np.all(np.abs(ours - ref) <= 1e-13 * scale)
 
 
+def test_expm_gives_a_matrix_of_a_stack_its_own_bits():
+    """Nodes 0-7 of four tables, the small arguments of a table, in one
+    stack: each matrix gets the bits of an expm call of its own, each zero
+    matrix I exactly, and each node is within 1e-14 of SciPy's expm,
+    relative to the node's largest entry."""
+    from scipy.linalg import expm as scipy_expm
+
+    tables = [(MeasurementConfig(), "renormalized"), (MeasurementConfig(), "raw"),
+              (_NON_NORMAL, "raw"), (MeasurementConfig(eta=0.05, omega_c=10.0), "renormalized")]
+    a = np.concatenate([_table_stack(cfg, mode, nodes=7) for cfg, mode in tables])
+    stacked, ref = expm(a), scipy_expm(a)
+    for node, e in zip(a, stacked):
+        np.testing.assert_array_equal(expm(node), e)
+    np.testing.assert_array_equal(stacked[::8], np.broadcast_to(np.eye(8), (4, 8, 8)))
+    assert np.all(np.abs(stacked - ref) <= 1e-14 * np.abs(ref).max(axis=(1, 2), keepdims=True))
+
+
 def test_expm_matches_scipy_on_a_32001_node_table():
     """A table of 32,001 nodes of the default generator: up to 16
     squarings amplify the rounding of the Pade step, and SciPy and the numpy
