@@ -3,10 +3,11 @@
 The spectral density is I(omega) = (2*eta/pi) * omega / (omega^2/omega_c^2 + 1)
 acting on the two pointers only.  The dissipation kernel follows in closed
 form, mu(t) = eta*omega_c^2*exp(-omega_c*t).  The symmetric noise
-autocorrelation nu(t) has no elementary closed form; it is evaluated either
-by an exponential (Matsubara) series derived via residue decomposition of
-the coth integrand, or by direct oscillatory quadrature, which serves as
-the independent oracle for the series.
+autocorrelation nu(t) has no elementary closed form.  Below t = 0.05*beta
+it is a small-time form (the classical part through Shi and Chi, plus the
+quantum moments to order t^4), above it an exponential (Matsubara) series
+from the residues of the coth integrand.  ``nu_quadrature``, by direct
+oscillatory quadrature, is the tests' independent oracle of both.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ Everything is deterministic: identical inputs give identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -17,8 +16,7 @@ from .model import GaussianMoments, MeasurementConfig
 from .uncertainty import CurveEvaluator
 
 __all__ = [
-    "Optimum", "SweepResult", "golden_section", "find_optimal_time", "point_u_sq",
-    "thermal_sweep",
+    "Optimum", "SweepResult", "golden_section", "find_optimal_time", "thermal_sweep",
 ]
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -26,22 +24,16 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 #: shrink under the float spacing of its ends, and the search never stops
 MIN_REL_TOL = 1e-12
 
-#: key of a search over CurveEvaluator.point: the U^2 of the point
-point_u_sq = attrgetter("u_sq")
-
 
 @dataclass(frozen=True)
 class Optimum:
-    """Result of a single optimal-time search."""
+    """Best time, and the landscape's value there, of one optimal-time search."""
 
     t_opt: float
     u_sq_min: float
     multiple_minima: bool = False
     #: coarse-grid candidates (t, value) within 1% of the best local minimum
     candidates: tuple = ()
-    #: what the evaluator returned at t_opt; the UncertaintyPoint, with its
-    #: bound, when the evaluator is CurveEvaluator.point
-    at_opt: object = None
 
 
 @dataclass(frozen=True)
@@ -56,14 +48,14 @@ class SweepResult:
     flags: tuple = ()
 
 
-def golden_section(f, a, b, rel_tol: float = 1e-5, key=float):
-    """Golden-section search for the minimum of a unimodal key(f) on the
+def golden_section(f, a, b, rel_tol: float = 1e-5):
+    """Golden-section search for the minimum of a unimodal f on the
     brackets [a_i, b_i] of 1-D arrays a and b, in lockstep; ValueError for a
     rel_tol below MIN_REL_TOL.
 
-    Returns the array of best times and the list of f's values there.  Each
+    Returns the arrays of the best times and of f's values there.  Each
     step makes one call f(t, which) on the new times t of the brackets
-    ``which`` still open, and f returns one value per time.  The float64
+    ``which`` still open, and f returns one number per time.  The float64
     arithmetic gives a bracket the same steps as a search of its own.
     """
     if not rel_tol >= MIN_REL_TOL:
@@ -71,27 +63,22 @@ def golden_section(f, a, b, rel_tol: float = 1e-5, key=float):
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     h = b - a
     c, d = b - _INV_PHI * h, a + _INV_PHI * h
-    # every value of f and its key; per bracket, the index of its value at c and at d
     which = np.arange(a.size)
-    seen = list(f(np.concatenate((c, d)), np.tile(which, 2)))
-    keys = np.array([key(v) for v in seen], dtype=float)
-    at_c, at_d = which, which + a.size
+    fc, fd = np.reshape(f(np.concatenate((c, d)), np.tile(which, 2)), (2, -1))
     open_ = h > rel_tol * np.maximum(np.abs(a), np.abs(b))
     while open_.any():
-        left = open_ & (keys[at_c] < keys[at_d])  # the minimum is not right of d: [a, d]
+        left = open_ & (fc < fd)  # the minimum is not right of d: [a, d]
         right = open_ & ~left
-        b, d, at_d = np.where(left, d, b), np.where(left, c, d), np.where(left, at_c, at_d)
-        a, c, at_c = np.where(right, c, a), np.where(right, d, c), np.where(right, at_d, at_c)
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
         h = b - a
         c, d = np.where(left, b - _INV_PHI * h, c), np.where(right, a + _INV_PHI * h, d)
-        new = f(np.where(left, c, d)[open_], which[open_])
-        fresh = len(seen) - 1 + np.cumsum(open_)  # where the new value of an open bracket goes
-        at_c, at_d = np.where(left, fresh, at_c), np.where(right, fresh, at_d)
-        seen.extend(new)
-        keys = np.append(keys, [key(v) for v in new])
+        new = np.empty(a.size)
+        new[open_] = f(np.where(left, c, d)[open_], which[open_])
+        fc, fd = np.where(left, new, fc), np.where(right, new, fd)
         open_ = h > rel_tol * np.maximum(np.abs(a), np.abs(b))
-    better = keys[at_c] < keys[at_d]
-    return np.where(better, c, d), [seen[i] for i in np.where(better, at_c, at_d)]
+    better = fc < fd
+    return np.where(better, c, d), np.where(better, fc, fd)
 
 
 def _coarse_grid(t_interval: tuple[float, float], coarse_points: int) -> np.ndarray:
@@ -133,26 +120,16 @@ def _coarse_minimum(grid: np.ndarray, vals: np.ndarray):
     return float(grid[best - 1]), float(grid[best + 1]), near if len(near) > 1 else ()
 
 
-def _paired_points(ev: CurveEvaluator, t: np.ndarray, kernels) -> list:
-    """The points of the pairs (t_j, kernels_j), from one paired evaluation;
-    NumericalError at the first U^2 that is not finite."""
-    curve = ev.points(t, [kernels])[0]
-    _require_finite(t, curve.column("u_sq"))
-    return list(curve)
-
-
 def find_optimal_time(
     evaluator,
     t_interval: tuple[float, float] = (0.02, 3.0),
     coarse_points: int = 60,
     rel_tol: float = 1e-5,
-    key=float,
 ) -> Optimum:
     """Locate the global minimum of a scalar landscape on (0, t_max].
 
-    ``evaluator`` is a callable t -> value, and ``key`` maps its value to
-    the number minimised; with ``CurveEvaluator.point`` and the key
-    ``point_u_sq``, the optimum keeps the point at t_opt.
+    ``evaluator`` is a callable t -> number, such as
+    ``lambda t: ev.point(t).u_sq`` for a :class:`CurveEvaluator` ``ev``.
     The coarse grid is geometric, dense near the t -> 0 divergence.  A
     coarse or refinement value that is not finite raises
     :class:`NumericalError`, and a minimum sitting on an interval edge
@@ -160,22 +137,16 @@ def find_optimal_time(
     resolved.
     """
     grid = _coarse_grid(t_interval, coarse_points)
-    vals = np.array([key(evaluator(float(t))) for t in grid])
+    vals = np.array([evaluator(float(t)) for t in grid], dtype=float)
     lo, hi, near = _coarse_minimum(grid, vals)
 
     def refine(t, _):
-        at = [evaluator(float(x)) for x in t]
-        _require_finite(t, [key(v) for v in at])
+        at = np.array([evaluator(float(x)) for x in t], dtype=float)
+        _require_finite(t, at)
         return at
 
-    (t_opt,), (at_opt,) = golden_section(refine, [lo], [hi], rel_tol, key)
-    return Optimum(
-        t_opt=float(t_opt),
-        u_sq_min=float(key(at_opt)),
-        multiple_minima=bool(near),
-        candidates=near,
-        at_opt=at_opt,
-    )
+    (t_opt,), (u_sq_min,) = golden_section(refine, [lo], [hi], rel_tol)
+    return Optimum(float(t_opt), float(u_sq_min), multiple_minima=bool(near), candidates=near)
 
 
 def thermal_sweep(
@@ -194,16 +165,17 @@ def thermal_sweep(
     propagation of the coarse grid and one ``lambda_covariance`` over its
     times and the bath kernels of all energies.  The golden-section
     refinements of all energies then run in lockstep, each step one paired
-    ``points`` call over the new times of the energies still open.  Every
+    ``points`` call over the new times of the energies still open; the
+    search compares their U^2 and keeps their bounds for the optima.  Every
     energy probes the times, and gets the optimum and the flags, of its own
-    :func:`find_optimal_time` on ``point``.  A coarse or refinement value
-    that is not finite raises NumericalError, and every NumericalError of a
-    search names its energy.  ConfigError from the coarse scan when the
-    noise covariance on the outer mesh of every energy would be too many
-    floats (see :meth:`PropagatorTable.mesh_state`).
+    :func:`find_optimal_time` on the U^2 of ``point``.  A coarse or
+    refinement value that is not finite raises NumericalError, and every
+    NumericalError of a search names its energy.  ConfigError from the
+    coarse scan when the noise covariance on the outer mesh of every energy
+    would be too many floats (see :meth:`PropagatorTable.mesh_state`).
     """
     inv_betas = np.asarray(inv_betas, dtype=float)
-    if np.any(inv_betas <= 0) or np.any(np.diff(inv_betas) < 0):
+    if not (np.all(inv_betas > 0) and np.all(np.diff(inv_betas) >= 0)):
         raise ValueError("inv_beta values must be positive and ascending")
     base = CurveEvaluator(cfg, moments, t_interval[1], mode)
     kernels = [base.with_inv_beta(float(ib)).kernel for ib in inv_betas]
@@ -223,31 +195,35 @@ def thermal_sweep(
         searched.append(i)
         brackets.append((lo, hi))
 
+    bounds = {}  # (bracket, time) -> bound, of every pair the search evaluates
+
+    def paired(t, which):
+        """U^2 of the pairs (t_j, energy of bracket which_j) from one paired
+        evaluation, whose bounds join ``bounds``; NumericalError at the
+        first U^2 that is not finite."""
+        curve = base.points(t, [[kernels[searched[j]] for j in which]])[0]
+        _require_finite(t, curve.column("u_sq"))
+        bounds.update(zip(zip(which.tolist(), t.tolist()), curve.column("bound").tolist()))
+        return curve.column("u_sq")
+
     def refine(t, which):
-        """The points of the pairs (t_j, energy of bracket which_j) from one
-        paired evaluation; a NumericalError names the energy whose pair
+        """``paired``, where a NumericalError names the energy whose pair
         fails alone too."""
-        bath = [kernels[searched[j]] for j in which]
         try:
-            return _paired_points(base, t, bath)
+            return paired(t, which)
         except NumericalError:
-            for j, kernel in enumerate(bath):
+            for j in range(t.size):
                 try:
-                    _paired_points(base, t[j : j + 1], [kernel])
+                    paired(t[j : j + 1], which[j : j + 1])
                 except NumericalError as exc:
-                    raise NumericalError(f"{exc}, inv_beta = {kernel.inv_beta:.12g}") from exc
+                    ib = kernels[searched[which[j]]].inv_beta
+                    raise NumericalError(f"{exc}, inv_beta = {ib:.12g}") from exc
             raise
 
     lo, hi = np.reshape(brackets, (-1, 2)).T
-    t_best, at_best = golden_section(refine, lo, hi, rel_tol, point_u_sq)
+    t_best, u_best = golden_section(refine, lo, hi, rel_tol)
     t_opt, u_min, bound = np.full((3, inv_betas.size), np.nan)
     t_opt[searched] = t_best
-    u_min[searched] = [p.u_sq for p in at_best]
-    bound[searched] = [p.bound for p in at_best]
-    return SweepResult(
-        inv_betas=inv_betas,
-        t_opt=t_opt,
-        u_sq_min=u_min,
-        bound=bound,
-        flags=tuple(flags),
-    )
+    u_min[searched] = u_best
+    bound[searched] = [bounds[j, t] for j, t in enumerate(t_best.tolist())]
+    return SweepResult(inv_betas, t_opt, u_min, bound, flags=tuple(flags))

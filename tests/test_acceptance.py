@@ -29,7 +29,7 @@ from pointersim.noise import (
     _u_panels,
     lambda_covariance,
 )
-from pointersim.optimize import find_optimal_time, thermal_sweep
+from pointersim.optimize import thermal_sweep
 from pointersim.propagator import build_generator, propagate, response_matrices
 from pointersim.uncertainty import CurveEvaluator
 

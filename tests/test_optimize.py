@@ -11,7 +11,6 @@ from pointersim.optimize import (
     _coarse_minimum,
     find_optimal_time,
     golden_section,
-    point_u_sq,
     thermal_sweep,
 )
 from pointersim.uncertainty import CurveEvaluator, UncertaintyCurve, UncertaintyPoint
@@ -95,7 +94,7 @@ def test_non_finite_landscape_raises(bad):
 
 def test_closed_measurement_optimum(closed_config, default_moments):
     ev = CurveEvaluator(closed_config, default_moments, 3.0)
-    opt = find_optimal_time(ev.point, key=point_u_sq)
+    opt = find_optimal_time(lambda t: ev.point(t).u_sq)
     assert opt.t_opt == pytest.approx(1.0191126276900606, rel=1e-4)
     assert opt.u_sq_min == pytest.approx(1.2701141295859066, rel=1e-6)
     assert opt.u_sq_min >= 1.0
@@ -117,16 +116,16 @@ def test_optimal_time_shrinks_with_temperature(open_config, default_moments):
     base = CurveEvaluator(open_config, default_moments, 3.0)
     cold = base.with_inv_beta(1.0)
     hot = base.with_inv_beta(2.0)
-    t_cold = find_optimal_time(cold.point, key=point_u_sq).t_opt
-    t_hot = find_optimal_time(hot.point, key=point_u_sq).t_opt
+    t_cold = find_optimal_time(lambda t: cold.point(t).u_sq).t_opt
+    t_hot = find_optimal_time(lambda t: hot.point(t).u_sq).t_opt
     assert t_hot < t_cold
 
 
 def test_refinement_consistency(closed_config, default_moments):
     """Halving the coarse spacing moves t_opt by a refinement-scale amount."""
     ev = CurveEvaluator(closed_config, default_moments, 3.0)
-    t60 = find_optimal_time(ev.point, coarse_points=60, key=point_u_sq).t_opt
-    t120 = find_optimal_time(ev.point, coarse_points=120, key=point_u_sq).t_opt
+    t60 = find_optimal_time(lambda t: ev.point(t).u_sq, coarse_points=60).t_opt
+    t120 = find_optimal_time(lambda t: ev.point(t).u_sq, coarse_points=120).t_opt
     assert abs(t120 - t60) < 10 * 1e-5 * max(t60, 1.0)
 
 
@@ -135,12 +134,15 @@ def test_sweep_rejects_bad_grid(open_config, default_moments):
         thermal_sweep(open_config, default_moments, [2.0, 1.0])
     with pytest.raises(ValueError):
         thermal_sweep(open_config, default_moments, [-1.0, 1.0])
+    for nan_grid in ([float("nan")], [1.0, float("nan")], [float("nan"), 1.0]):
+        with pytest.raises(ValueError, match="positive and ascending"):
+            thermal_sweep(open_config, default_moments, nan_grid)
 
 
 def test_single_point_sweep_matches_direct(open_config, default_moments):
     result = thermal_sweep(open_config, default_moments, [1.0])
     ev = CurveEvaluator(open_config, default_moments, 3.0).with_inv_beta(1.0)
-    direct = find_optimal_time(ev.point, key=point_u_sq)
+    direct = find_optimal_time(lambda t: ev.point(t).u_sq)
     assert result.t_opt[0] == pytest.approx(direct.t_opt, rel=1e-10)
     assert result.u_sq_min[0] == pytest.approx(direct.u_sq_min, rel=1e-10)
     assert result.flags == ()
@@ -230,14 +232,14 @@ def test_lockstep_golden_section_steps_each_bracket_as_alone():
 
     t, values = golden_section(f, lo, hi, rel_tol=1e-9)
     alone = [_one_bracket(w, a, b, rel_tol=1e-9) for w, a, b in zip(wells, lo, hi)]
-    assert t.tolist() == [x for x, _ in alone] and values == [v for _, v in alone]
+    assert t.tolist() == [x for x, _ in alone] and values.tolist() == [v for _, v in alone]
     assert calls[0] == [0, 1, 2, 3, 0, 1, 2, 3]
     assert len(calls) > 30 and all(c == sorted(set(c)) for c in calls[1:])
 
 
 def test_lockstep_golden_section_of_no_bracket():
     t, values = golden_section(lambda t, which: [], np.zeros(0), np.zeros(0))
-    assert t.size == 0 and values == []
+    assert t.size == 0 and values.size == 0
 
 
 def _sweep_equals_per_energy_search(cfg, moments, inv_betas, mode, **kw):
@@ -248,15 +250,16 @@ def _sweep_equals_per_energy_search(cfg, moments, inv_betas, mode, **kw):
     search = {k: kw[k] for k in ("t_interval", "coarse_points") if k in kw}
     flags = []
     for i, ib in enumerate(inv_betas):
+        ev = base.with_inv_beta(ib)
         try:
-            opt = find_optimal_time(base.with_inv_beta(ib).point, key=point_u_sq, **search)
+            opt = find_optimal_time(lambda t: ev.point(t).u_sq, **search)
         except BoundaryMinimum as exc:
             assert np.isnan([result.t_opt[i], result.u_sq_min[i], result.bound[i]]).all()
             flags.append((ib, f"boundary_minimum: {exc}"))
             continue
         assert result.t_opt[i] == opt.t_opt
         assert result.u_sq_min[i] == opt.u_sq_min
-        assert result.bound[i] == opt.at_opt.bound
+        assert result.bound[i] == ev.point(opt.t_opt).bound
         if opt.multiple_minima:
             flags.append((ib, f"multiple_minima: {opt.candidates}"))
     assert result.flags == tuple(flags)
