@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalError, PointerSimError
 from .model import GaussianMoments, MeasurementConfig, gaussian_state_moments
-from .optimize import MIN_REL_TOL, thermal_sweep
+from .optimize import check_search, thermal_sweep
 from .uncertainty import CurveEvaluator, UncertaintyPoint
 
 EXIT_OK = 0
@@ -70,8 +70,8 @@ def _choice(value, key: str, names: tuple[str, ...]) -> str:
     return value
 
 
-#: every config key: its default (None for an optional key), its reader,
-#: and the reader's bounds
+#: every config key: its default (None for an optional key; the search's
+#: are thermal_sweep's), its reader, and the reader's bounds
 _SCHEMA = {
     "kappa1": (2.0, _real, None),
     "kappa2": (2.0, _real, None),
@@ -88,9 +88,9 @@ _SCHEMA = {
     "time_grid.stop": (3.0, _real, None),
     "time_grid.count": (200, _integer, (2, 100_000)),
     "time_grid.spacing": ("linear", _choice, ("linear", "log")),
-    "optimize.t_interval": ([0.02, 3.0], _reals, (2, 2)),
-    "optimize.coarse_points": (60, _integer, (3, 10_000)),
-    "optimize.rel_tol": (1e-5, _real, None),
+    "optimize.t_interval": (list(thermal_sweep.__kwdefaults__["t_interval"]), _reals, (2, 2)),
+    "optimize.coarse_points": (thermal_sweep.__kwdefaults__["coarse_points"], _integer, (3, 10_000)),
+    "optimize.rel_tol": (thermal_sweep.__kwdefaults__["rel_tol"], _real, None),
     # the default sweep grid hits the reference energies 1 and 2 exactly
     "sweep.start": (0.5, _real, None),
     "sweep.stop": (5.0, _real, None),
@@ -154,10 +154,9 @@ class Inputs(NamedTuple):
 
 def read_config(raw: dict) -> Inputs:
     """Every key of the merged config ``raw`` read by its schema entry, then
-    the checks across keys.  Every subcommand reads the whole config, so no
-    bad key passes because a subcommand does not use it.  Golden-section
-    search never stops for a tolerance near the float spacing, so
-    ``rel_tol`` must be at least MIN_REL_TOL."""
+    the checks across keys; :func:`~pointersim.optimize.check_search`
+    checks the search settings.  Every subcommand reads the whole config,
+    so no bad key passes because a subcommand does not use it."""
     val: dict = {}  # the typed values by section; "" holds the keys outside one
     for path, (default, reader, bounds) in _SCHEMA.items():
         section, _, key = path.rpartition(".")
@@ -175,13 +174,13 @@ def read_config(raw: dict) -> Inputs:
     spaced = np.linspace if grid["spacing"] == "linear" else np.geomspace
     times = spaced(grid["start"], grid["stop"], grid["count"])
 
-    search = val["optimize"]
-    lo, hi = search["t_interval"]
-    if not 0.0 < lo < hi:
-        raise ConfigError("optimize.t_interval needs 0 < lo < hi")
-    if search["rel_tol"] < MIN_REL_TOL:
-        raise ConfigError(f"optimize.rel_tol must be >= {MIN_REL_TOL:g}")
+    search, sweep = val["optimize"], val["sweep"]
+    inv_betas = sweep["inv_betas"]
+    if inv_betas is None:
+        inv_betas = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
+    inv_betas = check_search(**search, inv_betas=inv_betas)
     # a curve runs up to the grid's stop, a search up to the interval's end
+    hi = search["t_interval"][1]
     for key, t_max in (("time_grid.stop", grid["stop"]), ("optimize.t_interval", hi)):
         if cfg.eta > 0 and cfg.omega_c * t_max < 10.0:
             warnings.warn(
@@ -189,14 +188,6 @@ def read_config(raw: dict) -> Inputs:
                 "the high-cutoff renormalization may be inaccurate",
                 stacklevel=2,
             )
-
-    sweep = val["sweep"]
-    inv_betas = sweep["inv_betas"]
-    if inv_betas is None:
-        inv_betas = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
-    inv_betas = np.array(inv_betas, dtype=float)
-    if not np.all(inv_betas > 0) or np.any(np.diff(inv_betas) < 0):
-        raise ConfigError("sweep inv_beta values must be positive and ascending")
     return Inputs(cfg, moments, times, search, inv_betas)
 
 

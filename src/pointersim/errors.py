@@ -6,13 +6,9 @@ class PointerSimError(Exception):
     """Base class for all simulator errors."""
 
 
-class ConfigError(PointerSimError):
-    """Invalid model configuration or initial state (CLI exit 2)."""
+class ConfigError(PointerSimError, ValueError):
+    """Invalid configuration, initial state or search setting (CLI exit 2)."""
 
 
 class NumericalError(PointerSimError):
     """A numerical routine failed its accuracy contract (CLI exit 3)."""
-
-
-class BoundaryMinimum(PointerSimError):
-    """Scalar minimization hit an edge of the search interval."""

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pointersim
+from pointersim import optimize
 from pointersim.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -101,6 +102,17 @@ def test_optimize_output(tmp_path):
     assert inv_beta == 1.0
     assert t_opt == pytest.approx(1.01911, abs=1e-3)
     assert u_min == pytest.approx(1.27011, rel=1e-4)
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_a_request_runs_one_search(tmp_path, monkeypatch, command):
+    """Every sweep and optimize request runs the one optimum search once,
+    through the module attribute that the benchmark's spans wrap."""
+    calls = []
+    search = optimize.find_optimal_time
+    monkeypatch.setattr(optimize, "find_optimal_time", lambda *a: calls.append(a) or search(*a))
+    assert main([command, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_optimize_boundary_is_flagged_row(tmp_path):

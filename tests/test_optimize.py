@@ -4,11 +4,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pointersim.errors import BoundaryMinimum, NumericalError
-from pointersim.model import MeasurementConfig, gaussian_state_moments
+from pointersim.errors import NumericalError
+from pointersim.model import MeasurementConfig
 from pointersim.optimize import (
     MIN_REL_TOL,
     _coarse_minimum,
+    check_search,
     find_optimal_time,
     golden_section,
     thermal_sweep,
@@ -20,6 +21,20 @@ def _one_bracket(f, a, b, rel_tol=1e-5):
     """golden_section of a scalar f on the one bracket [a, b]."""
     (t,), (at,) = golden_section(lambda t, _: [f(x) for x in t], [a], [b], rel_tol)
     return t, at
+
+
+def _search(landscape, t_interval=(0.02, 3.0), coarse_points=60, rel_tol=1e-5):
+    """find_optimal_time of a scalar landscape as the one row "row 0", with
+    the checks and the coarse grid of thermal_sweep: (t_opt, value, flags)."""
+    check_search(t_interval, coarse_points, rel_tol, [1.0])
+    grid = np.geomspace(*t_interval, coarse_points)
+    vals = [np.array([landscape(float(t)) for t in grid])]
+
+    def f(t, rows):
+        return np.array([landscape(float(x)) for x in t])
+
+    (t_opt,), (value,), flags = find_optimal_time(grid, vals, f, rel_tol, ["row 0"])
+    return t_opt, value, flags
 
 
 def test_golden_section_quadratic():
@@ -48,7 +63,7 @@ def test_rel_tol_below_the_floor_is_rejected(closed_config, default_moments, rel
     with pytest.raises(ValueError, match="rel_tol"):
         _one_bracket(f, 0.5, 1.5, rel_tol)
     with pytest.raises(ValueError, match="rel_tol"):
-        find_optimal_time(f, (0.5, 1.5), coarse_points=7, rel_tol=rel_tol)
+        _search(f, (0.5, 1.5), coarse_points=7, rel_tol=rel_tol)
     with pytest.raises(ValueError, match="rel_tol"):
         thermal_sweep(closed_config, default_moments, [1.0], coarse_points=7, rel_tol=rel_tol)
 
@@ -61,9 +76,12 @@ def test_rel_tol_at_the_floor_converges():
 
 def test_invalid_interval_rejected():
     with pytest.raises(ValueError):
-        find_optimal_time(lambda t: t, (0.0, 1.0))
+        _search(lambda t: t, (0.0, 1.0))
     with pytest.raises(ValueError):
-        find_optimal_time(lambda t: t, (2.0, 1.0))
+        _search(lambda t: t, (2.0, 1.0))
+    for nan_interval in ((float("nan"), 1.0), (0.1, float("nan"))):
+        with pytest.raises(ValueError, match="0 < lo < hi"):
+            _search(lambda t: t, nan_interval)
 
 
 @pytest.mark.parametrize("coarse_points", [0, 1, 2])
@@ -71,15 +89,17 @@ def test_coarse_grid_needs_three_points(coarse_points):
     """A minimum needs a grid point on each side: fewer than 3 points is a
     bad argument, not an empty argmin or a minimum on an edge."""
     with pytest.raises(ValueError, match="coarse_points >= 3"):
-        find_optimal_time(lambda t: (t - 1.0) ** 2, (0.1, 2.0), coarse_points=coarse_points)
+        _search(lambda t: (t - 1.0) ** 2, (0.1, 2.0), coarse_points=coarse_points)
 
 
-def test_boundary_minimum_raised():
+def test_boundary_minimum_flagged():
     # monotone decreasing landscape has its minimum at the upper edge
-    with pytest.raises(BoundaryMinimum):
-        find_optimal_time(lambda t: -t, (0.1, 2.0))
-    with pytest.raises(BoundaryMinimum):
-        find_optimal_time(lambda t: t, (0.1, 2.0))
+    for landscape, edge in ((lambda t: -t, "2"), (lambda t: t, "0.1")):
+        t_opt, value, flags = _search(landscape, (0.1, 2.0))
+        assert np.isnan(t_opt) and np.isnan(value)
+        assert flags == (
+            (0, f"boundary_minimum: minimum at interval edge t = {edge}; widen the interval"),
+        )
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -87,19 +107,18 @@ def test_non_finite_landscape_raises(bad):
     """A landscape that is not finite on the coarse grid is a numerical
     failure, not a minimum at an interval edge."""
     with pytest.raises(NumericalError, match="t = 0.02"):
-        find_optimal_time(lambda t: bad, (0.02, 3.0))
+        _search(lambda t: bad, (0.02, 3.0))
     with pytest.raises(NumericalError, match="not finite"):
-        find_optimal_time(lambda t: bad if t > 1.0 else t, (0.02, 3.0))
+        _search(lambda t: bad if t > 1.0 else t, (0.02, 3.0))
 
 
 def test_closed_measurement_optimum(closed_config, default_moments):
     ev = CurveEvaluator(closed_config, default_moments, 3.0)
-    opt = find_optimal_time(lambda t: ev.point(t).u_sq)
-    assert opt.t_opt == pytest.approx(1.0191126276900606, rel=1e-4)
-    assert opt.u_sq_min == pytest.approx(1.2701141295859066, rel=1e-6)
-    assert opt.u_sq_min >= 1.0
-    assert not opt.multiple_minima
-    assert opt.candidates == ()
+    t_opt, u_sq_min, flags = _search(lambda t: ev.point(t).u_sq)
+    assert t_opt == pytest.approx(1.0191126276900606, rel=1e-4)
+    assert u_sq_min == pytest.approx(1.2701141295859066, rel=1e-6)
+    assert u_sq_min >= 1.0
+    assert flags == ()
 
 
 def test_multiple_minima_flagged():
@@ -107,25 +126,28 @@ def test_multiple_minima_flagged():
     def f(t):
         return 1.0 + 0.5 * (t - 0.5) ** 2 * (t - 2.0) ** 2
 
-    opt = find_optimal_time(f, (0.1, 2.8))
-    assert opt.multiple_minima
-    assert len(opt.candidates) == 2
+    grid = np.geomspace(0.1, 2.8, 60)
+    vals = f(grid)
+    local = [i for i in range(1, 59) if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
+    candidates = tuple((float(grid[i]), float(vals[i])) for i in local)
+    assert len(candidates) == 2
+    assert _search(f, (0.1, 2.8))[2] == ((0, f"multiple_minima: {candidates}"),)
 
 
 def test_optimal_time_shrinks_with_temperature(open_config, default_moments):
     base = CurveEvaluator(open_config, default_moments, 3.0)
     cold = base.with_inv_beta(1.0)
     hot = base.with_inv_beta(2.0)
-    t_cold = find_optimal_time(lambda t: cold.point(t).u_sq).t_opt
-    t_hot = find_optimal_time(lambda t: hot.point(t).u_sq).t_opt
+    t_cold = _search(lambda t: cold.point(t).u_sq)[0]
+    t_hot = _search(lambda t: hot.point(t).u_sq)[0]
     assert t_hot < t_cold
 
 
 def test_refinement_consistency(closed_config, default_moments):
     """Halving the coarse spacing moves t_opt by a refinement-scale amount."""
     ev = CurveEvaluator(closed_config, default_moments, 3.0)
-    t60 = find_optimal_time(lambda t: ev.point(t).u_sq, coarse_points=60).t_opt
-    t120 = find_optimal_time(lambda t: ev.point(t).u_sq, coarse_points=120).t_opt
+    t60 = _search(lambda t: ev.point(t).u_sq, coarse_points=60)[0]
+    t120 = _search(lambda t: ev.point(t).u_sq, coarse_points=120)[0]
     assert abs(t120 - t60) < 10 * 1e-5 * max(t60, 1.0)
 
 
@@ -142,9 +164,9 @@ def test_sweep_rejects_bad_grid(open_config, default_moments):
 def test_single_point_sweep_matches_direct(open_config, default_moments):
     result = thermal_sweep(open_config, default_moments, [1.0])
     ev = CurveEvaluator(open_config, default_moments, 3.0).with_inv_beta(1.0)
-    direct = find_optimal_time(lambda t: ev.point(t).u_sq)
-    assert result.t_opt[0] == pytest.approx(direct.t_opt, rel=1e-10)
-    assert result.u_sq_min[0] == pytest.approx(direct.u_sq_min, rel=1e-10)
+    t_opt, u_sq_min, _ = _search(lambda t: ev.point(t).u_sq)
+    assert result.t_opt[0] == pytest.approx(t_opt, rel=1e-10)
+    assert result.u_sq_min[0] == pytest.approx(u_sq_min, rel=1e-10)
     assert result.flags == ()
 
 
@@ -163,23 +185,66 @@ def _two_wells(t):
 
 
 def test_coarse_minimum_is_the_scan_of_find_optimal_time():
-    """find_optimal_time refines the bracket of its coarse row, as
-    thermal_sweep does with each row of its coarse scan."""
+    """find_optimal_time refines the bracket of its coarse row and flags
+    the row with its coarse minimum's flag."""
     grid = np.geomspace(0.1, 2.8, 60)
-    lo, hi, near = _coarse_minimum(grid, np.array([_two_wells(t) for t in grid]))
-    scanned = find_optimal_time(_two_wells, (0.1, 2.8))
-    assert near == scanned.candidates and len(near) == 2
-    assert _one_bracket(_two_wells, lo, hi) == (scanned.t_opt, scanned.u_sq_min)
-    with pytest.raises(BoundaryMinimum):
-        _coarse_minimum(grid, grid)
+    (lo, hi), flag = _coarse_minimum(grid, np.array([_two_wells(t) for t in grid]))
+    t_opt, value, flags = _search(_two_wells, (0.1, 2.8))
+    assert flags == ((0, flag),) and flag.startswith("multiple_minima: ((")
+    assert _one_bracket(_two_wells, lo, hi) == (t_opt, value)
+    assert _coarse_minimum(grid, grid) == (
+        None, "boundary_minimum: minimum at interval edge t = 0.1; widen the interval"
+    )
 
 
 def test_find_optimal_time_refuses_a_refinement_value_that_is_not_finite():
     """Finite on the 60 coarse times and nan between them: the first
     refinement value is refused, as a coarse one would be."""
     grid = set(np.geomspace(0.02, 3.0, 60).tolist())
-    with pytest.raises(NumericalError, match="U\\^2 is not finite at t = 0.978214$"):
-        find_optimal_time(lambda t: (t - 1.0) ** 2 if t in grid else float("nan"))
+    with pytest.raises(NumericalError, match="U\\^2 is not finite at t = 0.978214, row 0$"):
+        _search(lambda t: (t - 1.0) ** 2 if t in grid else float("nan"))
+
+
+_ROWS = {
+    "quadratic": lambda t: (t - 1.3) ** 2 + 2.0,
+    "two wells": lambda t: _two_wells(t),
+    "boundary": lambda t: -t,
+}
+
+
+@pytest.mark.parametrize("error", [None, NumericalError("noise covariance eigenvalue")],
+                         ids=["non-finite", "raised"])
+def test_search_over_several_rows(error):
+    """One search over a quadratic, a two-well and a boundary row: each
+    searched row has the bits of its own search, the boundary row is nan,
+    the flags come in row order, and a refinement error that only the
+    two-well row raises names that row."""
+    names = list(_ROWS)
+    landscapes = list(_ROWS.values())
+    grid = np.geomspace(0.1, 2.8, 60)
+    vals = [np.array([g(float(t)) for t in grid]) for g in landscapes]
+    calls = []
+
+    def f(t, rows):
+        calls.append(rows.tolist())
+        return np.array([landscapes[r](x) for x, r in zip(t.tolist(), rows.tolist())])
+
+    t_opt, value, flags = find_optimal_time(grid, vals, f, 1e-5, names)
+    for row in (0, 1):
+        alone, alone_value, _ = _search(landscapes[row], (0.1, 2.8))
+        assert (t_opt[row], value[row]) == (alone, alone_value)
+    assert np.isnan(t_opt[2]) and np.isnan(value[2])
+    assert flags == tuple((row, _coarse_minimum(grid, vals[row])[1]) for row in (1, 2))
+    assert all(2 not in rows for rows in calls)
+
+    def failing(t, rows):
+        if error is not None and 1 in rows:
+            raise error
+        return np.where(rows == 1, np.nan, f(t, rows))
+
+    expected = "noise covariance eigenvalue" if error else "U\\^2 is not finite at t = "
+    with pytest.raises(NumericalError, match=f"^{expected}.*, two wells$"):
+        find_optimal_time(grid, vals, failing, 1e-5, names)
 
 
 def _python_golden_section(f, a, b, rel_tol):
@@ -238,12 +303,12 @@ def test_lockstep_golden_section_steps_each_bracket_as_alone():
 
 
 def test_lockstep_golden_section_of_no_bracket():
-    t, values = golden_section(lambda t, which: [], np.zeros(0), np.zeros(0))
+    t, values = golden_section(lambda t, which: [], np.zeros(0), np.zeros(0), 1e-5)
     assert t.size == 0 and values.size == 0
 
 
 def _sweep_equals_per_energy_search(cfg, moments, inv_betas, mode, **kw):
-    """The sweep against one find_optimal_time on point per energy, bit for
+    """The sweep against a search of its own on point per energy, bit for
     bit, flags included."""
     result = thermal_sweep(cfg, moments, inv_betas, mode=mode, **kw)
     base = CurveEvaluator(cfg, moments, kw.get("t_interval", (0.02, 3.0))[1], mode)
@@ -251,17 +316,15 @@ def _sweep_equals_per_energy_search(cfg, moments, inv_betas, mode, **kw):
     flags = []
     for i, ib in enumerate(inv_betas):
         ev = base.with_inv_beta(ib)
-        try:
-            opt = find_optimal_time(lambda t: ev.point(t).u_sq, **search)
-        except BoundaryMinimum as exc:
+        t_opt, u_sq_min, row_flags = _search(lambda t: ev.point(t).u_sq, **search)
+        flags += [(ib, text) for _, text in row_flags]
+        if np.isnan(t_opt):
             assert np.isnan([result.t_opt[i], result.u_sq_min[i], result.bound[i]]).all()
-            flags.append((ib, f"boundary_minimum: {exc}"))
+            assert np.isnan(u_sq_min) and row_flags[0][1].startswith("boundary_minimum: ")
             continue
-        assert result.t_opt[i] == opt.t_opt
-        assert result.u_sq_min[i] == opt.u_sq_min
-        assert result.bound[i] == ev.point(opt.t_opt).bound
-        if opt.multiple_minima:
-            flags.append((ib, f"multiple_minima: {opt.candidates}"))
+        assert result.t_opt[i] == t_opt
+        assert result.u_sq_min[i] == u_sq_min
+        assert result.bound[i] == ev.point(t_opt).bound
     assert result.flags == tuple(flags)
     return result
 
