@@ -207,7 +207,7 @@ def test_find_optimal_time_refuses_a_refinement_value_that_is_not_finite():
 
 _ROWS = {
     "quadratic": lambda t: (t - 1.3) ** 2 + 2.0,
-    "two wells": lambda t: _two_wells(t),
+    "two wells": _two_wells,
     "boundary": lambda t: -t,
 }
 
