@@ -11,6 +11,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import reprlib
 import sys
@@ -23,7 +24,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalError, PointerSimError
 from .model import GaussianMoments, MeasurementConfig, gaussian_state_moments
-from .optimize import check_search, thermal_sweep
+from .optimize import MIN_COARSE_POINTS, check_search, thermal_sweep
+from .propagator import DEFAULT_MODE, MODES
 from .uncertainty import CurveEvaluator, UncertaintyPoint
 
 EXIT_OK = 0
@@ -70,27 +72,24 @@ def _choice(value, key: str, names: tuple[str, ...]) -> str:
     return value
 
 
-#: every config key: its default (None for an optional key; the search's
-#: are thermal_sweep's), its reader, and the reader's bounds
+_SEARCH = thermal_sweep.__kwdefaults__
+_STATE = inspect.signature(gaussian_state_moments).parameters
+#: every config key: its default (None for an optional key), reader and the reader's bounds;
+#: the physics, state and search defaults are MeasurementConfig's, gaussian_state_moments's
+#: (pointer_correlations None is uncorrelated) and thermal_sweep's
 _SCHEMA = {
-    "kappa1": (2.0, _real, None),
-    "kappa2": (2.0, _real, None),
-    "mass_ratio": (1.0, _real, None),
-    "eta": (0.25, _real, None),
-    "omega_c": (20.0, _real, None),
-    "inv_beta": (1.0, _real, None),
-    "state.system_position_variance": (1.0, _real, None),
-    "state.pointer_position_variances": ([1.0, 1.0], _reals, (2, 2)),
-    "state.system_momentum_variance": (None, _real, None),
-    "state.pointer_momentum_variances": (None, _reals, (2, 2)),
-    "state.pointer_correlations": (None, _reals, (2, 2)),
+    **{f.name: (f.default, _real, None) for f in fields(MeasurementConfig)},
+    **{  # a pointer_ key holds one value per pointer
+        f"state.{k}": (a.default, *((_reals, (2, 2)) if k.startswith("pointer_") else (_real, None)))
+        for k, a in _STATE.items()
+    },
     "time_grid.start": (0.02, _real, None),
     "time_grid.stop": (3.0, _real, None),
     "time_grid.count": (200, _integer, (2, 100_000)),
     "time_grid.spacing": ("linear", _choice, ("linear", "log")),
-    "optimize.t_interval": (list(thermal_sweep.__kwdefaults__["t_interval"]), _reals, (2, 2)),
-    "optimize.coarse_points": (thermal_sweep.__kwdefaults__["coarse_points"], _integer, (3, 10_000)),
-    "optimize.rel_tol": (thermal_sweep.__kwdefaults__["rel_tol"], _real, None),
+    "optimize.t_interval": (_SEARCH["t_interval"], _reals, (2, 2)),
+    "optimize.coarse_points": (_SEARCH["coarse_points"], _integer, (MIN_COARSE_POINTS, 10_000)),
+    "optimize.rel_tol": (_SEARCH["rel_tol"], _real, None),
     # the default sweep grid hits the reference energies 1 and 2 exactly
     "sweep.start": (0.5, _real, None),
     "sweep.stop": (5.0, _real, None),
@@ -100,13 +99,13 @@ _SCHEMA = {
 
 
 def _default_config() -> dict:
-    """The schema's defaults nested by section, optional keys left out."""
+    """The schema's defaults as JSON, nested by section, optional keys left out."""
     cfg: dict = {}
     for path, (default, _, _) in _SCHEMA.items():
         section, _, key = path.rpartition(".")
         if default is not None:
             (cfg.setdefault(section, {}) if section else cfg)[key] = default
-    return cfg
+    return json.loads(json.dumps(cfg))
 
 
 _DEFAULT_CONFIG = _default_config()
@@ -166,7 +165,7 @@ def read_config(raw: dict) -> Inputs:
         val.setdefault(section, {})[key] = None if absent else reader(value, path, bounds)
 
     cfg = MeasurementConfig(**val[""])
-    moments = gaussian_state_moments(**{k: v for k, v in val["state"].items() if v is not None})
+    moments = gaussian_state_moments(**val["state"])
 
     grid = val["time_grid"]
     if not 0.0 < grid["start"] < grid["stop"]:
@@ -293,8 +292,8 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", default=None, help="JSON config path")
             p.add_argument(
                 "--mode",
-                choices=("raw", "renormalized"),
-                default="renormalized",
+                choices=MODES,
+                default=DEFAULT_MODE,
                 help="bath dynamics variant",
             )
     return parser

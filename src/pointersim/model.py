@@ -162,16 +162,16 @@ def gaussian_state_moments(
     pointer_position_variances: tuple[float, float] = (1.0, 1.0),
     system_momentum_variance: float | None = None,
     pointer_momentum_variances: tuple[float, float] | None = None,
-    pointer_correlations: tuple[float, float] = (0.0, 0.0),
+    pointer_correlations: tuple[float, float] | None = None,
 ) -> GaussianMoments:
     """Moments of initially uncorrelated Gaussian system and pointer states.
 
     By default each state is a pure Gaussian with a real-valued wave
-    function, so the momentum variance is the minimum-uncertainty value
-    1/(4*DX^2) and the symmetrized position-momentum correlation vanishes.
-    Explicit momentum variances or correlations may be supplied as long as
-    DX^2*DP^2 >= 1/4 + c^2 holds per state.  Every argument must be finite;
-    ConfigError names the first that is not.
+    function: a momentum variance of None is the minimum-uncertainty value
+    1/(4*DX^2), and pointer correlations of None are uncorrelated (a zero
+    symmetrized position-momentum correlation).  Explicit values must obey
+    DX^2*DP^2 >= 1/4 + c^2 per state.  Every argument must be finite;
+    ConfigError names the first that is not.  These defaults are the CLI's.
     """
     vxs = _finite("system_position_variance", system_position_variance)
     vx1, vx2 = _finite("pointer_position_variances", pointer_position_variances)
@@ -182,11 +182,12 @@ def gaussian_state_moments(
         vps = _finite("system_momentum_variance", system_momentum_variance)
     _check_pair(vxs, vps, 0.0, "system")
 
-    if pointer_momentum_variances is None:
-        vp1, vp2 = 0.25 / vx1, 0.25 / vx2
-    else:
+    vp1, vp2 = 0.25 / vx1, 0.25 / vx2
+    if pointer_momentum_variances is not None:
         vp1, vp2 = _finite("pointer_momentum_variances", pointer_momentum_variances)
-    c1, c2 = _finite("pointer_correlations", pointer_correlations)
+    c1, c2 = 0.0, 0.0
+    if pointer_correlations is not None:
+        c1, c2 = _finite("pointer_correlations", pointer_correlations)
     _check_pair(vx1, vp1, c1, "pointer 1")
     _check_pair(vx2, vp2, c2, "pointer 2")
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import GaussianMoments, MeasurementConfig
+from .propagator import DEFAULT_MODE
 from .uncertainty import CurveEvaluator
 
 __all__ = [
@@ -24,6 +25,8 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 #: smallest rel_tol of golden_section: below it the bracket would have to
 #: shrink under the float spacing of its ends, and the search never stops
 MIN_REL_TOL = 1e-12
+#: fewest points of the coarse grid: a minimum needs one on each side
+MIN_COARSE_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -45,15 +48,15 @@ def _check_rel_tol(rel_tol) -> None:
 
 def check_search(t_interval, coarse_points, rel_tol, inv_betas) -> np.ndarray:
     """``inv_betas`` as a float array, once the search settings pass their
-    checks: ``0 < lo < hi`` for ``t_interval``, at least 3 coarse points (a
-    minimum needs one on each side), ``rel_tol >= MIN_REL_TOL``, and thermal
+    checks: ``0 < lo < hi`` for ``t_interval``, an integer of at least
+    MIN_COARSE_POINTS coarse points, ``rel_tol >= MIN_REL_TOL``, and thermal
     energies positive and ascending.  NaN fails each check; the first that
     fails raises ConfigError, which is also a ValueError."""
     lo, hi = t_interval
     if not 0.0 < lo < hi:
         raise ConfigError("optimize.t_interval needs 0 < lo < hi")
-    if not coarse_points >= 3:
-        raise ConfigError(f"need coarse_points >= 3, got {coarse_points!r}")
+    if not (isinstance(coarse_points, (int, np.integer)) and coarse_points >= MIN_COARSE_POINTS):
+        raise ConfigError(f"need an integer coarse_points >= {MIN_COARSE_POINTS}, got {coarse_points!r}")
     _check_rel_tol(rel_tol)
     inv_betas = np.asarray(inv_betas, dtype=float)
     if not (np.all(inv_betas > 0) and np.all(np.diff(inv_betas) >= 0)):
@@ -175,7 +178,7 @@ def thermal_sweep(
     inv_betas,
     *,
     t_interval: tuple[float, float] = (0.02, 3.0),
-    mode: str = "renormalized",
+    mode: str = DEFAULT_MODE,
     coarse_points: int = 60,
     rel_tol: float = 1e-5,
 ) -> SweepResult:

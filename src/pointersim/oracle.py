@@ -138,9 +138,7 @@ def reconstructed_dissipation(bath: DiscreteBath, t):
 
 
 def discretize_bath(
-    cfg: MeasurementConfig,
-    n_modes: int = 400,
-    omega_max: float | None = None,
+    cfg: MeasurementConfig, n_modes: int, omega_max: float | None = None
 ) -> DiscreteBath:
     """Equal-spacing midpoint discretization of the Ohmic spectral density.
 
@@ -321,10 +319,7 @@ def discrete_pointer_covariance(
 
 
 def continuum_pointer_covariance(
-    cfg: MeasurementConfig,
-    moments: GaussianMoments,
-    times: np.ndarray,
-    mode: str = "raw",
+    cfg: MeasurementConfig, moments: GaussianMoments, times: np.ndarray, mode: str
 ) -> np.ndarray:
     """Pointer-position covariance from the continuum propagator pipeline."""
     times = np.asarray(times, dtype=float)
@@ -348,7 +343,7 @@ def _closed_limit_error() -> float:
     """Generator propagation against the exact eta = 0 polynomials."""
     cfg = MeasurementConfig(eta=0.0)
     times = np.linspace(0.0, 3.0, 61)
-    numeric = propagate(build_generator(cfg, "renormalized"), times)
+    numeric = propagate(build_generator(cfg), times)
     exact = zip(*(closed_form_eta0(cfg, t) for t in times.tolist()))
     return max(float(np.abs(x - np.array(y)).max()) for x, y in zip(numeric, exact))
 
@@ -370,7 +365,7 @@ def _classical_limit_error() -> float:
     """nu against its high-temperature limit eta*omega_c*inv_beta*e^(-omega_c t)."""
     worst = 0.0
     for inv_beta in (1e4, 2e4):
-        kernel = BathKernel(eta=0.25, omega_c=20.0, inv_beta=inv_beta)
+        kernel = BathKernel.from_config(MeasurementConfig(inv_beta=inv_beta))
         for t in (0.01, 0.05, 0.1):
             nu = noise_autocorrelation(t, kernel)
             ref = kernel.eta * kernel.omega_c * inv_beta * np.exp(-kernel.omega_c * t)
@@ -380,7 +375,7 @@ def _classical_limit_error() -> float:
 
 def _dissipation_transform_error() -> float:
     """Closed-form mu(t) against the sine transform of the spectral density."""
-    kernel = BathKernel(eta=0.25, omega_c=20.0, inv_beta=1.0)
+    kernel = BathKernel.from_config(MeasurementConfig())
     worst = 0.0
     for t in np.linspace(0.05, 0.8, 12):
         direct = dissipation_kernel_scalar(float(t), kernel)

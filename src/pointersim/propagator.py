@@ -44,6 +44,9 @@ __all__ = [
     "response_matrices",
 ]
 
+#: the dynamics mode of build_generator's callers that name none, and every mode
+DEFAULT_MODE = "renormalized"
+MODES = ("raw", DEFAULT_MODE)  # in the order the CLI lists them
 #: selection matrix sending the two pointer components into 3-vectors
 _S_SEL = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 #: |det A| threshold relative to ||A||^2 below which inference fails
@@ -88,13 +91,13 @@ def _second_order_blocks(cfg: MeasurementConfig, coup: CouplingMatrices):
     return blocks
 
 
-def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> AugmentedGenerator:
+def build_generator(cfg: MeasurementConfig, mode: str = DEFAULT_MODE) -> AugmentedGenerator:
     """Assemble the augmented generator for the requested dynamics mode.
 
     For eta = 0, and only then, no memory variables are needed: the generator
     is the 6-dimensional closed (nilpotent) position/velocity dynamics.
     """
-    if mode not in ("renormalized", "raw"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     coup = build_coupling_matrices(cfg)
     m_inv, pos, vel = _second_order_blocks(cfg, coup)
@@ -106,14 +109,14 @@ def build_generator(cfg: MeasurementConfig, mode: str = "renormalized") -> Augme
     gen[3:6, 0:3] = pos
     gen[3:6, 3:6] = vel
     if eta != 0.0:  # two memory variables, one per pointer
-        if mode == "renormalized":
-            # memory term enters the force with a minus sign
-            gen[3:6, 6:8] = -m_inv @ _S_SEL
-            gen[6:8, 3:6] = eta * wc * _S_SEL.T
-        else:
+        if mode == "raw":
             # raw position convolution adds to the force
             gen[3:6, 6:8] = m_inv @ _S_SEL
             gen[6:8, 0:3] = eta * wc * wc * _S_SEL.T  # the product MeasurementConfig checks
+        else:
+            # renormalized: the memory term enters the force with a minus sign
+            gen[3:6, 6:8] = -m_inv @ _S_SEL
+            gen[6:8, 3:6] = eta * wc * _S_SEL.T
         gen[6:8, 6:8] = -wc * np.eye(2)
 
     noise = np.zeros((n, 3))

@@ -18,7 +18,7 @@ import numpy as np
 from .kernels import BathKernel
 from .model import GaussianMoments, MeasurementConfig
 from .noise import PropagatorTable, lambda_covariance, xi_matrix
-from .propagator import build_generator, checked_inverse, response_matrices
+from .propagator import DEFAULT_MODE, build_generator, checked_inverse, response_matrices
 
 __all__ = ["UncertaintyPoint", "UncertaintyCurve", "lower_bound", "CurveEvaluator"]
 
@@ -109,11 +109,7 @@ class CurveEvaluator:
     """
 
     def __init__(
-        self,
-        cfg: MeasurementConfig,
-        moments: GaussianMoments,
-        t_max: float,
-        mode: str = "renormalized",
+        self, cfg: MeasurementConfig, moments: GaussianMoments, t_max: float, mode: str = DEFAULT_MODE
     ):
         self.cfg = cfg
         self.moments = moments

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from contextlib import nullcontext
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from pointersim.cli import (
     load_config,
     main,
 )
+from pointersim.model import MeasurementConfig, gaussian_state_moments
+from pointersim.uncertainty import CurveEvaluator
 
 CURVE_HEADER = "t,var_x,var_p,u_sq,bound,sigma1_sq,sigma2_sq,xi1_sq,xi2_sq,det_a"
 SWEEP_HEADER = "inv_beta,t_opt,u_sq_min"
@@ -102,6 +105,22 @@ def test_optimize_output(tmp_path):
     assert inv_beta == 1.0
     assert t_opt == pytest.approx(1.01911, abs=1e-3)
     assert u_min == pytest.approx(1.27011, rel=1e-4)
+
+
+def test_cli_defaults_are_the_library_defaults(tmp_path):
+    """With no config and no --mode, a curve and an optimum are what the
+    library computes from its own defaults, to the last printed digit."""
+    cfg, moments = MeasurementConfig(), gaussian_state_moments()
+    curve = CurveEvaluator(cfg, moments, 3.0).curve(np.linspace(0.02, 3.0, 200))
+    sweep = optimize.thermal_sweep(cfg, moments, [1.0])
+    expected = {
+        "uncertainty": [",".join("%.12g" % v for v in astuple(point)) for point in curve],
+        "optimize": ["%.12g,%.12g,%.12g" % (1.0, sweep.t_opt[0], sweep.u_sq_min[0])],
+    }
+    for command, rows in expected.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--out", str(out)]) == EXIT_OK
+        assert _rows(out)[1][1:] == rows
 
 
 @pytest.mark.parametrize("command", ["sweep", "optimize"])

@@ -83,6 +83,12 @@ def test_default_moments_minimum_uncertainty(default_moments):
     assert default_moments.dp_s0 == 0.5
 
 
+def test_no_pointer_correlations_are_zero_correlations():
+    """pointer_correlations=None, the default, has the bits of (0.0, 0.0)."""
+    none, zero = (gaussian_state_moments(pointer_correlations=c) for c in (None, (0.0, 0.0)))
+    assert none.cov_j.tobytes() == zero.cov_j.tobytes()
+
+
 def test_moments_reject_uncertainty_violation():
     with pytest.raises(ConfigError, match=r"^pointer 1: DX\^2\*DP\^2 = 0.1 < 1/4"):
         gaussian_state_moments(

@@ -84,10 +84,11 @@ def test_invalid_interval_rejected():
             _search(lambda t: t, nan_interval)
 
 
-@pytest.mark.parametrize("coarse_points", [0, 1, 2])
+@pytest.mark.parametrize("coarse_points", [0, 1, 2, 3.5])
 def test_coarse_grid_needs_three_points(coarse_points):
-    """A minimum needs a grid point on each side: fewer than 3 points is a
-    bad argument, not an empty argmin or a minimum on an edge."""
+    """A minimum needs a grid point on each side: fewer than 3 points, or a
+    count that is not an integer, is a bad argument, not an empty argmin, a
+    minimum on an edge or numpy's TypeError."""
     with pytest.raises(ValueError, match="coarse_points >= 3"):
         _search(lambda t: (t - 1.0) ** 2, (0.1, 2.0), coarse_points=coarse_points)
 

@@ -121,7 +121,7 @@ def test_continuum_closed_covariance(closed_config, default_moments):
     """eta = 0: the pointer covariance reduces to the response transform."""
     t = 1.0
     (cov,) = oracle.continuum_pointer_covariance(
-        closed_config, default_moments, np.array([t])
+        closed_config, default_moments, np.array([t]), "raw"
     )
     k, g, _ = oracle.closed_form_eta0(closed_config, t)
     cj = default_moments.cov_j
